@@ -210,7 +210,12 @@ class QosController:
     def step(
         self, measured_erab: float, source_rate: float = math.nan
     ) -> tuple[tuple[float, ...], TransmissionOutcome]:
-        """Consume one epoch's measurement; returns (next allocation, outcome)."""
+        """Consume one epoch's measurement; returns (next allocation, outcome).
+
+        A non-finite measurement raises ValueError before any state changes.
+        """
+        if not math.isfinite(measured_erab):
+            raise ValueError(f"measured ERAB must be finite, got {measured_erab}")
         applied = self._current
         response = quantize(measured_erab, self.config)
         update: UpdateResult = self.profile.update(

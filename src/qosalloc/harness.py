@@ -18,12 +18,16 @@ Reported metrics, averaged over all epochs of a run:
 * final_search_time  wall-clock of the last epoch's allocation search,
                      re-measured as a median over repeated evaluations of
                      that same final-state search so single-shot timer
-                     jitter cannot invert comparisons.
+                     jitter cannot invert comparisons. The repetitions are
+                     interleaved across every controller being compared,
+                     so a slow or fast spell of the machine shifts all of
+                     their samples alike.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -445,17 +449,25 @@ def compute_metrics(
     return avg_rab, avg_dlr, avg_var
 
 
-def _measure_final_search_ms(ctrl: QosController, reps: int = FINAL_TIMING_REPS) -> float:
-    """Median wall-clock of the controller's final-state search."""
-    times = []
+def _measure_final_search_ms(
+    ctrls: Sequence[QosController], reps: int = FINAL_TIMING_REPS
+) -> list[float]:
+    """Median wall-clock of each controller's final-state search.
+
+    Each round times every controller once, in order, so the controllers'
+    samples are taken side by side rather than one block after another.
+    """
+    times: list[list[float]] = [[] for _ in ctrls]
     for _ in range(reps + 1):
-        t0 = time.perf_counter()
-        search(
-            ctrl.config.grid, ctrl.profile, ctrl.config.kernel, ctrl.target,
-            predictor=ctrl.predictor,
-        )
-        times.append((time.perf_counter() - t0) * 1e3)
-    return float(np.median(times[1:]))  # first evaluation is the warm-up
+        for ctrl, samples in zip(ctrls, times):
+            t0 = time.perf_counter()
+            search(
+                ctrl.config.grid, ctrl.profile, ctrl.config.kernel, ctrl.target,
+                predictor=ctrl.predictor,
+            )
+            samples.append((time.perf_counter() - t0) * 1e3)
+    # the first round is the warm-up
+    return [float(np.median(samples[1:])) for samples in times]
 
 
 def _build_seed_profile(
@@ -490,8 +502,14 @@ def _build_seed_profile(
     )
 
 
-def run_scenario(config: ScenarioConfig, out_dir=None) -> ScenarioResult:
-    """Run one closed-loop scenario; optionally write the output files."""
+def run_scenario(
+    config: ScenarioConfig, out_dir=None, time_final_search: bool = True
+) -> ScenarioResult:
+    """Run one closed-loop scenario; optionally write the output files.
+
+    With time_final_search=False the reports carry NaN final search times,
+    for a caller that times several runs' final searches together.
+    """
     qos_config = config.to_qos_config()
     rng = np.random.default_rng(config.rng_seed)
     capacity = config.capacity if config.predictor.bounded else None
@@ -514,6 +532,10 @@ def run_scenario(config: ScenarioConfig, out_dir=None) -> ScenarioResult:
     )
     sim.run(config.run_length)
 
+    if time_final_search:
+        final_ms = _measure_final_search_ms(controllers)
+    else:
+        final_ms = [math.nan] * len(controllers)
     reports = []
     for i, ctrl in enumerate(controllers):
         erab = tuple(rec.erab for rec in ctrl.log)
@@ -527,7 +549,7 @@ def run_scenario(config: ScenarioConfig, out_dir=None) -> ScenarioResult:
                 avg_rab=avg_rab,
                 avg_dlr=avg_dlr,
                 avg_bw_variation=avg_var,
-                final_search_time_ms=_measure_final_search_ms(ctrl),
+                final_search_time_ms=final_ms[i],
                 erab=erab,
                 total_allocation=totals,
                 source_rate=tuple(rec.source_rate for rec in ctrl.log),
@@ -648,15 +670,26 @@ def parse_variant(token: str) -> Variant:
 def compare_predictors(
     config: ScenarioConfig, variants: Sequence[Variant], out_dir=None
 ) -> list[tuple[str, ScenarioResult]]:
-    """Run each variant on the same traces and seed; one report row each."""
-    results: list[tuple[str, ScenarioResult]] = []
+    """Run each variant on the same traces and seed; one report row each.
+
+    The final search times of all variants are measured together, after
+    the runs, with their repetitions interleaved.
+    """
+    runs: list[tuple[str, ScenarioResult]] = []
     for variant in variants:
         cfg = replace(
             config,
             predictor=variant.predictor,
             capacity=variant.capacity if variant.capacity is not None else config.capacity,
         )
-        results.append((variant.label, run_scenario(cfg)))
+        runs.append((variant.label, run_scenario(cfg, time_final_search=False)))
+    final_ms = iter(_measure_final_search_ms(
+        [ctrl for _, result in runs for ctrl in result.controllers]))
+    results = [
+        (label, replace(result, reports=tuple(
+            replace(rep, final_search_time_ms=next(final_ms)) for rep in result.reports)))
+        for label, result in runs
+    ]
     if out_dir is not None:
         write_comparison(results, out_dir)
     return results

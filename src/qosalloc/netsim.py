@@ -16,6 +16,7 @@ owns the epoch clock; controllers are advanced one step per epoch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -72,8 +73,8 @@ class ServiceSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rate_trace", tuple(float(r) for r in self.rate_trace))
-        if any(r < 0.0 for r in self.rate_trace):
-            raise ValueError("source rates must be >= 0")
+        if not all(math.isfinite(r) and r >= 0.0 for r in self.rate_trace):
+            raise ValueError("source rates must be finite and >= 0")
 
     def rate_at(self, epoch: int) -> float:
         if epoch >= len(self.rate_trace):

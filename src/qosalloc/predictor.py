@@ -14,6 +14,11 @@ Summation over profile records is fixed-precision left-to-right in record
 (insertion) order. Appending a record therefore leaves all partial sums for
 the existing records bit-identical, which keeps the membership-set
 monotonicity checks numerically stable.
+
+predict_batch evaluates link-major: the candidates are transposed once into
+contiguous per-link columns, and each record then costs a few whole-column
+vector operations. Nearest-record bookkeeping, needed only where every
+weight underflows, runs lazily over just those rows.
 """
 
 from __future__ import annotations
@@ -111,9 +116,13 @@ def predict_batch(
     Notes
     -----
     Accumulation runs over records in insertion order, left-to-right, in
-    float64, independently per candidate row. If every weight underflows to
-    zero at some row, y* falls back to the response of the nearest record
-    (ties to the lowest record index) and the kernel sum reports 0.0.
+    float64, independently per candidate row. Evaluation is link-major: the
+    candidates are transposed once to contiguous (n, m) columns, and each
+    record's squared distance is summed column by column, link 0 first,
+    which is the same order a row-wise sum over links uses. If every weight
+    underflows to zero at some row, y* falls back to the response of the
+    nearest record (ties to the lowest record index) and the kernel sum
+    reports 0.0; the nearest record is searched for those rows only.
     """
     if profile.size == 0:
         raise EmptyProfileError("cannot predict against an empty profile")
@@ -124,23 +133,53 @@ def predict_batch(
         )
     allocs = profile.allocation_matrix()
     responses = profile.response_vector()
+    cols = np.ascontiguousarray(xs.T)
     m = xs.shape[0]
     num = np.zeros(m)
     den = np.zeros(m)
+    w = np.empty(m)
+    diff = np.empty(m)
+    neg_sigma2 = -kernel.sigma2
+    for a, r in zip(allocs.tolist(), responses.astype(float).tolist()):
+        # w holds the squared distance, then turns into the weight in place
+        _squared_distance_into(w, diff, cols, a)
+        # (d2 / -s) == (-d2 / s) bit for bit: IEEE division is sign-symmetric
+        np.divide(w, neg_sigma2, out=w)
+        np.exp(w, out=w)
+        den += w
+        w *= r
+        num += w
+    y_star = num / np.where(den > 0.0, den, 1.0)
+    fallback = np.flatnonzero(~(den > 0.0))
+    if fallback.size:
+        y_star[fallback] = responses[_nearest(cols[:, fallback], allocs)]
+    return y_star, den
+
+
+def _squared_distance_into(out: np.ndarray, diff: np.ndarray, cols: np.ndarray,
+                           a: Sequence[float]) -> None:
+    """out = sum_j (cols[j] - a[j])**2, added link by link from link 0."""
+    np.subtract(cols[0], a[0], out=out)
+    np.square(out, out=out)
+    for j in range(1, cols.shape[0]):
+        np.subtract(cols[j], a[j], out=diff)
+        np.square(diff, out=diff)
+        out += diff
+
+
+def _nearest(cols: np.ndarray, allocs: np.ndarray) -> np.ndarray:
+    """Index of the record nearest to each column of cols; ties keep the lowest."""
+    m = cols.shape[1]
+    d2 = np.empty(m)
+    diff = np.empty(m)
     d2_min = np.full(m, np.inf)
     nearest = np.zeros(m, dtype=np.intp)
-    for i in range(profile.size):
-        d2 = ((xs - allocs[i]) ** 2).sum(axis=1)
-        w = np.exp(-d2 / kernel.sigma2)
-        num += responses[i] * w
-        den += w
+    for i, a in enumerate(allocs.tolist()):
+        _squared_distance_into(d2, diff, cols, a)
         closer = d2 < d2_min  # strict, so ties keep the lowest index
         nearest[closer] = i
-        d2_min = np.minimum(d2_min, d2)
-    with np.errstate(invalid="ignore"):
-        y_star = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0),
-                          responses[nearest].astype(float))
-    return y_star, den
+        np.minimum(d2_min, d2, out=d2_min)
+    return nearest
 
 
 def predict(x: Sequence[float], profile: "Profile", kernel: KernelParams) -> Prediction:

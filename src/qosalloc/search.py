@@ -18,13 +18,21 @@ ones do.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .predictor import EmptyProfileError, GrnnPredictor, KernelParams, Prediction, predict
+from .predictor import (
+    EmptyProfileError,
+    GrnnPredictor,
+    KernelParams,
+    Prediction,
+    predict,
+    round_response,
+)
 from .profile import Profile
 
 # Tolerance used when mapping per-link maxima onto step counts, so a
@@ -73,14 +81,29 @@ class SearchGrid:
         return n
 
     def counts(self) -> np.ndarray:
-        """Integer step counts of every grid point, shape (size, n), row-major."""
-        axes = [np.arange(c + 1) for c in self.steps_per_link]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack(mesh, axis=-1).reshape(-1, self.link_count)
+        """Integer step counts of every grid point, shape (size, n), row-major.
+
+        Built once per grid and returned read-only.
+        """
+        return self._counts
 
     def points(self) -> np.ndarray:
-        """Grid allocations in Mbps, shape (size, n), row-major."""
-        return self.counts() * self.step
+        """Grid allocations in Mbps, shape (size, n), row-major; read-only."""
+        return self._points
+
+    @functools.cached_property
+    def _counts(self) -> np.ndarray:
+        axes = [np.arange(c + 1) for c in self.steps_per_link]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        counts = np.stack(mesh, axis=-1).reshape(-1, self.link_count)
+        counts.flags.writeable = False
+        return counts
+
+    @functools.cached_property
+    def _points(self) -> np.ndarray:
+        points = self._counts * self.step
+        points.flags.writeable = False
+        return points
 
 
 @dataclass(frozen=True)
@@ -168,8 +191,8 @@ def search(
             f"grid has {grid.link_count} links but profile has {profile.link_count}"
         )
     counts = grid.counts()
-    pts = counts * grid.step
-    y_star, _ = predictor.predict_batch(pts, profile)
+    pts = grid.points()
+    y_star, kernel_sum = predictor.predict_batch(pts, profile)
     members = y_star >= target - 0.5
     if members.any():
         total_c = counts.sum(axis=1)
@@ -183,9 +206,11 @@ def search(
         idx = int(np.argmax(y_star))
         feasible = False
     allocation = tuple(float(v) for v in pts[idx])
+    ys = float(y_star[idx])
     return AllocationResult(
         allocation=allocation,
         total=total_bandwidth(allocation),
-        prediction=predictor.predict(allocation, profile),
+        prediction=Prediction(y_star=ys, y_hat=round_response(ys, profile.level_count),
+                              kernel_sum=float(kernel_sum[idx])),
         feasible_found=feasible,
     )

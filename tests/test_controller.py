@@ -209,6 +209,19 @@ class TestStep:
         assert rec.feasible_found
         assert not rec.search_fallback
 
+    @pytest.mark.parametrize("erab", [math.nan, math.inf, -math.inf])
+    def test_non_finite_measurement_rejected_before_any_change(self, erab):
+        # nan used to quantize to level 1 and inf to the top level, and
+        # both were written into the profile
+        config = small_config()
+        seed = Profile(1, 3, 31, [((0.0,), 1), ((30.0,), 3)])
+        ctrl = QosController(config, seed, qos_level=1)
+        before = (ctrl.profile.to_bytes(), ctrl.current_result, ctrl.epoch)
+        with pytest.raises(ValueError, match="finite"):
+            ctrl.step(erab)
+        assert (ctrl.profile.to_bytes(), ctrl.current_result, ctrl.epoch) == before
+        assert ctrl.log == []
+
     def test_source_rate_defaults_to_nan(self):
         config = small_config()
         seed = Profile(1, 3, 31, [((30.0,), 3)])

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -105,6 +107,14 @@ def contention_controller():
     )
     seed = Profile(2, 3, 31, [((40.0, 20.0), 3), ((0.0, 0.0), 1)])
     return QosController(config, seed, qos_level=1)
+
+
+class TestServiceSpec:
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -1.0])
+    def test_rejects_non_finite_or_negative_rates(self, rate):
+        # nan < 0 is False, so a nan rate used to pass validation
+        with pytest.raises(ValueError, match="finite"):
+            ServiceSpec((15.0, rate), 1)
 
 
 class TestSimulator:

@@ -131,6 +131,86 @@ class TestPredict:
         assert pred.y_star == 2.0
 
 
+def row_major_reference(xs, profile, kernel):
+    """The original per-record loop: row-wise distance sums, eager nearest."""
+    allocs = profile.allocation_matrix()
+    responses = profile.response_vector()
+    m = xs.shape[0]
+    num = np.zeros(m)
+    den = np.zeros(m)
+    d2_min = np.full(m, np.inf)
+    nearest = np.zeros(m, dtype=np.intp)
+    for i in range(profile.size):
+        d2 = ((xs - allocs[i]) ** 2).sum(axis=1)
+        w = np.exp(-d2 / kernel.sigma2)
+        num += responses[i] * w
+        den += w
+        closer = d2 < d2_min
+        nearest[closer] = i
+        d2_min = np.minimum(d2_min, d2)
+    with np.errstate(invalid="ignore"):
+        y_star = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0),
+                          responses[nearest].astype(float))
+    return y_star, den
+
+
+class TestBitIdentity:
+    """predict_batch against the row-major reference, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 3),
+        records=st.integers(1, 64),
+        m=st.integers(1, 3000),
+        sigma2=st.sampled_from([1e-6, 1e-3, 0.5]) | st.floats(1.0, 5000.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_row_major_reference(self, n, records, m, sigma2, seed):
+        rng = np.random.default_rng(seed)
+        # a small integer span makes duplicate records and equidistant
+        # candidates (nearest-record ties) common
+        allocs = rng.integers(0, 5, (records, n)) * 2.5
+        profile = make_profile(
+            [(tuple(a), int(r)) for a, r in zip(allocs, rng.integers(1, 13, records))],
+            link_count=n,
+        )
+        xs = rng.integers(0, 9, (m, n)) * 1.25
+        # off-lattice rows make the per-link sum's order visible in the bits
+        off = rng.random(m) < 0.5
+        xs[off] += rng.uniform(0.0, 1.25, (int(off.sum()), n))
+        xs[0] = allocs[0]  # weight 1: never underflows
+        if m > 1:
+            xs[1] = 1e4  # every weight underflows, whatever sigma2
+        k = KernelParams(sigma2)
+        y_star, ksum = predict_batch(xs, profile, k)
+        ref_y, ref_sum = row_major_reference(xs, profile, k)
+        assert np.array_equal(y_star, ref_y)
+        assert np.array_equal(ksum, ref_sum)
+        assert ksum[0] > 0.0
+        if m > 1:
+            assert ksum[1] == 0.0
+        for i in {0, m - 1, int(rng.integers(m))}:
+            single = predict(tuple(xs[i]), profile, k)
+            assert single.y_star == y_star[i]
+            assert single.kernel_sum == ksum[i]
+            assert single.y_hat == round_response(y_star[i], profile.level_count)
+
+    def test_underflow_ties_and_mixed_rows(self):
+        # records 0 and 2 share an allocation; (5,) is equidistant from (0,)
+        # and (10,); at sigma2=1e-3 only the on-record rows keep weight
+        profile = make_profile([((0.0,), 3), ((10.0,), 7), ((0.0,), 9)])
+        xs = np.array([[5.0], [0.0], [10.0], [100.0], [-3.0]])
+        k = KernelParams(1e-3)
+        y_star, ksum = predict_batch(xs, profile, k)
+        ref_y, ref_sum = row_major_reference(xs, profile, k)
+        assert np.array_equal(y_star, ref_y)
+        assert np.array_equal(ksum, ref_sum)
+        assert list(ksum == 0.0) == [True, False, False, True, True]
+        assert y_star[0] == 3.0  # tie between records 0 and 1 keeps record 0
+        assert y_star[3] == 7.0
+        assert y_star[4] == 3.0  # tie between records 0 and 2 keeps record 0
+
+
 class TestRounding:
     def test_half_up_at_target_boundary(self):
         # y* exactly a - 0.5 must round up to a

@@ -13,7 +13,8 @@ import time
 import numpy as np
 import pytest
 
-from qosalloc.predictor import EmptyProfileError, KernelParams
+from qosalloc.baselines import KnnPredictor, knn_predict
+from qosalloc.predictor import EmptyProfileError, KernelParams, predict
 from qosalloc.profile import Profile
 from qosalloc.search import (
     SearchGrid,
@@ -47,6 +48,18 @@ class TestSearchGrid:
     def test_endpoint_included_despite_float_division(self):
         grid = SearchGrid(0.1, (0.3,))
         assert grid.steps_per_link == (3,)
+
+    def test_arrays_built_once_and_read_only(self):
+        grid = SearchGrid(1.25, (50.0, 30.0))
+        assert grid.counts() is grid.counts()
+        assert grid.points() is grid.points()
+        for arr in (grid.counts(), grid.points()):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1
+        # the cache is not a field: equality and hashing are unchanged
+        assert grid == SearchGrid(1.25, (50.0, 30.0))
+        assert hash(grid) == hash(SearchGrid(1.25, (50.0, 30.0)))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -158,12 +171,38 @@ class TestSearch:
         assert result2.allocation == (0.0, 10.0)
 
     def test_result_prediction_matches_chosen_point(self):
-        from qosalloc.predictor import predict
-
         profile = two_point_profile()
         k = KernelParams(100.0)
         result = search(SearchGrid(10.0, (30.0,)), profile, k, 2)
         assert result.prediction == predict(result.allocation, profile, k)
+
+    def test_result_prediction_equals_single_point_predict(self):
+        # the result's prediction comes from the batch row; it must equal a
+        # fresh single-point prediction field by field, underflow included
+        rng = np.random.default_rng(17)
+        for _ in range(60):
+            n = int(rng.integers(1, 4))
+            cells = [int(rng.integers(2, 9)) for _ in range(n)]
+            grid = SearchGrid(2.5, tuple(c * 2.5 for c in cells))
+            records = [
+                (tuple(float(rng.integers(0, c + 1) * 2.5) for c in cells),
+                 int(rng.integers(1, 13)))
+                for _ in range(int(rng.integers(1, 20)))
+            ]
+            profile = Profile(n, 12, None, records)
+            k = KernelParams(float(rng.choice([1e-3, 0.5, 50.0, 800.0])))
+            target = int(rng.integers(2, 13))
+            result = search(grid, profile, k, target)
+            expected = predict(result.allocation, profile, k)
+            assert result.prediction.y_star == expected.y_star
+            assert result.prediction.y_hat == expected.y_hat
+            assert result.prediction.kernel_sum == expected.kernel_sum
+            knn = KnnPredictor(int(rng.integers(1, len(records) + 1)))
+            result = search(grid, profile, None, target, predictor=knn)
+            expected = knn_predict(result.allocation, profile, knn.k_neighbors)
+            assert result.prediction.y_star == expected.y_star
+            assert result.prediction.y_hat == expected.y_hat
+            assert result.prediction.kernel_sum == expected.kernel_sum
 
     def test_empty_profile(self):
         with pytest.raises(EmptyProfileError):
