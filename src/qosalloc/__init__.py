@@ -9,7 +9,7 @@ closes the loop, kNN and unbounded-profile baselines, and an experiment
 harness with deterministic, auditable outputs.
 """
 
-from .baselines import KnnPredictor, PredictorKind, knn_predict, unbounded_update
+from .baselines import KnnPredictor, PredictorKind, knn_predict
 from .controller import (
     ConfigError,
     QosConfig,
@@ -99,6 +99,5 @@ __all__ = [
     "squared_distance",
     "total_bandwidth",
     "transmit",
-    "unbounded_update",
     "variation_bound",
 ]

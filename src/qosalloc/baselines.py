@@ -108,14 +108,3 @@ class KnnPredictor:
             )
         return _knn_batch(np.asarray(xs, dtype=float), profile, self.k_neighbors)
 
-
-def unbounded_update(profile: Profile, allocation: Sequence[float], response: int) -> None:
-    """Append-only profile growth: the no-eviction policy.
-
-    The profile must have been built with capacity=None; the record count
-    then grows with every transmission, and with it the per-prediction
-    cost.
-    """
-    if profile.capacity is not None:
-        raise ValueError("unbounded_update requires a profile with capacity=None")
-    profile.append(allocation, response)

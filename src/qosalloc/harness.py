@@ -170,6 +170,53 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
+_REQUIRED = object()
+
+
+def _field(mapping: dict, key: str, where: str, convert, default=_REQUIRED):
+    """convert(mapping[key]); a missing or malformed value raises ConfigError.
+
+    An absent optional key returns default unconverted.
+    """
+    if key not in mapping:
+        if default is _REQUIRED:
+            raise ConfigError(f"{where}: missing required key {key!r}")
+        return default
+    try:
+        return convert(mapping[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{where}: {key}: {exc}") from exc
+
+
+def _object(value, where: str, allowed: set[str]) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where}: expected an object, got {type(value).__name__}")
+    _reject_unknown(value, allowed, where)
+    return value
+
+
+def _list(value) -> list:
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {type(value).__name__}")
+    return value
+
+
+def _floats(value) -> tuple[float, ...]:
+    return tuple(float(v) for v in _list(value))
+
+
+def _ints(value) -> tuple[int, ...]:
+    return tuple(int(v) for v in _list(value))
+
+
+def _construct(where: str, build, *args, **kwargs):
+    """build(*args, **kwargs), with a rejected value reported as ConfigError."""
+    try:
+        return build(*args, **kwargs)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
 def read_trace_csv(path: Path, expected_columns: int, what: str) -> tuple[tuple[float, ...], ...]:
     """Read a trace CSV (header row, then one row per epoch) column-major."""
     try:
@@ -216,18 +263,22 @@ def _inline_or_file_trace(value, base: Path, columns: int, what: str):
         return read_trace_csv(base / value, columns, what)
     if isinstance(value, dict):
         _reject_unknown(value, {"inline"}, what)
-        rows = _require(value, "inline", what)
-        for i, row in enumerate(rows):
+        rows = []
+        for i, row in enumerate(_field(value, "inline", what, _list)):
+            at = f"{what}: inline row {i + 1}"
+            rows.append(_construct(at, _floats, row))
             if len(row) != columns:
-                raise ConfigError(
-                    f"{what}: inline row {i + 1} has {len(row)} values, expected {columns}"
-                )
-        return tuple(tuple(float(r[c]) for r in rows) for c in range(columns))
+                raise ConfigError(f"{at} has {len(row)} values, expected {columns}")
+        return tuple(tuple(r[c] for r in rows) for c in range(columns))
     raise ConfigError(f"{what}: expected a path or an inline table, got {type(value).__name__}")
 
 
 def load_scenario(path) -> ScenarioConfig:
-    """Parse a scenario JSON file, resolving trace paths relative to it."""
+    """Parse a scenario JSON file, resolving trace paths relative to it.
+
+    Every malformed or out-of-range value raises ConfigError naming its
+    field.
+    """
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
@@ -236,73 +287,73 @@ def load_scenario(path) -> ScenarioConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     where = str(path)
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{where}: top level must be an object")
-    _reject_unknown(raw, _TOP_KEYS, where)
+    raw = _object(raw, where, _TOP_KEYS)
     base = path.parent
 
-    grid = _require(raw, "grid", where)
-    _reject_unknown(grid, _GRID_KEYS, f"{where}: grid")
-    links_raw = _require(raw, "links", where)
+    grid_at = f"{where}: grid"
+    grid = _object(_require(raw, "grid", where), grid_at, _GRID_KEYS)
     links = []
-    for i, entry in enumerate(links_raw):
-        _reject_unknown(entry, _LINK_KEYS, f"{where}: links[{i}]")
-        links.append(
-            LinkSpec(
-                capacity=float(_require(entry, "capacity", f"{where}: links[{i}]")),
-                background=float(entry.get("background", 0.0)),
-            )
-        )
-    services_raw = _require(raw, "services", where)
+    for i, entry in enumerate(_field(raw, "links", where, _list)):
+        at = f"{where}: links[{i}]"
+        entry = _object(entry, at, _LINK_KEYS)
+        capacity = _field(entry, "capacity", at, float)
+        background = _field(entry, "background", at, float, 0.0)
+        links.append(_construct(at, LinkSpec, capacity, background))
+    services_raw = _field(raw, "services", where, _list)
     if not services_raw:
         raise ConfigError(f"{where}: services must be non-empty")
     qos_levels = []
     for i, entry in enumerate(services_raw):
-        _reject_unknown(entry, _SERVICE_KEYS, f"{where}: services[{i}]")
-        qos_levels.append(int(_require(entry, "qos_level", f"{where}: services[{i}]")))
+        at = f"{where}: services[{i}]"
+        qos_levels.append(_field(_object(entry, at, _SERVICE_KEYS), "qos_level", at, int))
 
     rates = _inline_or_file_trace(
         _require(raw, "rate_trace", where), base, len(services_raw), f"{where}: rate_trace"
     )
     if "background_trace" in raw:
-        bg_cols = _inline_or_file_trace(
-            raw["background_trace"], base, len(links), f"{where}: background_trace"
-        )
-        links = [replace(link, background=bg_cols[i]) for i, link in enumerate(links)]
+        at = f"{where}: background_trace"
+        bg_cols = _inline_or_file_trace(raw["background_trace"], base, len(links), at)
+        links = [
+            _construct(at, replace, link, background=bg_cols[i]) for i, link in enumerate(links)
+        ]
 
-    seed_raw = _require(raw, "seed_profile", where)
-    _reject_unknown(seed_raw, _SEED_KEYS, f"{where}: seed_profile")
-    seed = SeedSpec(
-        file=str(base / seed_raw["file"]) if "file" in seed_raw else None,
-        records=seed_raw.get("records"),
-        nominal_rate=seed_raw.get("nominal_rate"),
+    at = f"{where}: seed_profile"
+    seed_raw = _object(_require(raw, "seed_profile", where), at, _SEED_KEYS)
+    seed = _construct(
+        at, SeedSpec,
+        file=_field(seed_raw, "file", at, lambda f: str(base / f), None),
+        records=_field(seed_raw, "records", at, int, None),
+        nominal_rate=_field(seed_raw, "nominal_rate", at, float, None),
     )
 
     predictor = PredictorKind()
     if "predictor" in raw:
-        _reject_unknown(raw["predictor"], _PREDICTOR_KEYS, f"{where}: predictor")
-        predictor = PredictorKind(
-            tag=raw["predictor"].get("kind", GRNN_BOUNDED),
-            knn_k=int(raw["predictor"].get("knn_k", 5)),
+        at = f"{where}: predictor"
+        predictor_raw = _object(raw["predictor"], at, _PREDICTOR_KEYS)
+        predictor = _construct(
+            at, PredictorKind,
+            tag=_field(predictor_raw, "kind", at, str, GRNN_BOUNDED),
+            knn_k=_field(predictor_raw, "knn_k", at, int, 5),
         )
 
-    return ScenarioConfig(
-        level_count=int(_require(raw, "levels", where)),
-        thresholds=tuple(_require(raw, "thresholds", where)),
-        targets=tuple(_require(raw, "targets", where)),
-        grid_step=float(grid["step"]),
-        grid_max_per_link=tuple(grid["max_per_link"]),
-        capacity=int(_require(raw, "capacity", where)),
-        run_length=int(_require(raw, "run_length", where)),
-        rng_seed=int(_require(raw, "rng_seed", where)),
+    return _construct(
+        where, ScenarioConfig,
+        level_count=_field(raw, "levels", where, int),
+        thresholds=_field(raw, "thresholds", where, _floats),
+        targets=_field(raw, "targets", where, _ints),
+        grid_step=_field(grid, "step", grid_at, float),
+        grid_max_per_link=_field(grid, "max_per_link", grid_at, _floats),
+        capacity=_field(raw, "capacity", where, int),
+        run_length=_field(raw, "run_length", where, int),
+        rng_seed=_field(raw, "rng_seed", where, int),
         links=tuple(links),
         qos_levels=tuple(qos_levels),
         rates=rates,
         seed=seed,
-        sigma2=float(raw.get("sigma2", DEFAULT_SIGMA2)),
-        min_kernel_sum=float(raw.get("min_kernel_sum", 0.0)),
+        sigma2=_field(raw, "sigma2", where, float, DEFAULT_SIGMA2),
+        min_kernel_sum=_field(raw, "min_kernel_sum", where, float, 0.0),
         predictor=predictor,
-        erab_noise_std=float(raw.get("erab_noise_std", 0.0)),
+        erab_noise_std=_field(raw, "erab_noise_std", where, float, 0.0),
     )
 
 
@@ -390,9 +441,7 @@ def seed_profile_generate(
         else np.random.default_rng(rng_seed)
     )
     counts = grid.counts()
-    totals = counts.sum(axis=1)
-    lex_keys = tuple(counts[:, j] for j in range(grid.link_count - 1, -1, -1))
-    order = np.lexsort(lex_keys + (totals,))
+    order = grid.by_total_order()
     profile = Profile(grid.link_count, qos_config.level_count, capacity)
     size = grid.size
     for k in range(n_records):

@@ -41,6 +41,8 @@ class LinkSpec:
     background: float | tuple[float, ...] = 0.0
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.capacity) and self.capacity >= 0.0):
+            raise ValueError(f"capacity must be finite and >= 0, got {self.capacity}")
         if isinstance(self.background, (int, float)):
             if not 0.0 <= float(self.background) <= self.capacity:
                 raise ValueError(
@@ -53,8 +55,6 @@ class LinkSpec:
                     raise ValueError(
                         f"background {b} outside [0, capacity={self.capacity}]"
                     )
-        if self.capacity < 0.0:
-            raise ValueError(f"capacity must be >= 0, got {self.capacity}")
 
     def background_at(self, epoch: int) -> float:
         if isinstance(self.background, tuple):

@@ -17,6 +17,7 @@ fixed summation order of the predictor) stays stable across updates.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -148,6 +149,8 @@ class Profile:
             raise ValueError(
                 f"allocation has {len(alloc)} links, profile expects {self.link_count}"
             )
+        if not all(math.isfinite(v) and v >= 0.0 for v in alloc):
+            raise ValueError(f"allocation {alloc} must be finite and >= 0 on every link")
         response = int(response)
         if not 1 <= response <= self.level_count:
             raise ValueError(f"response {response} outside [1, {self.level_count}]")

@@ -5,8 +5,20 @@ grid point is a member of the target set when its predicted response
 reaches the QoS target, which by the half-up rounding rule is exactly
 y* >= target - 1/2. Among members the search returns the allocation with
 the smallest total bandwidth, breaking ties by highest y* and then by
-lexicographically smallest allocation. Enumeration is exhaustive and
-row-major over link indices, so results are deterministic.
+lexicographically smallest allocation, so results are deterministic.
+
+The grid is evaluated in blocks of whole total-bandwidth layers, in
+increasing total, and the search stops after the first block that holds a
+member: that block contains the whole cheapest member layer, so the
+tie-breaks see every candidate, and points in later blocks are never
+predicted. Each block holds at least _BLOCK_MIN points, and every block but
+the last at least as many as all earlier blocks together, so block sizes
+roughly double and a grid under 2 * _BLOCK_MIN points is one block,
+evaluated as before in a single predictor call. The minimum sits above the
+point where a predictor call's fixed per-record cost stops dominating its
+per-point cost. A search with no member evaluates every block, which costs
+up to ceil(log2(size / _BLOCK_MIN)) extra predictor calls over one
+whole-grid call.
 
 membership_c_form() evaluates the same predicate in an algebraically
 rearranged form, C1 + C2 >= C3, that groups kernel weights by response
@@ -39,6 +51,9 @@ from .profile import Profile
 # maximum that is an exact multiple of the step (up to float noise) still
 # includes its endpoint.
 _GRID_EPS = 1e-9
+
+# Fewest grid points in one evaluation block; see the module docstring.
+_BLOCK_MIN = 4096
 
 
 @dataclass(frozen=True)
@@ -91,6 +106,26 @@ class SearchGrid:
         """Grid allocations in Mbps, shape (size, n), row-major; read-only."""
         return self._points
 
+    def by_total_order(self) -> np.ndarray:
+        """Row indices sorted by total step count, row-major within a total.
+
+        A stable sort, so equal totals keep row-major (lexicographic)
+        order. Built on first use and returned read-only.
+        """
+        return self._by_total
+
+    def blocks(self) -> tuple[np.ndarray | slice, ...]:
+        """The grid split into evaluation blocks, as row indices per block.
+
+        Blocks hold whole total-step layers and come in increasing total;
+        each indexes the row-major grid. Each block holds at least
+        _BLOCK_MIN points and every block but the last at least as many as
+        all earlier blocks together. A grid that forms one block yields
+        (slice(None),). Built on first use; the arrays are read-only views
+        of by_total_order().
+        """
+        return self._blocks
+
     @functools.cached_property
     def _counts(self) -> np.ndarray:
         axes = [np.arange(c + 1) for c in self.steps_per_link]
@@ -104,6 +139,30 @@ class SearchGrid:
         points = self._counts * self.step
         points.flags.writeable = False
         return points
+
+    @functools.cached_property
+    def _by_total(self) -> np.ndarray:
+        order = np.argsort(self._counts.sum(axis=1), kind="stable")
+        order.flags.writeable = False
+        return order
+
+    @functools.cached_property
+    def _blocks(self) -> tuple[np.ndarray | slice, ...]:
+        whole = (slice(None),)
+        size = self.size
+        if size < 2 * _BLOCK_MIN:
+            return whole
+        order = self.by_total_order()
+        totals = self._counts.sum(axis=1)[order]
+        bounds = [0]
+        for end in (np.flatnonzero(np.diff(totals)) + 1).tolist():
+            lo = bounds[-1]
+            if end - lo >= max(_BLOCK_MIN, lo) and size - end >= _BLOCK_MIN:
+                bounds.append(end)
+        if len(bounds) == 1:
+            return whole
+        bounds.append(size)
+        return tuple(order[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]))
 
 
 @dataclass(frozen=True)
@@ -175,7 +234,7 @@ def search(
     target: int,
     predictor=None,
 ) -> AllocationResult:
-    """Exhaustively search the grid for the cheapest allocation meeting target.
+    """Search the grid for the cheapest allocation meeting target.
 
     Ties on total bandwidth go to the highest predicted y*, then to the
     lexicographically smallest allocation. When no grid point is predicted
@@ -183,6 +242,14 @@ def search(
     highest y* (ties lexicographic). The predictor argument swaps in a
     baseline predictor; by default a kernel-regression predictor built from
     `kernel` is used.
+
+    The grid is predicted block by block (grid.blocks(), increasing total)
+    and the search stops after the first block holding a member; points
+    not predicted stay at y* = -inf and are never members. The result is
+    the one a whole-grid evaluation gives, because the predictor computes
+    each row independently of its batch. A search with no member predicts
+    every block: on a multi-block grid that is one predictor call per block
+    instead of one in all.
     """
     if predictor is None:
         predictor = GrnnPredictor(kernel)
@@ -192,8 +259,20 @@ def search(
         )
     counts = grid.counts()
     pts = grid.points()
-    y_star, kernel_sum = predictor.predict_batch(pts, profile)
-    members = y_star >= target - 0.5
+    threshold = target - 0.5
+    blocks = grid.blocks()
+    if len(blocks) == 1:
+        y_star, kernel_sum = predictor.predict_batch(pts, profile)
+    else:
+        y_star = np.full(grid.size, -np.inf)
+        kernel_sum = np.zeros(grid.size)
+        for rows in blocks:
+            block_y, block_sum = predictor.predict_batch(pts[rows], profile)
+            y_star[rows] = block_y
+            kernel_sum[rows] = block_sum
+            if (block_y >= threshold).any():
+                break
+    members = y_star >= threshold
     if members.any():
         total_c = counts.sum(axis=1)
         best_total = total_c[members].min()

@@ -11,11 +11,10 @@ from qosalloc.baselines import (
     KnnPredictor,
     PredictorKind,
     knn_predict,
-    unbounded_update,
 )
 from qosalloc.controller import QosConfig, QosController
 from qosalloc.predictor import GrnnPredictor, KernelParams, predict
-from qosalloc.profile import Profile
+from qosalloc.profile import APPENDED, Profile, UpdateResult
 from qosalloc.search import SearchGrid, search
 
 
@@ -95,13 +94,9 @@ class TestUnboundedGrowth:
     def test_append_grows_past_any_capacity(self):
         profile = Profile(1, 12, None, [((0.0,), 1)])
         for i in range(10_000):
-            unbounded_update(profile, (float(i % 50),), 1 + i % 12)
+            result = profile.update((float(i % 50),), 1 + i % 12, target=7)
+            assert result == UpdateResult(APPENDED, i + 1)
         assert profile.size == 1 + 10_000
-
-    def test_requires_unbounded_profile(self):
-        profile = Profile(1, 12, 31)
-        with pytest.raises(ValueError):
-            unbounded_update(profile, (1.0,), 5)
 
     def test_prediction_cost_grows_with_profile(self):
         rng = np.random.default_rng(12)

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from qosalloc.cli import main
 from qosalloc.controller import ConfigError
 from qosalloc.harness import (
     ScenarioConfig,
@@ -189,6 +190,32 @@ class TestScenarioFileIO:
         path.write_text(json.dumps(doc))
         with pytest.raises(ConfigError, match="capacity"):
             load_scenario(path)
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda doc: doc["grid"].pop("step"), "step"),
+        (lambda doc: doc.update(grid=3), "grid"),
+        (lambda doc: doc.update(links=[1, 2]), r"links\[0\]"),
+        (lambda doc: doc["links"][0].update(capacity=float("nan")),
+         r"links\[0\]: capacity must be finite"),
+        (lambda doc: doc.update(thresholds=None), "thresholds"),
+        (lambda doc: doc.update(run_length=float("inf")), "run_length"),
+        (lambda doc: doc.update(services=[5]), r"services\[0\]"),
+        (lambda doc: doc.update(rate_trace={"inline": [None]}), "inline row 1"),
+        (lambda doc: doc.update(seed_profile=[]), "seed_profile"),
+        (lambda doc: doc["predictor"].update(knn_k="many"), "knn_k"),
+    ], ids=["grid_without_step", "grid_not_object", "links_not_objects", "nan_capacity",
+            "null_thresholds", "infinite_run_length", "services_not_objects",
+            "inline_row_not_list", "seed_profile_not_object", "knn_k_not_int"])
+    def test_malformed_field_is_a_config_error(self, tmp_path, capsys, edit, field):
+        path = tmp_path / "scenario.json"
+        dump_scenario(small_scenario(), path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=field):
+            load_scenario(path)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_background_trace_round_trip(self, tmp_path):
         # a time-varying background serializes as a trace and survives a

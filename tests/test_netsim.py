@@ -89,6 +89,11 @@ class TestTransmit:
         with pytest.raises(ValueError):
             LinkSpec(100.0, (50.0, 120.0))
 
+    @pytest.mark.parametrize("capacity", [float("nan"), float("inf"), -1.0])
+    def test_capacity_checked_before_background(self, capacity):
+        with pytest.raises(ValueError, match="capacity must be finite"):
+            LinkSpec(capacity, 40.0)
+
 
 def contention_controller():
     """Controller whose initial search lands on (20, 0) on a 10-step grid.

@@ -165,6 +165,12 @@ class TestPersistence:
         with pytest.raises(ProfileFormatError, match="record 1"):
             Profile.from_bytes(b"n=1,L=12,S=31\nbogus,6\n")
 
+    @pytest.mark.parametrize("field", ["nan", "inf", "-inf", "-1.0", "-1e-300"])
+    def test_bad_allocation_names_record(self, field):
+        data = f"n=2,L=12,S=4\n1.0,1.0,3\n{field},1.0,3\n".encode()
+        with pytest.raises(ProfileFormatError, match="record 2"):
+            Profile.from_bytes(data)
+
     def test_save_load_file(self, tmp_path):
         profile = Profile(2, 12, 31, [((1.25, 2.5), 6), ((50.0, 30.0), 12)])
         path = tmp_path / "profile.csv"
@@ -182,6 +188,10 @@ def test_arrays_reflect_insertion_order():
 
 def test_record_validation():
     profile = Profile(2, 12, None)
+    for bad in ((float("nan"), 1.0), (1.0, float("inf")), (-0.5, 1.0)):
+        with pytest.raises(ValueError, match="finite"):
+            profile.append(bad, 5)
+    profile.append((-0.0, 0.0), 5)  # negative zero is zero
     with pytest.raises(ValueError):
         profile.append((1.0,), 5)  # wrong link count
     with pytest.raises(ValueError):

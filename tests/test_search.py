@@ -8,22 +8,85 @@ module and the acceptance suite.
 
 from __future__ import annotations
 
+import importlib
 import time
 
 import numpy as np
 import pytest
 
 from qosalloc.baselines import KnnPredictor, knn_predict
-from qosalloc.predictor import EmptyProfileError, KernelParams, predict
+from qosalloc.predictor import (
+    EmptyProfileError,
+    GrnnPredictor,
+    KernelParams,
+    Prediction,
+    predict,
+    round_response,
+)
 from qosalloc.profile import Profile
 from qosalloc.search import (
+    AllocationResult,
     SearchGrid,
     membership,
     membership_c_form,
     search,
     total_bandwidth,
 )
-from qosalloc.verification import naive_search
+from qosalloc.verification import naive_search, random_instance
+
+# the package re-exports the search function under the module's name
+search_module = importlib.import_module("qosalloc.search")
+
+
+def full_grid_search(grid, profile, kernel, target, predictor=None):
+    """Reference: search() as one predictor call over the whole grid."""
+    if predictor is None:
+        predictor = GrnnPredictor(kernel)
+    counts = grid.counts()
+    pts = grid.points()
+    y_star, kernel_sum = predictor.predict_batch(pts, profile)
+    members = y_star >= target - 0.5
+    if members.any():
+        total_c = counts.sum(axis=1)
+        best_total = total_c[members].min()
+        cand = members & (total_c == best_total)
+        best_y = y_star[cand].max()
+        cand &= y_star == best_y
+        idx = int(np.argmax(cand))
+        feasible = True
+    else:
+        idx = int(np.argmax(y_star))
+        feasible = False
+    allocation = tuple(float(v) for v in pts[idx])
+    ys = float(y_star[idx])
+    return AllocationResult(
+        allocation=allocation,
+        total=total_bandwidth(allocation),
+        prediction=Prediction(y_star=ys, y_hat=round_response(ys, profile.level_count),
+                              kernel_sum=float(kernel_sum[idx])),
+        feasible_found=feasible,
+    )
+
+
+class SpyPredictor:
+    """Wraps a predictor and keeps every candidate batch it was given."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.batches = []
+
+    def predict_batch(self, xs, profile):
+        self.batches.append(xs)
+        return self.inner.predict_batch(xs, profile)
+
+
+def large_grid():
+    """41 x 25 x 25 = 25,625 points: four blocks at the default block minimum.
+
+    A fresh instance each time, so no test sees blocks cached under a
+    patched block minimum.
+    """
+    return SearchGrid(1.25, (50.0, 30.0, 30.0))
 
 
 def two_point_profile():
@@ -265,3 +328,167 @@ def test_search_cost_scales_linearly_with_profile_size():
 
 def test_total_bandwidth_helper():
     assert total_bandwidth((1.25, 2.5, 0.0)) == 3.75
+
+
+def assert_block_rule(grid, block_min):
+    """grid.blocks() partitions the grid into whole layers, smallest total first."""
+    blocks = grid.blocks()
+    if grid.size < 2 * block_min:
+        assert len(blocks) == 1
+    if len(blocks) == 1:
+        assert blocks == (slice(None),)
+        return
+    totals = grid.counts().sum(axis=1)
+    rows = [np.arange(grid.size)[r] for r in blocks]
+    np.testing.assert_array_equal(np.sort(np.concatenate(rows)), np.arange(grid.size))
+    earlier = 0
+    for k, r in enumerate(rows):
+        assert not blocks[k].flags.writeable
+        layer = totals[r]
+        assert np.all(np.diff(layer) >= 0)
+        assert np.all(np.diff(r)[np.diff(layer) == 0] > 0)  # row-major within a layer
+        assert len(r) >= block_min
+        if k + 1 < len(blocks):
+            assert layer.max() < totals[rows[k + 1]].min()  # no layer spans two blocks
+            need = max(block_min, earlier)
+            assert len(r) >= need
+            # the shortest run of whole layers that reaches the minimum
+            assert np.count_nonzero(layer < layer.max()) < need
+        earlier += len(r)
+
+
+def level_by_total_profile(rng, symmetric, records=24):
+    """Records whose level rises with total bandwidth, like a real profile.
+
+    With symmetric=True every record has x2 == x3, so each point and its
+    mirror (x1, x3, x2) predict bit-identically: the step-multiple
+    coordinates make every squared distance exact.
+    """
+    recs = []
+    for _ in range(records):
+        c = [int(rng.integers(0, 41)), int(rng.integers(0, 25)), int(rng.integers(0, 25))]
+        if symmetric:
+            c[2] = c[1]
+        level = round((sum(c) * 1.25 - 45.0) / 2.5) + 6 + int(rng.integers(-1, 2))
+        recs.append((tuple(v * 1.25 for v in c), int(np.clip(level, 1, 12))))
+    return Profile(3, 12, None, recs)
+
+
+class TestBlockedSearch:
+    def test_by_total_order_equals_lexsort(self):
+        for grid in (SearchGrid(1.0, (7.0,)), SearchGrid(1.25, (50.0, 30.0)),
+                     large_grid(), SearchGrid(2.0, (6.0, 0.0, 10.0))):
+            counts = grid.counts()
+            keys = tuple(counts[:, j] for j in range(grid.link_count - 1, -1, -1))
+            order = grid.by_total_order()
+            np.testing.assert_array_equal(order, np.lexsort(keys + (counts.sum(axis=1),)))
+            assert order is grid.by_total_order()
+            assert not order.flags.writeable
+
+    def test_blocks_follow_the_size_rule(self, monkeypatch):
+        grid = large_grid()
+        assert_block_rule(grid, search_module._BLOCK_MIN)
+        assert len(grid.blocks()) == 4
+        assert_block_rule(SearchGrid(1.25, (50.0, 30.0)), search_module._BLOCK_MIN)
+        rng = np.random.default_rng(5)
+        for block_min in (2, 3, 5, 8):
+            monkeypatch.setattr(search_module, "_BLOCK_MIN", block_min)
+            for _ in range(20):
+                grid, _, _, _ = random_instance(rng)
+                assert_block_rule(grid, block_min)
+
+    def test_one_block_grid_is_one_call_on_the_grid(self):
+        grid = SearchGrid(1.25, (50.0, 30.0))
+        profile = Profile(2, 12, None, [((10.0, 10.0), 4), ((40.0, 20.0), 12)])
+        spy = SpyPredictor(GrnnPredictor(KernelParams(200.0)))
+        search(grid, profile, None, 7, predictor=spy)
+        assert len(spy.batches) == 1
+        assert spy.batches[0] is grid.points()
+
+    def test_early_winner_skips_later_blocks(self):
+        grid = large_grid()
+        profile = Profile(3, 12, None, [((10.0, 10.0, 10.0), 12), ((40.0, 20.0, 20.0), 12)])
+        spy = SpyPredictor(GrnnPredictor(KernelParams(200.0)))
+        result = search(grid, profile, None, 7, predictor=spy)
+        assert result.allocation == (0.0, 0.0, 0.0)
+        assert len(spy.batches) == 1
+        assert sum(len(b) for b in spy.batches) < grid.size
+        # an infeasible search still sees every point
+        spy.batches.clear()
+        negative = Profile(3, 12, None, [((10.0, 10.0, 10.0), 3), ((40.0, 20.0, 20.0), 5)])
+        result = search(grid, negative, None, 7, predictor=spy)
+        assert not result.feasible_found
+        assert len(spy.batches) == len(grid.blocks())
+        assert sum(len(b) for b in spy.batches) == grid.size
+
+    def test_winner_needs_its_whole_layer(self, monkeypatch):
+        # 3 x 3 grid in blocks {total 0, 1}, {total 2}, {total 3, 4}: the
+        # cheapest members, (0, 20) and (20, 0), share total 2 and the
+        # later one in row-major order predicts higher, so a block edge
+        # inside that layer would hand the search the wrong one
+        monkeypatch.setattr(search_module, "_BLOCK_MIN", 3)
+        grid = SearchGrid(10.0, (20.0, 20.0))
+        profile = Profile(2, 12, None, [
+            ((0.0, 0.0), 1), ((10.0, 0.0), 1), ((0.0, 10.0), 1),
+            ((0.0, 20.0), 11), ((20.0, 0.0), 12),
+        ])
+        kernel = KernelParams(30.0)
+        result = search(grid, profile, kernel, 9)
+        assert result.allocation == (20.0, 0.0)
+        assert result == full_grid_search(grid, profile, kernel, 9)
+        totals = grid.counts().sum(axis=1)
+        assert [sorted(set(totals[rows])) for rows in grid.blocks()] == [[0, 1], [2], [3, 4]]
+
+    def test_small_blocks_match_naive_oracle(self, monkeypatch):
+        rng = np.random.default_rng(20)
+        for block_min in (2, 3, 5, 8):
+            monkeypatch.setattr(search_module, "_BLOCK_MIN", block_min)
+            for trial in range(15):
+                grid, profile, kernel, target = random_instance(rng)
+                if trial % 3 == 0:  # every record below target: no member anywhere
+                    profile = Profile(profile.link_count, 12, None, [
+                        (r.allocation, int(rng.integers(1, target))) for r in profile.records])
+                result = search(grid, profile, kernel, target)
+                assert result == full_grid_search(grid, profile, kernel, target)
+                if trial % 3 == 0:
+                    assert not result.feasible_found
+                records = [(r.allocation, r.response) for r in profile.records]
+                expected = naive_search(grid.step, grid.max_per_link, records,
+                                        kernel.sigma2, target, 12)
+                assert (result.allocation, result.feasible_found) == expected
+                knn = KnnPredictor(int(rng.integers(1, profile.size + 1)))
+                assert (search(grid, profile, None, target, predictor=knn)
+                        == full_grid_search(grid, profile, None, target, predictor=knn))
+
+    def test_large_grid_matches_full_grid_reference(self):
+        grid = large_grid()
+        block_of = np.empty(grid.size, dtype=int)
+        for k, rows in enumerate(grid.blocks()):
+            block_of[rows] = k
+        totals = grid.counts().sum(axis=1)
+        kernel = KernelParams(200.0)
+        predictor = GrnnPredictor(kernel)
+        rng = np.random.default_rng(31)
+        winner_blocks, tied, infeasible = set(), 0, 0
+        profiles = [level_by_total_profile(rng, symmetric=k % 2 == 1) for k in range(4)]
+        profiles.append(Profile(3, 12, None, [
+            (r.allocation, min(r.response, 6)) for r in profiles[0].records]))
+        for profile in profiles:
+            y_star, _ = predictor.predict_batch(grid.points(), profile)
+            for target in (2, 5, 7, 9, 11, 12):
+                result = search(grid, profile, kernel, target)
+                expected = full_grid_search(grid, profile, kernel, target)
+                assert result.allocation == expected.allocation
+                assert result.total == expected.total
+                assert result.prediction == expected.prediction
+                assert result.feasible_found == expected.feasible_found
+                if not result.feasible_found:
+                    infeasible += 1
+                    continue
+                idx = int(np.flatnonzero((grid.points() == result.allocation).all(axis=1))[0])
+                winner_blocks.add(int(block_of[idx]))
+                layer = totals == totals[idx]
+                tied += np.count_nonzero(layer & (y_star == y_star[idx])) > 1
+        # the cases cover a winner in every block, tied layers and no member
+        assert winner_blocks == set(range(len(grid.blocks())))
+        assert tied > 0 and infeasible > 0
