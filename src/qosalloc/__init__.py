@@ -39,7 +39,6 @@ from .predictor import (
     Prediction,
     predict,
     predict_batch,
-    squared_distance,
     variation_bound,
 )
 from .profile import Profile, ProfileFormatError, ProfileRecord, UpdateResult, classify
@@ -96,7 +95,6 @@ __all__ = [
     "run_scenario",
     "search",
     "seed_profile_generate",
-    "squared_distance",
     "total_bandwidth",
     "transmit",
     "variation_bound",

@@ -77,8 +77,10 @@ class QosConfig:
             raise ConfigError(f"targets {self.targets} outside [1, {self.level_count}]")
         if self.capacity < 1:
             raise ConfigError(f"capacity must be >= 1, got {self.capacity}")
-        if self.min_kernel_sum < 0.0:
-            raise ConfigError(f"min_kernel_sum must be >= 0, got {self.min_kernel_sum}")
+        if not (math.isfinite(self.min_kernel_sum) and self.min_kernel_sum >= 0.0):
+            raise ConfigError(
+                f"min_kernel_sum must be finite and >= 0, got {self.min_kernel_sum}"
+            )
 
     @property
     def qos_level_count(self) -> int:

@@ -112,6 +112,12 @@ class ScenarioConfig:
             )
         if not self.qos_levels:
             raise ConfigError("need at least one service")
+        if not (math.isfinite(self.erab_noise_std) and self.erab_noise_std >= 0.0):
+            raise ConfigError(
+                f"erab_noise_std must be finite and >= 0, got {self.erab_noise_std}"
+            )
+        if self.seed.records is not None:
+            _check_knn_k(self.predictor, self.seed.records)
         for q in self.qos_levels:
             if not 1 <= q <= len(self.targets):
                 raise ConfigError(f"qos_level {q} outside [1, {len(self.targets)}]")
@@ -139,6 +145,15 @@ class ScenarioConfig:
             grid=SearchGrid(self.grid_step, self.grid_max_per_link),
             capacity=self.capacity,
             min_kernel_sum=self.min_kernel_sum,
+        )
+
+
+def _check_knn_k(predictor: PredictorKind, seed_records: int) -> None:
+    """A kNN run needs at least knn_k records in its seed profile."""
+    if predictor.tag == KNN and predictor.knn_k > seed_records:
+        raise ConfigError(
+            f"predictor.knn_k={predictor.knn_k} exceeds the {seed_records} "
+            f"seed profile records"
         )
 
 
@@ -535,6 +550,7 @@ def _build_seed_profile(
                 f"seed profile {config.seed.file} has {loaded.level_count} levels, "
                 f"config has {qos_config.level_count}"
             )
+        _check_knn_k(config.predictor, loaded.size)
         # rewrap under the run's capacity policy; the file's own capacity is
         # a property of whoever saved it
         return Profile(

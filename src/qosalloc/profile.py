@@ -12,6 +12,10 @@ steps.
 
 Replacement overwrites in place, so record order (and with it the
 fixed summation order of the predictor) stays stable across updates.
+
+Records are stored as a float64 allocation array and an int64 response
+array, so the predictor reads them without a rebuild and an eviction is one
+vectorized argmin over the opposite-class rows.
 """
 
 from __future__ import annotations
@@ -22,8 +26,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-
-from .predictor import squared_distance
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -53,7 +55,10 @@ def classify(response: int, target: int, level_count: int) -> str:
 
 @dataclass(frozen=True)
 class ProfileRecord:
-    """One past delivery: the allocation used and the response level seen."""
+    """One past delivery: the allocation used and the response level seen.
+
+    The store keeps arrays; Profile.records builds these on demand.
+    """
 
     allocation: tuple[float, ...]
     response: int
@@ -67,8 +72,17 @@ class UpdateResult:
     index: int
 
 
+#: Rows reserved at first; the arrays double from here, up to the capacity.
+_INITIAL_ROWS = 16
+
+
 class Profile:
-    """Ordered, bounded sequence of ProfileRecords.
+    """Ordered, bounded sequence of (allocation, response) records.
+
+    Records live in a (rows, n) float64 allocation array and a (rows,)
+    int64 response array; the first ``size`` rows are the records in slot
+    order. The arrays double in length as records are appended, up to the
+    capacity, so replacement never reallocates.
 
     Parameters
     ----------
@@ -97,8 +111,10 @@ class Profile:
         self.link_count = link_count
         self.level_count = level_count
         self.capacity = capacity
-        self._records: list[ProfileRecord] = []
-        self._cache: tuple[np.ndarray, np.ndarray] | None = None
+        rows = _INITIAL_ROWS if capacity is None else min(capacity, _INITIAL_ROWS)
+        self._allocs = np.empty((rows, link_count))
+        self._responses = np.empty(rows, dtype=np.int64)
+        self._size = 0
         for alloc, response in records:
             self.append(alloc, response)
 
@@ -106,14 +122,18 @@ class Profile:
 
     @property
     def size(self) -> int:
-        return len(self._records)
+        return self._size
 
     @property
     def records(self) -> tuple[ProfileRecord, ...]:
-        return tuple(self._records)
+        return tuple(
+            ProfileRecord(tuple(alloc), response)
+            for alloc, response in zip(self.allocation_matrix().tolist(),
+                                       self.response_vector().tolist())
+        )
 
     def __len__(self) -> int:
-        return len(self._records)
+        return self._size
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Profile):
@@ -122,82 +142,86 @@ class Profile:
             self.link_count == other.link_count
             and self.level_count == other.level_count
             and self.capacity == other.capacity
-            and self._records == other._records
+            and np.array_equal(self.allocation_matrix(), other.allocation_matrix())
+            and np.array_equal(self.response_vector(), other.response_vector())
         )
 
     def allocation_matrix(self) -> np.ndarray:
-        """Records' allocations as a (p, n) float array, insertion order."""
-        return self._arrays()[0]
+        """Records' allocations as a read-only (p, n) float view, slot order.
+
+        The view shows the live store: a later replacement is visible in it.
+        """
+        return _read_only(self._allocs[:self._size])
 
     def response_vector(self) -> np.ndarray:
-        """Records' responses as a (p,) int array, insertion order."""
-        return self._arrays()[1]
-
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._cache is None:
-            allocs = np.array([r.allocation for r in self._records], dtype=float)
-            allocs = allocs.reshape(len(self._records), self.link_count)
-            resp = np.array([r.response for r in self._records], dtype=np.int64)
-            self._cache = (allocs, resp)
-        return self._cache
+        """Records' responses as a read-only (p,) int64 view, slot order."""
+        return _read_only(self._responses[:self._size])
 
     # -- mutation -----------------------------------------------------------
 
-    def _check_record(self, allocation: Sequence[float], response: int) -> ProfileRecord:
-        alloc = tuple(float(v) for v in allocation)
+    def _check_record(self, allocation: Sequence[float], response: int) -> tuple[tuple, int]:
+        alloc = tuple(map(float, allocation))
         if len(alloc) != self.link_count:
             raise ValueError(
                 f"allocation has {len(alloc)} links, profile expects {self.link_count}"
             )
-        if not all(math.isfinite(v) and v >= 0.0 for v in alloc):
-            raise ValueError(f"allocation {alloc} must be finite and >= 0 on every link")
+        for v in alloc:
+            if not 0.0 <= v < math.inf:  # also false for nan
+                raise ValueError(f"allocation {alloc} must be finite and >= 0 on every link")
         response = int(response)
         if not 1 <= response <= self.level_count:
             raise ValueError(f"response {response} outside [1, {self.level_count}]")
-        return ProfileRecord(alloc, response)
+        return alloc, response
+
+    def _append(self, alloc: tuple, response: int) -> int:
+        index = self._size
+        rows = len(self._responses)
+        if index == rows:  # full: double, up to the capacity
+            grown = 2 * rows if self.capacity is None else min(2 * rows, self.capacity)
+            allocs = np.empty((grown, self.link_count))
+            allocs[:rows] = self._allocs
+            responses = np.empty(grown, dtype=np.int64)
+            responses[:rows] = self._responses
+            self._allocs, self._responses = allocs, responses
+        self._allocs[index] = alloc
+        self._responses[index] = response
+        self._size = index + 1
+        return index
 
     def append(self, allocation: Sequence[float], response: int) -> None:
         """Append a record; refuses to exceed a bounded capacity."""
-        rec = self._check_record(allocation, response)
-        if self.capacity is not None and len(self._records) >= self.capacity:
+        alloc, response = self._check_record(allocation, response)
+        if self.capacity is not None and self._size >= self.capacity:
             raise ValueError(f"profile is at capacity {self.capacity}; use update()")
-        self._records.append(rec)
-        self._cache = None
+        self._append(alloc, response)
 
     def update(self, allocation: Sequence[float], response: int, target: int) -> UpdateResult:
         """Insert a new record, evicting by class-aware nearest match at capacity.
 
         Below capacity the record is appended. At capacity, a new record
         whose response is negative w.r.t. target replaces the nearest
-        positive record and vice versa; the argmin over squared distance
+        positive record and vice versa: one argmin over the candidates'
+        squared distances (summed link by link), whose first-minimum rule
         breaks ties toward the lowest record index. If the opposite class
         has no records, the globally nearest record is evicted instead
         (reported as REPLACED_FALLBACK). Unbounded profiles always append.
         """
-        rec = self._check_record(allocation, response)
+        alloc, response = self._check_record(allocation, response)
         if not 1 <= target <= self.level_count:
             raise ValueError(f"target {target} outside [1, {self.level_count}]")
-        if self.capacity is None or len(self._records) < self.capacity:
-            self._records.append(rec)
-            self._cache = None
-            return UpdateResult(APPENDED, len(self._records) - 1)
+        if self.capacity is None or self._size < self.capacity:
+            return UpdateResult(APPENDED, self._append(alloc, response))
 
-        new_is_positive = rec.response >= target
-        candidates = [
-            i
-            for i, old in enumerate(self._records)
-            if (old.response >= target) != new_is_positive
-        ]
+        opposite = (self.response_vector() >= target) != (response >= target)
+        candidates = np.flatnonzero(opposite)
         action = REPLACED
-        if not candidates:
-            candidates = list(range(len(self._records)))
+        if candidates.size == 0:
+            candidates = np.arange(self._size)
             action = REPLACED_FALLBACK
-        best = min(
-            candidates,
-            key=lambda i: (squared_distance(rec.allocation, self._records[i].allocation), i),
-        )
-        self._records[best] = rec
-        self._cache = None
+        d2 = ((self._allocs[candidates] - alloc) ** 2).sum(axis=1)
+        best = int(candidates[d2.argmin()])
+        self._allocs[best] = alloc
+        self._responses[best] = response
         return UpdateResult(action, best)
 
     # -- persistence ----------------------------------------------------------
@@ -211,9 +235,9 @@ class Profile:
         cap = "unbounded" if self.capacity is None else str(self.capacity)
         out = io.StringIO()
         out.write(f"n={self.link_count},L={self.level_count},S={cap}\n")
-        for rec in self._records:
-            fields = [repr(v) for v in rec.allocation] + [str(rec.response)]
-            out.write(",".join(fields) + "\n")
+        for alloc, response in zip(self.allocation_matrix().tolist(),
+                                   self.response_vector().tolist()):
+            out.write(",".join([repr(v) for v in alloc] + [str(response)]) + "\n")
         return out.getvalue().encode("utf-8")
 
     @classmethod
@@ -256,3 +280,8 @@ class Profile:
     def load(cls, path) -> "Profile":
         with open(path, "rb") as fh:
             return cls.from_bytes(fh.read())
+
+
+def _read_only(view: np.ndarray) -> np.ndarray:
+    view.flags.writeable = False
+    return view

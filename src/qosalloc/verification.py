@@ -313,7 +313,7 @@ def store_laws_suite(updates: int = 10000, seed: int = 20240605,
         target = int(rng.integers(2, level_count + 1))
         alloc = tuple(float(rng.uniform(0, 50)) for _ in range(n))
         response = int(rng.integers(1, level_count + 1))
-        before = profile.records
+        responses_before = profile.response_vector().copy()
         at_capacity = profile.size == capacity
         result = profile.update(alloc, response, target)
         if profile.size > capacity:
@@ -321,10 +321,9 @@ def store_laws_suite(updates: int = 10000, seed: int = 20240605,
         if at_capacity:
             if profile.size != capacity:
                 violations += 1
-            evicted = before[result.index]
             if result.action != REPLACED_FALLBACK:
                 new_positive = response >= target
-                evicted_positive = evicted.response >= target
+                evicted_positive = responses_before[result.index] >= target
                 if new_positive == evicted_positive:
                     violations += 1
         if step % 1000 == 0:

@@ -115,6 +115,11 @@ class TestQosConfigValidation:
         with pytest.raises(ConfigError):
             reference_config(targets=(7, 9, 13))
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_min_kernel_sum_must_be_finite_and_non_negative(self, value):
+        with pytest.raises(ConfigError, match="min_kernel_sum"):
+            reference_config(min_kernel_sum=value)
+
     def test_target_lookup(self):
         config = reference_config()
         assert config.target_for(1) == 7

@@ -248,6 +248,53 @@ class TestScenarioFileIO:
         assert result.reports[0].epochs == config.run_length
 
 
+class TestNumericFieldsAndKnnK:
+    """Values that used to load and then be ignored, or fail deep in a run."""
+
+    BAD_VALUES = [("min_kernel_sum", float("nan")), ("erab_noise_std", float("nan")),
+                  ("erab_noise_std", float("inf")), ("erab_noise_std", float("-inf")),
+                  ("erab_noise_std", -0.5)]
+    IDS = ["nan_min_kernel_sum", "nan_noise", "inf_noise", "minus_inf_noise", "negative_noise"]
+
+    @pytest.mark.parametrize("field, value", BAD_VALUES, ids=IDS)
+    def test_dataclass_rejects(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            small_scenario(**{field: value})
+
+    @pytest.mark.parametrize("field, value", BAD_VALUES, ids=IDS)
+    def test_scenario_file_rejects(self, tmp_path, capsys, field, value):
+        path = tmp_path / "scenario.json"
+        dump_scenario(small_scenario(), path)
+        doc = json.loads(path.read_text())
+        doc[field] = value
+        path.write_text(json.dumps(doc))  # NaN and Infinity are JSON extensions
+        with pytest.raises(ConfigError, match=field):
+            load_scenario(path)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_knn_k_above_generated_seed_records(self):
+        with pytest.raises(ConfigError, match=r"predictor\.knn_k"):
+            small_scenario(predictor=PredictorKind("knn", knn_k=7))
+        small_scenario(predictor=PredictorKind("knn", knn_k=6))  # six seed records
+        small_scenario(predictor=PredictorKind(knn_k=7))  # knn_k unused by grnn
+
+    def test_knn_k_above_file_seed_records(self, tmp_path, capsys):
+        config = small_scenario(predictor=PredictorKind("knn", knn_k=5))
+        qos = config.to_qos_config()
+        seed_profile_generate(qos.grid, qos, 4, 40.0, rng_seed=2).save(tmp_path / "seed.csv")
+        path = tmp_path / "scenario.json"
+        dump_scenario(config, path)
+        doc = json.loads(path.read_text())
+        doc["seed_profile"] = {"file": "seed.csv"}
+        path.write_text(json.dumps(doc))
+        loaded = load_scenario(path)
+        with pytest.raises(ConfigError, match=r"predictor\.knn_k"):
+            run_scenario(loaded)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "predictor.knn_k" in capsys.readouterr().err
+
+
 class TestRunScenario:
     def test_metrics_reconcile_with_erab_series(self):
         result = run_scenario(small_scenario())

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qosalloc import predictor as predictor_module
 from qosalloc.predictor import (
     EmptyProfileError,
     GrnnPredictor,
@@ -21,7 +22,6 @@ from qosalloc.predictor import (
     predict,
     predict_batch,
     round_response,
-    squared_distance,
     variation_bound,
 )
 from qosalloc.profile import Profile
@@ -32,37 +32,40 @@ def make_profile(records, link_count=None, level_count=12):
     return Profile(n, level_count, None, records)
 
 
-class TestSquaredDistance:
+class TestKernelDistance:
+    """The kernel's distance D, seen through a one-record profile's kernel sum."""
+
+    @staticmethod
+    def weight(x, record, sigma2=1000.0):
+        return predict(x, make_profile([(record, 1)]), KernelParams(sigma2)).kernel_sum
+
     def test_identity(self):
-        assert squared_distance((10.0, 10.0), (10.0, 10.0)) == 0.0
+        assert self.weight((10.0, 10.0), (10.0, 10.0)) == 1.0
 
     def test_hand_expanded(self):
-        assert squared_distance((10.0, 10.0), (30.0, 30.0)) == 800.0
+        assert self.weight((10.0, 10.0), (30.0, 30.0)) == np.exp(800.0 / -1000.0)
 
     def test_single_axis(self):
-        assert squared_distance((45.0, 0.0), (0.0, 0.0)) == 2025.0
+        assert self.weight((45.0, 0.0), (0.0, 0.0)) == np.exp(2025.0 / -1000.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            squared_distance((1.0, 2.0), (1.0,))
+            self.weight((1.0, 2.0), (1.0,))
+        with pytest.raises(ValueError):
+            self.weight((1.0,), (1.0, 2.0))
 
     # Mbps-scale values; squaring a subnormal difference would underflow
-    # to zero and void the zero-iff-equal claim
-    bandwidth = st.floats(-100, 100).map(lambda v: round(v, 6))
+    # to zero and void the one-iff-equal claim
+    bandwidth = st.floats(0, 100).map(lambda v: round(v, 6))
 
-    @given(
-        st.lists(bandwidth, min_size=1, max_size=4),
-        st.lists(bandwidth, min_size=1, max_size=4),
-    )
-    def test_symmetric_and_nonnegative(self, a, b):
-        if len(a) != len(b):
-            with pytest.raises(ValueError):
-                squared_distance(a, b)
-            return
-        d = squared_distance(a, b)
-        assert d >= 0.0
-        assert d == squared_distance(b, a)
-        assert (d == 0.0) == (a == b)
+    @given(st.integers(1, 4), st.data())
+    def test_symmetric_and_bounded(self, n, data):
+        a = data.draw(st.lists(self.bandwidth, min_size=n, max_size=n))
+        b = data.draw(st.lists(self.bandwidth, min_size=n, max_size=n))
+        w = self.weight(a, b, sigma2=1.0)
+        assert 0.0 <= w <= 1.0
+        assert w == self.weight(b, a, sigma2=1.0)
+        assert (w == 1.0) == (a == b)
 
 
 class TestPredict:
@@ -209,6 +212,63 @@ class TestBitIdentity:
         assert y_star[0] == 3.0  # tie between records 0 and 1 keeps record 0
         assert y_star[3] == 7.0
         assert y_star[4] == 3.0  # tie between records 0 and 2 keeps record 0
+
+
+class TestChunkBoundaries:
+    """predict_batch's record chunks against the row-major reference, bit for bit."""
+
+    @staticmethod
+    def check(n, m, p, seed, sigma2=300.0):
+        rng = np.random.default_rng(seed)
+        profile = make_profile(
+            [(tuple(rng.uniform(0, 60, n)), int(rng.integers(1, 13))) for _ in range(p)],
+            link_count=n,
+        )
+        xs = rng.uniform(0, 60, (m, n))
+        k = KernelParams(sigma2)
+        y_star, ksum = predict_batch(xs, profile, k)
+        ref_y, ref_sum = row_major_reference(xs, profile, k)
+        assert np.array_equal(y_star, ref_y)
+        assert np.array_equal(ksum, ref_sum)
+        # sigma2=1e-6 underflows every weight: the nearest-record fallback
+        # then runs over the same chunks
+        assert ksum.any() == (sigma2 > 1e-3)
+
+    @pytest.mark.parametrize("sigma2", [300.0, 1e-6])
+    @pytest.mark.parametrize("p", [9, 12, 13, 17])
+    def test_records_span_three_or_more_chunks(self, p, sigma2):
+        # k = 4 records per chunk; 13 and 17 end on a one-record chunk
+        m = predictor_module._CHUNK // 4
+        assert predictor_module._chunk_records(p, m) == 4
+        self.check(2, m, p, seed=p, sigma2=sigma2)
+
+    @pytest.mark.parametrize("sigma2", [300.0, 1e-6])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_one_record_chunks_around_chunk_size(self, offset, sigma2):
+        m = predictor_module._CHUNK + offset
+        assert predictor_module._chunk_records(5, m) == 1
+        self.check(3, m, 5, seed=100 + offset, sigma2=sigma2)
+
+    @pytest.mark.parametrize("offset", [0, 1])
+    def test_two_or_one_record_chunks_at_half_chunk_size(self, offset):
+        m = predictor_module._CHUNK // 2 + offset
+        assert predictor_module._chunk_records(7, m) == 2 - offset
+        self.check(1, m, 7, seed=200 + offset)
+
+    def test_single_candidate_sums_records_in_order(self):
+        # one candidate, one chunk of 12 records whose weights span many
+        # magnitudes: a pairwise (axis-0) reduction rounds differently
+        profile = make_profile(
+            [((float(d),), r) for d, r in zip(range(0, 60, 5), [1, 12, 2, 11, 3, 10,
+                                                                4, 9, 5, 8, 6, 7])],
+            link_count=1,
+        )
+        xs = np.array([[0.3]])
+        k = KernelParams(97.0)
+        y_star, ksum = predict_batch(xs, profile, k)
+        ref_y, ref_sum = row_major_reference(xs, profile, k)
+        assert np.array_equal(y_star, ref_y)
+        assert np.array_equal(ksum, ref_sum)
 
 
 class TestRounding:

@@ -196,3 +196,89 @@ def test_record_validation():
         profile.append((1.0,), 5)  # wrong link count
     with pytest.raises(ValueError):
         profile.append((1.0, 2.0), 0)
+
+
+def reference_update(records, capacity, allocation, response, target):
+    """The list-based store's rule: append, else min over (distance, index)."""
+    if capacity is None or len(records) < capacity:
+        records.append((tuple(allocation), response))
+        return APPENDED, len(records) - 1
+    new_is_positive = response >= target
+    candidates = [i for i, (_, r) in enumerate(records) if (r >= target) != new_is_positive]
+    action = REPLACED
+    if not candidates:
+        candidates = list(range(len(records)))
+        action = REPLACED_FALLBACK
+
+    def squared_distance(a, b):
+        return float(((np.asarray(a, dtype=float) - np.asarray(b, dtype=float)) ** 2).sum())
+
+    best = min(candidates, key=lambda i: (squared_distance(allocation, records[i][0]), i))
+    records[best] = (tuple(allocation), response)
+    return action, best
+
+
+class TestArrayStore:
+    """The array-backed store against the list-based eviction rule."""
+
+    def test_eviction_matches_reference_rule(self):
+        rng = np.random.default_rng(2024)
+        seen = {APPENDED: 0, REPLACED: 0, REPLACED_FALLBACK: 0, "tie": 0,
+                "positive": 0, "negative": 0}
+        for case in range(300):
+            n = int(rng.integers(1, 4))
+            capacity = None if case % 5 == 0 else int(rng.integers(1, 12))
+            levels = 4
+            # a 3-point lattice per link makes exact distance ties common;
+            # a narrow response range makes one-class stores (fallbacks) common
+            low, high = (1, 3) if case % 3 else (1, levels + 1)
+            profile, model = Profile(n, levels, capacity), []
+            for _ in range(int(rng.integers(1, 40))):
+                alloc = tuple(float(v) for v in rng.integers(0, 3, n) * 2.5)
+                response = int(rng.integers(low, high))
+                target = int(rng.integers(2, levels + 1))
+                if len(model) == capacity:
+                    opposite = [a for a, r in model if (r >= target) != (response >= target)]
+                    pool = opposite or [a for a, _ in model]
+                    d2 = sorted(sum((x - y) ** 2 for x, y in zip(a, alloc)) for a in pool)
+                    seen["tie"] += len(d2) > 1 and d2[0] == d2[1]
+                    seen["positive" if response >= target else "negative"] += 1
+                expected = reference_update(model, capacity, alloc, response, target)
+                result = profile.update(alloc, response, target)
+                assert (result.action, result.index) == expected
+                assert [(r.allocation, r.response) for r in profile.records] == model
+                seen[result.action] += 1
+        assert min(seen.values()) > 0, seen
+
+    def test_unbounded_appends_grow_past_the_initial_rows(self):
+        profile = Profile(2, 12, None)
+        model = []
+        for i in range(100):
+            alloc, response = (float(i), 0.5 * i), 1 + i % 12
+            assert profile.update(alloc, response, 6).index == i
+            model.append((alloc, response))
+        assert [(r.allocation, r.response) for r in profile.records] == model
+        np.testing.assert_array_equal(profile.allocation_matrix(), [a for a, _ in model])
+
+    def test_arrays_are_read_only(self):
+        profile = Profile(2, 12, 4, [((1.0, 2.0), 3), ((4.0, 5.0), 6)])
+        with pytest.raises(ValueError):
+            profile.allocation_matrix()[0, 0] = 9.0
+        with pytest.raises(ValueError):
+            profile.response_vector()[0] = 9
+        assert profile.records[0] == ProfileRecord((1.0, 2.0), 3)
+
+    def test_to_bytes_round_trips_byte_identically(self):
+        rng = np.random.default_rng(9)
+        for capacity in (3, None):
+            profile = Profile(3, 12, capacity)
+            for _ in range(40):
+                profile.update(tuple(rng.uniform(0, 50, 3)), int(rng.integers(1, 13)), 7)
+            data = profile.to_bytes()
+            lines = [",".join([repr(v) for v in r.allocation] + [str(r.response)])
+                     for r in profile.records]
+            cap = "unbounded" if capacity is None else str(capacity)
+            assert data == "\n".join([f"n=3,L=12,S={cap}", *lines, ""]).encode()
+            clone = Profile.from_bytes(data)
+            assert clone == profile
+            assert clone.to_bytes() == data
