@@ -45,7 +45,6 @@ from .profile import Profile, ProfileFormatError, ProfileRecord, UpdateResult, c
 from .search import (
     AllocationResult,
     SearchGrid,
-    membership,
     membership_c_form,
     search,
     total_bandwidth,
@@ -87,7 +86,6 @@ __all__ = [
     "dump_scenario",
     "knn_predict",
     "load_scenario",
-    "membership",
     "membership_c_form",
     "predict",
     "predict_batch",

@@ -236,7 +236,7 @@ def read_trace_csv(path: Path, expected_columns: int, what: str) -> tuple[tuple[
     """Read a trace CSV (header row, then one row per epoch) column-major."""
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path, or not UTF-8
         raise ConfigError(f"{what} trace {path}: {exc}") from exc
     rows = [ln for ln in lines if ln.strip()]
     if not rows:
@@ -297,7 +297,7 @@ def load_scenario(path) -> ScenarioConfig:
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
@@ -553,9 +553,9 @@ def _build_seed_profile(
         _check_knn_k(config.predictor, loaded.size)
         # rewrap under the run's capacity policy; the file's own capacity is
         # a property of whoever saved it
-        return Profile(
+        return Profile._from_arrays(
             loaded.link_count, loaded.level_count, capacity,
-            [(r.allocation, r.response) for r in loaded.records],
+            loaded.allocation_matrix(), loaded.response_vector(),
         )
     if capacity is not None and config.seed.records > capacity:
         raise ConfigError(

@@ -24,13 +24,22 @@ record order above; a reduction over the chunk's rows would not (numpy
 sums such a reduction pairwise when m is 1). Nearest-record bookkeeping,
 needed only where every weight underflows, runs lazily over just those
 rows.
+
+lattice_batch runs the same accumulation loop, but reads each chunk's
+weights from a precomputed table (one np.take per chunk) instead of
+computing distances, division and exp. The search uses it for grid points
+against records that are grid points too, where each weight depends only
+on the step-count offset between them; SearchGrid.kernel_table builds the
+table with this module's float operations in this module's order, so its
+entries equal the computed weights bit for bit. The underflow fallback is
+the same in both.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -127,40 +136,41 @@ def predict_batch(
         raise ValueError(
             f"candidate array must have shape (m, {profile.link_count}), got {xs.shape}"
         )
-    allocs = profile.allocation_matrix()
-    responses = profile.response_vector()
     cols = np.ascontiguousarray(xs.T)
-    m = xs.shape[0]
-    num = np.zeros(m)
-    den = np.zeros(m)
-    k = _chunk_records(profile.size, m)
-    if k > 1:
-        # one block for both buffers: as two blocks, the allocator gave their
-        # pages back to the OS after each call and page-faulted them in again
-        w, diff = np.empty((2, k, m))
-    else:
-        # whole 1-D buffers: a slice per record costs more, and rows of one
-        # block ran about 5% slower at m=25,625
-        w, diff = np.empty(m), np.empty(m)
     neg_sigma2 = -kernel.sigma2
-    for count, links, rate in _record_chunks(allocs, responses, k):
-        # w holds the squared distances, then the weights, then r * weight
-        wc, dc = (w[:count], diff[:count]) if k > 1 else (w, diff)
-        _squared_distances_into(wc, dc, cols, links)
+
+    def weigh(out, spare, links):
+        _squared_distances_into(out, spare, cols, links)
         # (d2 / -s) == (-d2 / s) bit for bit: IEEE division is sign-symmetric
-        np.divide(wc, neg_sigma2, out=wc)
-        np.exp(wc, out=wc)
-        rows = wc if k > 1 else (wc,)
-        for row in rows:
-            den += row
-        wc *= rate
-        for row in rows:
-            num += row
-    y_star = num / np.where(den > 0.0, den, 1.0)
-    fallback = np.flatnonzero(~(den > 0.0))
-    if fallback.size:
-        y_star[fallback] = _nearest_response(cols[:, fallback], allocs, responses)
-    return y_star, den
+        np.divide(out, neg_sigma2, out=out)
+        np.exp(out, out=out)
+
+    return _weighted_mean(profile, xs.shape[0], profile.allocation_matrix().T, weigh,
+                          lambda rows: cols[:, rows])
+
+
+def lattice_batch(
+    table: np.ndarray, offsets: np.ndarray, bases: np.ndarray, profile: "Profile",
+    columns: Callable[[np.ndarray], np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """predict_batch with every kernel weight read from a table.
+
+    The weight of record i at candidate c is table[offsets[c] + bases[i]];
+    the caller guarantees that this entry equals, bit for bit, the weight
+    predict_batch computes, and that every index lies in the table (see
+    SearchGrid's kernel table). columns(rows) returns the (n, len(rows))
+    coordinates of candidates rows, needed only for the underflow fallback.
+    Accumulation and fallback are predict_batch's own, so the results are
+    identical to predict_batch on the same candidates.
+    """
+
+    def weigh(out, spare, base):
+        index = spare.view(np.int64)  # same item size as the float buffer
+        np.add(offsets, base, out=index)
+        # mode="clip" gathers straight into out; the default mode buffers it
+        np.take(table, index, out=out, mode="clip")
+
+    return _weighted_mean(profile, len(offsets), bases, weigh, columns)
 
 
 #: Target element count of one (k, m) chunk buffer: two buffers of 2^15
@@ -173,20 +183,57 @@ def _chunk_records(p: int, m: int) -> int:
     return max(1, min(p, _CHUNK // m))
 
 
-def _record_chunks(allocs: np.ndarray, responses: np.ndarray, k: int):
-    """Yield (count, per-link operands, response operand) per chunk of k records.
+def _weighted_mean(profile: "Profile", m: int, operands: np.ndarray, weigh,
+                   columns) -> tuple[np.ndarray, np.ndarray]:
+    """y* and the kernel sum of m candidates, records taken k at a time.
 
-    Operands are (count, 1) columns, or Python floats when k == 1: numpy
-    broadcasts a Python float faster than a (1, 1) array.
+    operands holds one entry per record along its last axis; for each chunk
+    of records, weigh(out, spare, chunk) writes their (count, m) weights
+    into out (spare is scratch of the same shape), where chunk is the
+    chunk's operands as (..., count, 1) views, or the record's operands as
+    Python numbers when k == 1. The rows are then added one record at a
+    time. columns(rows) gives the fallback rows' candidate columns.
+    """
+    responses = profile.response_vector()
+    num = np.zeros(m)
+    den = np.zeros(m)
+    k = _chunk_records(profile.size, m)
+    if k > 1:
+        # one block for both buffers: as two blocks, the allocator gave their
+        # pages back to the OS after each call and page-faulted them in again
+        w, spare = np.empty((2, k, m))
+    else:
+        # whole 1-D buffers: a slice per record costs more, and rows of one
+        # block ran about 5% slower at m=25,625
+        w, spare = np.empty(m), np.empty(m)
+    for chunk, rate in zip(_chunked(operands, k), _chunked(responses.astype(float), k)):
+        # w holds the weights, then r * weight
+        wc, sc = (w[:len(rate)], spare[:len(rate)]) if k > 1 else (w, spare)
+        weigh(wc, sc, chunk)
+        rows = wc if k > 1 else (wc,)
+        for row in rows:
+            den += row
+        wc *= rate
+        for row in rows:
+            num += row
+    y_star = num / np.where(den > 0.0, den, 1.0)
+    fallback = np.flatnonzero(~(den > 0.0))
+    if fallback.size:
+        y_star[fallback] = _nearest_response(columns(fallback), profile.allocation_matrix(),
+                                             responses)
+    return y_star, den
+
+
+def _chunked(values: np.ndarray, k: int):
+    """values split along its last (record) axis into chunks of k records.
+
+    Chunks are (..., count, 1) views, or when k == 1 each record's values
+    as Python numbers: numpy broadcasts a Python float faster than a (1, 1)
+    array.
     """
     if k == 1:
-        for a, r in zip(allocs.tolist(), responses.tolist()):
-            yield 1, a, float(r)
-        return
-    rates = responses.astype(float)[:, None]
-    for lo in range(0, len(rates), k):
-        block = allocs[lo:lo + k]
-        yield len(block), [block[:, j, None] for j in range(block.shape[1])], rates[lo:lo + k]
+        return values.T.tolist()
+    return (values[..., lo:lo + k, None] for lo in range(0, values.shape[-1], k))
 
 
 def _squared_distances_into(out: np.ndarray, diff: np.ndarray, cols: np.ndarray,

@@ -72,7 +72,8 @@ class UpdateResult:
     index: int
 
 
-#: Rows reserved at first; the arrays double from here, up to the capacity.
+#: Rows reserved by the first append; the arrays double from here, up to
+#: the capacity.
 _INITIAL_ROWS = 16
 
 
@@ -111,12 +112,31 @@ class Profile:
         self.link_count = link_count
         self.level_count = level_count
         self.capacity = capacity
-        rows = _INITIAL_ROWS if capacity is None else min(capacity, _INITIAL_ROWS)
-        self._allocs = np.empty((rows, link_count))
-        self._responses = np.empty(rows, dtype=np.int64)
+        # no rows until the first append, so a header alone allocates nothing
+        self._allocs = np.empty((0, link_count))
+        self._responses = np.empty(0, dtype=np.int64)
         self._size = 0
         for alloc, response in records:
             self.append(alloc, response)
+
+    @classmethod
+    def _from_arrays(cls, link_count: int, level_count: int, capacity: int | None,
+                     allocs: np.ndarray, responses: np.ndarray) -> "Profile":
+        """A profile holding copies of already validated records, in order.
+
+        allocs is (p, link_count) and responses (p,), e.g. another profile's
+        allocation_matrix() and response_vector(). The records are not
+        checked again one by one; a bounded profile still refuses more than
+        capacity records, with append's error.
+        """
+        profile = cls(link_count, level_count, capacity)
+        size = len(responses)
+        if capacity is not None and size > capacity:
+            raise ValueError(f"profile is at capacity {capacity}; use update()")
+        profile._allocs = np.array(allocs, dtype=float).reshape(size, link_count)
+        profile._responses = np.array(responses, dtype=np.int64)
+        profile._size = size
+        return profile
 
     # -- basic introspection ------------------------------------------------
 
@@ -177,7 +197,9 @@ class Profile:
         index = self._size
         rows = len(self._responses)
         if index == rows:  # full: double, up to the capacity
-            grown = 2 * rows if self.capacity is None else min(2 * rows, self.capacity)
+            grown = max(_INITIAL_ROWS, 2 * rows)
+            if self.capacity is not None:
+                grown = min(grown, self.capacity)
             allocs = np.empty((grown, self.link_count))
             allocs[:rows] = self._allocs
             responses = np.empty(grown, dtype=np.int64)
@@ -242,7 +264,11 @@ class Profile:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Profile":
-        text = data.decode("utf-8")
+        """Parse to_bytes() output; any malformed input raises ProfileFormatError."""
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ProfileFormatError(f"profile data is not UTF-8 text: {exc}") from exc
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines:
             raise ProfileFormatError("empty profile data: missing header")
@@ -252,9 +278,9 @@ class Profile:
             link_count = int(parts["n"])
             level_count = int(parts["L"])
             capacity = None if parts["S"] == "unbounded" else int(parts["S"])
-        except (KeyError, ValueError) as exc:
+            profile = cls(link_count, level_count, capacity)
+        except (KeyError, ValueError, OverflowError) as exc:
             raise ProfileFormatError(f"bad profile header {header!r}: {exc}") from exc
-        profile = cls(link_count, level_count, capacity)
         for idx, line in enumerate(lines[1:], start=1):
             fields = line.strip().split(",")
             if len(fields) != link_count + 1:

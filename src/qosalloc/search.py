@@ -20,6 +20,23 @@ per-point cost. A search with no member evaluates every block, which costs
 up to ceil(log2(size / _BLOCK_MIN)) extra predictor calls over one
 whole-grid call.
 
+With the kernel-regression predictor, a block's kernel weights are
+usually read from a table instead of computed. When every profile record
+is a grid point, the weight between grid point c and record r depends only
+on the step-count offset c - r, so one table per (grid, sigma2) of
+prod_j (2 C_j + 1) entries holds them all: 3,969 entries (31 KB) on the
+2-link reference grid, 194,481 (1.56 MB) on the 3-link 25,625-point grid.
+SearchGrid.kernel_table builds it with predict_batch's float operations in
+predict_batch's order and caches it on the grid, and the shared
+accumulation loop in the predictor gathers from it, so every output bit is
+the one predict_batch gives. The table path needs three things: a
+GrnnPredictor, a grid that passes its exactness check ((c * step -
+r * step)**2 depends on c - r alone, as computed; true of steps such as
+0.5, 1.25 or 2.5, not of 0.7) within _TABLE_MAX, and records that all
+equal grid points. Otherwise, as for kNN, any other predictor, an
+off-lattice or out-of-box record, or a step like 0.7, the search calls
+predictor.predict_batch unchanged.
+
 membership_c_form() evaluates the same predicate in an algebraically
 rearranged form, C1 + C2 >= C3, that groups kernel weights by response
 level. It exists as an independent cross-check of the membership math: each
@@ -42,7 +59,7 @@ from .predictor import (
     GrnnPredictor,
     KernelParams,
     Prediction,
-    predict,
+    lattice_batch,
     round_response,
 )
 from .profile import Profile
@@ -54,6 +71,10 @@ _GRID_EPS = 1e-9
 
 # Fewest grid points in one evaluation block; see the module docstring.
 _BLOCK_MIN = 4096
+
+# Most entries in a grid's kernel table, and most (c, r) pairs in its
+# exactness check; a grid over either limit is searched without the table.
+_TABLE_MAX = 2**18
 
 
 @dataclass(frozen=True)
@@ -126,6 +147,60 @@ class SearchGrid:
         """
         return self._blocks
 
+    def kernel_table(self, sigma2: float) -> tuple[np.ndarray, np.ndarray] | None:
+        """The grid's kernel table for sigma2, and each point's offset into it.
+
+        On the lattice, the kernel weight between grid points at step
+        counts c and r depends only on the offset c - r. The table holds
+        it for every offset, exp(sum_j D_j[c_j - r_j] / -sigma2), flattened
+        row-major over offsets shifted into [0, 2 C_j], where D_j[c - r]
+        is (c * step - r * step)**2 as numpy computes it. The entry for
+        point c and a record at r (see record_bases) is
+        table[offsets[c] + base[r]]. The table is built with predict_batch's
+        float operations in its order: link 0 first, then division by
+        -sigma2, then exp in place on a contiguous array, so each entry
+        equals predict_batch's weight bit for bit.
+
+        Returns None when the grid fails its exactness check (some pair c,
+        r with (c * step - r * step)**2 != D_j[c - r]; steps such as 0.5,
+        1.25 or 2.5 pass, 0.7 does not) or when the table or the check
+        would exceed _TABLE_MAX entries. The table for the last sigma2
+        asked for is cached on the grid and returned read-only.
+        """
+        if not self._lattice_exact:
+            return None
+        tables = self._tables
+        if sigma2 not in tables:
+            c_max = max(self.steps_per_link)
+            table = None
+            for c in self.steps_per_link:  # link 0 first
+                d = self._offset_squares[c_max - c:c_max + c + 1]
+                table = d.copy() if table is None else np.add.outer(table, d)
+            table = table.reshape(-1)
+            np.divide(table, -sigma2, out=table)
+            np.exp(table, out=table)
+            table.flags.writeable = False
+            tables.clear()
+            tables[sigma2] = table
+        return tables[sigma2], self._table_offsets
+
+    def record_bases(self, allocs: np.ndarray) -> np.ndarray | None:
+        """Each record's base offset into the kernel table, or None.
+
+        allocs is a (p, n) array of record allocations. A record has a base
+        only if it is a grid point: on every link its allocation equals
+        r * step for a step count 0 <= r <= C_j. If any record is not,
+        the result is None and the table cannot serve the profile.
+        """
+        steps = np.asarray(self.steps_per_link)
+        counts = np.rint(allocs / self.step)
+        if not ((counts >= 0) & (counts <= steps)).all():
+            return None
+        counts = counts.astype(np.intp)
+        if not np.array_equal(counts * self.step, allocs):
+            return None
+        return (steps - counts) @ self._table_strides
+
     @functools.cached_property
     def _counts(self) -> np.ndarray:
         axes = [np.arange(c + 1) for c in self.steps_per_link]
@@ -164,6 +239,46 @@ class SearchGrid:
         bounds.append(size)
         return tuple(order[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]))
 
+    @functools.cached_property
+    def _table_strides(self) -> np.ndarray:
+        """Row-major strides of the table, whose axis j has 2 C_j + 1 offsets."""
+        dims = [2 * c + 1 for c in self.steps_per_link]
+        return np.array([math.prod(dims[j + 1:]) for j in range(len(dims))], dtype=np.intp)
+
+    @functools.cached_property
+    def _table_offsets(self) -> np.ndarray:
+        offsets = self._counts @ self._table_strides
+        offsets.flags.writeable = False
+        return offsets
+
+    @functools.cached_property
+    def _offset_squares(self) -> np.ndarray:
+        """D[delta + C] = (delta * step)**2 for delta in [-C, C], C the largest count."""
+        c_max = max(self.steps_per_link)
+        return np.square(np.arange(-c_max, c_max + 1, dtype=float) * self.step)
+
+    @functools.cached_property
+    def _lattice_exact(self) -> bool:
+        """The exactness check behind kernel_table, within the size limits.
+
+        Every link shares the step, so link j's D_j is the middle of D and
+        its (c, r) pairs are a corner of the one check over the largest
+        count C.
+        """
+        steps = self.steps_per_link
+        c_max = max(steps)
+        if (c_max + 1) ** 2 > _TABLE_MAX or math.prod(2 * c + 1 for c in steps) > _TABLE_MAX:
+            return False
+        v = np.arange(c_max + 1, dtype=float) * self.step
+        actual = np.square(v[None, :] - v[:, None])  # [r, c]: (c * step - r * step)**2
+        # [r, c]: D[c - r + C], row r being the window of D that starts at C - r
+        expected = np.lib.stride_tricks.sliding_window_view(self._offset_squares, c_max + 1)
+        return bool(np.array_equal(actual, expected[::-1]))
+
+    @functools.cached_property
+    def _tables(self) -> dict:
+        return {}
+
 
 @dataclass(frozen=True)
 class AllocationResult:
@@ -186,13 +301,6 @@ def total_bandwidth(allocation: Sequence[float]) -> float:
     return float(np.asarray(allocation, dtype=float).sum())
 
 
-def membership(
-    x: Sequence[float], profile: Profile, kernel: KernelParams, target: int
-) -> bool:
-    """True when x is predicted to meet the QoS target (y* >= target - 1/2)."""
-    return predict(x, profile, kernel).y_star >= target - 0.5
-
-
 def membership_c_form(
     x: Sequence[float], profile: Profile, kernel: KernelParams, target: int
 ) -> tuple[float, float, float, bool]:
@@ -201,7 +309,8 @@ def membership_c_form(
     C1 collects (u - target) * weight over records at levels u >= target,
     C2 is half the total weight, C3 collects (target - u) * weight over
     records below the target. Membership holds iff C1 + C2 >= C3. Agrees
-    with membership() up to float re-association at the set boundary.
+    with the direct test y* >= target - 1/2 (predict) up to float
+    re-association at the set boundary.
     """
     if profile.size == 0:
         raise EmptyProfileError("cannot evaluate membership against an empty profile")
@@ -250,6 +359,11 @@ def search(
     each row independently of its batch. A search with no member predicts
     every block: on a multi-block grid that is one predictor call per block
     instead of one in all.
+
+    A GrnnPredictor's blocks are evaluated from the grid's kernel table
+    (predictor.lattice_batch) when the grid passes its exactness check and
+    every record is a grid point; the results are bit-identical to
+    predictor.predict_batch, which every other case calls.
     """
     if predictor is None:
         predictor = GrnnPredictor(kernel)
@@ -258,16 +372,26 @@ def search(
             f"grid has {grid.link_count} links but profile has {profile.link_count}"
         )
     counts = grid.counts()
-    pts = grid.points()
     threshold = target - 0.5
+    lattice = _lattice(grid, profile, predictor)
+
+    def evaluate(rows):
+        # grid.points() only where needed: the table path leaves it unbuilt
+        if lattice is None:
+            pts = grid.points()
+            return predictor.predict_batch(pts if isinstance(rows, slice) else pts[rows], profile)
+        table, offsets, bases = lattice
+        return lattice_batch(table, offsets[rows], bases, profile,
+                             lambda fallback: grid.points()[rows][fallback].T)
+
     blocks = grid.blocks()
     if len(blocks) == 1:
-        y_star, kernel_sum = predictor.predict_batch(pts, profile)
+        y_star, kernel_sum = evaluate(blocks[0])
     else:
         y_star = np.full(grid.size, -np.inf)
         kernel_sum = np.zeros(grid.size)
         for rows in blocks:
-            block_y, block_sum = predictor.predict_batch(pts[rows], profile)
+            block_y, block_sum = evaluate(rows)
             y_star[rows] = block_y
             kernel_sum[rows] = block_sum
             if (block_y >= threshold).any():
@@ -284,7 +408,7 @@ def search(
     else:
         idx = int(np.argmax(y_star))
         feasible = False
-    allocation = tuple(float(v) for v in pts[idx])
+    allocation = tuple(float(v) for v in counts[idx] * grid.step)  # row idx of points()
     ys = float(y_star[idx])
     return AllocationResult(
         allocation=allocation,
@@ -293,3 +417,19 @@ def search(
                               kernel_sum=float(kernel_sum[idx])),
         feasible_found=feasible,
     )
+
+
+def _lattice(grid: SearchGrid, profile: Profile, predictor):
+    """(table, offsets, bases) when the grid's kernel table can serve the search.
+
+    That needs a kernel-regression predictor, a non-empty profile whose
+    records are all grid points, and a grid that passes its exactness
+    check; otherwise None, and the search calls predictor.predict_batch.
+    """
+    if type(predictor) is not GrnnPredictor or profile.size == 0:
+        return None
+    bases = grid.record_bases(profile.allocation_matrix())
+    if bases is None:
+        return None
+    lattice = grid.kernel_table(predictor.kernel.sigma2)
+    return None if lattice is None else (*lattice, bases)

@@ -152,12 +152,15 @@ def _random_grid_point(rng, grid: SearchGrid) -> tuple[float, ...]:
 
 
 def _clone_with(profile: Profile, extra=None, drop_index=None) -> Profile:
-    records = [(r.allocation, r.response) for r in profile.records]
+    allocs, responses = profile.allocation_matrix(), profile.response_vector()
     if drop_index is not None:
-        records.pop(drop_index)
+        allocs = np.delete(allocs, drop_index, axis=0)
+        responses = np.delete(responses, drop_index)
+    clone = Profile._from_arrays(profile.link_count, profile.level_count, None,
+                                 allocs, responses)
     if extra is not None:
-        records.append(extra)
-    return Profile(profile.link_count, profile.level_count, None, records)
+        clone.append(*extra)
+    return clone
 
 
 # ---------------------------------------------------------------------------

@@ -248,6 +248,21 @@ class TestScenarioFileIO:
         assert result.reports[0].epochs == config.run_length
 
 
+    def test_seed_file_over_capacity_fails(self, tmp_path, capsys):
+        config = small_scenario()  # capacity 8
+        qos = config.to_qos_config()
+        seed_profile_generate(qos.grid, qos, 9, 40.0, rng_seed=2).save(tmp_path / "seed.csv")
+        dump_scenario(config, tmp_path / "scenario.json")
+        doc = json.loads((tmp_path / "scenario.json").read_text())
+        doc["seed_profile"] = {"file": "seed.csv"}
+        (tmp_path / "scenario.json").write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="at capacity 8"):
+            run_scenario(load_scenario(tmp_path / "scenario.json"))
+        out = str(tmp_path / "o")
+        assert main(["run", "--config", str(tmp_path / "scenario.json"), "--out", out]) == 2
+        assert "at capacity 8" in capsys.readouterr().err
+
+
 class TestNumericFieldsAndKnnK:
     """Values that used to load and then be ignored, or fail deep in a run."""
 

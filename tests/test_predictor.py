@@ -19,12 +19,14 @@ from qosalloc.predictor import (
     EmptyProfileError,
     GrnnPredictor,
     KernelParams,
+    lattice_batch,
     predict,
     predict_batch,
     round_response,
     variation_bound,
 )
 from qosalloc.profile import Profile
+from qosalloc.search import SearchGrid
 
 
 def make_profile(records, link_count=None, level_count=12):
@@ -269,6 +271,57 @@ class TestChunkBoundaries:
         ref_y, ref_sum = row_major_reference(xs, profile, k)
         assert np.array_equal(y_star, ref_y)
         assert np.array_equal(ksum, ref_sum)
+
+
+class TestLatticeBatch:
+    """lattice_batch on a grid's kernel table against predict_batch, bit for bit."""
+
+    @staticmethod
+    def check(grid, rows, p, seed, sigma2):
+        rng = np.random.default_rng(seed)
+        counts = np.stack([rng.integers(0, c + 1, p) for c in grid.steps_per_link], axis=1)
+        profile = make_profile(
+            [(tuple(row * grid.step), int(rng.integers(1, 13))) for row in counts],
+            link_count=grid.link_count,
+        )
+        table, offsets = grid.kernel_table(sigma2)
+        bases = grid.record_bases(profile.allocation_matrix())
+        pts = grid.points()[rows]
+        y_star, ksum = lattice_batch(table, offsets[rows], bases, profile,
+                                     lambda fallback: pts[fallback].T)
+        ref_y, ref_sum = predict_batch(pts, profile, KernelParams(sigma2))
+        assert np.array_equal(y_star, ref_y)
+        assert np.array_equal(ksum, ref_sum)
+        return ksum
+
+    @pytest.mark.parametrize("sigma2", [300.0, 200.0, 7.3, 0.5, 1e-6])
+    @pytest.mark.parametrize("grid", [
+        SearchGrid(1.25, (50.0,)), SearchGrid(0.5, (6.0, 4.0)),
+        SearchGrid(2.5, (20.0, 10.0, 12.5)), SearchGrid(1.25, (50.0, 30.0)),
+    ], ids=repr)
+    def test_whole_grid_and_row_subsets(self, grid, sigma2):
+        rng = np.random.default_rng(grid.size)
+        for p in (1, 5, 31):
+            ksum = self.check(grid, slice(None), p, seed=p, sigma2=sigma2)
+            # sigma2=1e-6 keeps weight only on the records' own points: every
+            # other row takes the nearest-record fallback
+            if sigma2 < 1e-3:
+                assert np.count_nonzero(ksum) <= p < grid.size
+            rows = np.sort(rng.choice(grid.size, int(rng.integers(1, grid.size)), replace=False))
+            self.check(grid, rows, p, seed=p + 1, sigma2=sigma2)
+
+    @pytest.mark.parametrize("sigma2", [200.0, 1e-6])
+    def test_chunk_layouts_on_the_stress_grid(self, sigma2):
+        grid = SearchGrid(1.25, (50.0, 30.0, 30.0))
+        # the whole grid is one-record chunks; a quarter-chunk of rows is
+        # chunks of 4 records, ending on a one-record chunk for p = 13
+        assert predictor_module._chunk_records(13, grid.size) == 1
+        self.check(grid, slice(None), 5, seed=1, sigma2=sigma2)
+        rows = grid.by_total_order()[:predictor_module._CHUNK // 4]
+        assert predictor_module._chunk_records(13, len(rows)) == 4
+        self.check(grid, rows, 13, seed=2, sigma2=sigma2)
+        for rows in grid.blocks():
+            self.check(grid, rows, 9, seed=len(rows), sigma2=sigma2)
 
 
 class TestRounding:

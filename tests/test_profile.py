@@ -16,6 +16,7 @@ from qosalloc.profile import (
     Profile,
     ProfileFormatError,
     ProfileRecord,
+    UpdateResult,
     classify,
 )
 
@@ -171,6 +172,27 @@ class TestPersistence:
         with pytest.raises(ProfileFormatError, match="record 2"):
             Profile.from_bytes(data)
 
+    @pytest.mark.parametrize("data, match", [
+        (b"\xff\xfe", "UTF-8"),
+        (b"n=1,L=12,S=4\n\xff,3\n", "UTF-8"),
+        (b"n=0,L=12,S=4\n", "header"),
+        (b"n=1,L=0,S=4\n", "header"),
+        (b"n=1,L=12,S=0\n", "header"),
+        (b"n=1,L=12,S=-3\n", "header"),
+        (b"n=" + b"9" * 40 + b",L=12,S=4\n", "header"),
+    ], ids=["undecodable", "undecodable_record", "no_links", "no_levels", "zero_capacity",
+            "negative_capacity", "huge_link_count"])
+    def test_every_failure_is_a_format_error(self, data, match):
+        with pytest.raises(ProfileFormatError, match=match):
+            Profile.from_bytes(data)
+
+    def test_header_alone_allocates_no_rows(self):
+        # arrays are reserved by the first append, so a header cannot ask for
+        # a huge block up front
+        profile = Profile.from_bytes(b"n=1000000000000,L=12,S=4\n")
+        assert profile.size == 0
+        assert profile.allocation_matrix().shape == (0, 10**12)
+
     def test_save_load_file(self, tmp_path):
         profile = Profile(2, 12, 31, [((1.25, 2.5), 6), ((50.0, 30.0), 12)])
         path = tmp_path / "profile.csv"
@@ -282,3 +304,50 @@ class TestArrayStore:
             clone = Profile.from_bytes(data)
             assert clone == profile
             assert clone.to_bytes() == data
+
+
+class TestArrayCopy:
+    """Profile._from_arrays copies another profile's arrays without re-checking."""
+
+    def test_copy_equals_and_is_independent(self):
+        rng = np.random.default_rng(4)
+        profile = Profile(2, 12, 40)
+        for _ in range(20):
+            profile.append(tuple(rng.uniform(0, 50, 2)), int(rng.integers(1, 13)))
+        copy = Profile._from_arrays(2, 12, 40, profile.allocation_matrix(),
+                                    profile.response_vector())
+        assert copy == profile
+        assert copy.to_bytes() == profile.to_bytes()
+        copy.update((1.0, 1.0), 12, 7)
+        copy.append((2.0, 2.0), 3)
+        assert profile.size == 20 and copy.size == 22
+        assert profile.records == Profile.from_bytes(profile.to_bytes()).records
+
+    def test_bounded_copy_refuses_more_than_capacity(self):
+        profile = Profile(1, 12, None, [((float(i),), 6) for i in range(5)])
+        with pytest.raises(ValueError, match="at capacity 4"):
+            Profile._from_arrays(1, 12, 4, profile.allocation_matrix(),
+                                 profile.response_vector())
+        full = Profile._from_arrays(1, 12, 5, profile.allocation_matrix(),
+                                    profile.response_vector())
+        assert full.update((9.0,), 12, 7) == UpdateResult(REPLACED, 4)
+
+    def test_verification_clone_matches_record_rebuild(self):
+        from qosalloc.verification import _clone_with
+
+        rng = np.random.default_rng(12)
+        profile = Profile(3, 12, None, [(tuple(rng.uniform(0, 50, 3)), int(rng.integers(1, 13)))
+                                        for _ in range(20)])
+        records = [(r.allocation, r.response) for r in profile.records]
+        extra = ((1.25, 2.5, 0.0), 9)
+        for drop in (None, 0, 7, 19):
+            for add in (None, extra):
+                expected = list(records)
+                if drop is not None:
+                    expected.pop(drop)
+                if add is not None:
+                    expected.append(add)
+                clone = _clone_with(profile, extra=add, drop_index=drop)
+                assert clone == Profile(3, 12, None, expected)
+        with pytest.raises(ValueError):
+            _clone_with(profile, extra=((1.0, 2.0), 9))  # the extra record is checked

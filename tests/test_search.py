@@ -9,6 +9,7 @@ module and the acceptance suite.
 from __future__ import annotations
 
 import importlib
+import math
 import time
 
 import numpy as np
@@ -20,14 +21,15 @@ from qosalloc.predictor import (
     GrnnPredictor,
     KernelParams,
     Prediction,
+    lattice_batch,
     predict,
+    predict_batch,
     round_response,
 )
 from qosalloc.profile import Profile
 from qosalloc.search import (
     AllocationResult,
     SearchGrid,
-    membership,
     membership_c_form,
     search,
     total_bandwidth,
@@ -133,22 +135,27 @@ class TestSearchGrid:
             SearchGrid(1.0, (-5.0,))
 
 
+def is_member(x, profile, kernel, target):
+    """The direct membership test: x is predicted to meet target."""
+    return predict(x, profile, kernel).y_star >= target - 0.5
+
+
 class TestMembership:
     def test_single_positive_record_everything_is_member(self):
         profile = Profile(1, 12, None, [((30.0,), 12)])
         k = KernelParams(100.0)
         for x in [(0.0,), (10.0,), (500.0,)]:
-            assert membership(x, profile, k, 7)
+            assert is_member(x, profile, k, 7)
 
     def test_direct_evaluation_cases(self):
         profile = two_point_profile()
         k = KernelParams(100.0)
-        assert not membership((10.0,), profile, k, 2)  # y* ~ 1.095 < 1.5
-        assert membership((20.0,), profile, k, 2)  # y* ~ 2.905 >= 1.5
+        assert not is_member((10.0,), profile, k, 2)  # y* ~ 1.095 < 1.5
+        assert is_member((20.0,), profile, k, 2)  # y* ~ 2.905 >= 1.5
 
     def test_empty_profile(self):
         with pytest.raises(EmptyProfileError):
-            membership((1.0,), Profile(1, 3, None), KernelParams(), 2)
+            is_member((1.0,), Profile(1, 3, None), KernelParams(), 2)
 
 
 class TestMembershipCForm:
@@ -164,7 +171,7 @@ class TestMembershipCForm:
         k = KernelParams(100.0)
         c1, c2, c3, member = membership_c_form((20.0,), profile, k, 2)
         assert member
-        assert member == membership((20.0,), profile, k, 2)
+        assert member == is_member((20.0,), profile, k, 2)
         _, _, _, member10 = membership_c_form((10.0,), profile, k, 2)
         assert not member10
 
@@ -492,3 +499,153 @@ class TestBlockedSearch:
         # the cases cover a winner in every block, tied layers and no member
         assert winner_blocks == set(range(len(grid.blocks())))
         assert tied > 0 and infeasible > 0
+
+
+def lattice_records(rng, grid, p, level_count=12):
+    """p records at random grid points of grid, with random levels."""
+    counts = np.stack([rng.integers(0, c + 1, p) for c in grid.steps_per_link], axis=1)
+    return [(tuple(float(v) for v in row * grid.step), int(rng.integers(1, level_count + 1)))
+            for row in counts]
+
+
+class CountingLattice:
+    """Stands in for search's lattice_batch and records the rows it serves."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, table, offsets, bases, profile, columns):
+        self.calls.append(len(offsets))
+        return lattice_batch(table, offsets, bases, profile, columns)
+
+
+# grids whose steps pass the exactness check, on 1, 2 and 3 links
+EXACT_GRIDS = [
+    SearchGrid(1.25, (50.0,)), SearchGrid(0.5, (6.0, 4.0)), SearchGrid(2.5, (20.0, 10.0, 12.5)),
+    SearchGrid(1.25, (50.0, 30.0)), SearchGrid(0.5, (3.0, 2.0, 4.0)), SearchGrid(2.5, (100.0,)),
+]
+
+
+class TestKernelTable:
+    @pytest.mark.parametrize("grid", EXACT_GRIDS, ids=repr)
+    def test_entries_equal_predict_batch_weights(self, grid):
+        rng = np.random.default_rng(grid.size)
+        sigma2 = 7.3
+        table, offsets = grid.kernel_table(sigma2)
+        assert table.size == math.prod(2 * c + 1 for c in grid.steps_per_link)
+        assert not table.flags.writeable and not offsets.flags.writeable
+        records = lattice_records(rng, grid, 12)
+        profile = Profile(grid.link_count, 12, None, records)
+        bases = grid.record_bases(profile.allocation_matrix())
+        for i, (alloc, _) in enumerate(records):
+            one = Profile(grid.link_count, 12, None, [(alloc, 1)])
+            _, weights = predict_batch(grid.points(), one, KernelParams(sigma2))
+            assert np.array_equal(table[offsets + bases[i]], weights)
+
+    def test_cached_per_sigma2_on_the_grid(self):
+        grid = SearchGrid(1.25, (50.0, 30.0))
+        table, offsets = grid.kernel_table(200.0)
+        assert table.size == 81 * 49
+        assert grid.kernel_table(200.0)[0] is table
+        assert grid.kernel_table(200.0)[1] is offsets
+        other, _ = grid.kernel_table(300.0)
+        assert other is not table and not np.array_equal(other, table)
+        assert grid.kernel_table(300.0)[0] is other
+        # the cache is not a field: equality and hashing are unchanged
+        assert grid == SearchGrid(1.25, (50.0, 30.0))
+        assert hash(grid) == hash(SearchGrid(1.25, (50.0, 30.0)))
+
+    @pytest.mark.parametrize("grid", [
+        SearchGrid(0.7, (7.0,)), SearchGrid(0.7, (7.0, 4.2)), SearchGrid(0.1, (0.3,)),
+    ], ids=repr)
+    def test_inexact_step_has_no_table(self, grid, monkeypatch):
+        assert grid.kernel_table(200.0) is None
+        values = np.arange(max(grid.steps_per_link) + 1) * grid.step
+        squares = np.square(values[None, :] - values[:, None])
+        deltas = np.subtract.outer(np.arange(len(values)), np.arange(len(values)))
+        # some pair (c, r) misses the value its offset c - r has elsewhere
+        assert any(len(set(squares[deltas == d].tolist())) > 1 for d in range(len(values)))
+        spy = CountingLattice()
+        monkeypatch.setattr(search_module, "lattice_batch", spy)
+        rng = np.random.default_rng(7)
+        profile = Profile(grid.link_count, 12, None, lattice_records(rng, grid, 6))
+        assert search(grid, profile, KernelParams(3.0), 7) == full_grid_search(
+            grid, profile, KernelParams(3.0), 7)
+        assert spy.calls == []
+
+    def test_size_limit(self, monkeypatch):
+        monkeypatch.setattr(search_module, "_TABLE_MAX", 41**2)
+        # (c, r) pairs in the check, then table entries
+        assert SearchGrid(1.25, (50.0,)).kernel_table(1.0) is not None  # 41**2, 81
+        assert SearchGrid(1.25, (51.25,)).kernel_table(1.0) is None  # 42**2, 83
+        assert SearchGrid(1.25, (50.0, 25.0)).kernel_table(1.0) is None  # 41**2, 81 * 41
+
+    def test_record_bases(self):
+        grid = SearchGrid(1.25, (50.0, 30.0))
+        allocs = np.array([[0.0, 0.0], [50.0, 30.0], [1.25, 2.5], [-0.0, 30.0]])
+        np.testing.assert_array_equal(
+            grid.record_bases(allocs), [40 * 49 + 24, 0, 39 * 49 + 22, 40 * 49])
+        assert grid.record_bases(np.array([[1.3, 0.0]])) is None  # off the lattice
+        assert grid.record_bases(np.array([[0.0, 31.25]])) is None  # outside the box
+        assert grid.record_bases(np.array([[0.0, 1.25 + 1e-15]])) is None
+
+    @pytest.mark.parametrize("sigma2", [300.0, 7.3, 0.5, 1e-6])
+    def test_search_takes_the_table_and_matches_whole_grid(self, sigma2, monkeypatch):
+        spy = CountingLattice()
+        monkeypatch.setattr(search_module, "lattice_batch", spy)
+        rng = np.random.default_rng(int(sigma2 * 1e6) % 2**32)
+        kernel = KernelParams(sigma2)
+        for grid in EXACT_GRIDS:
+            for trial in range(6):
+                records = lattice_records(rng, grid, int(rng.integers(1, 40)))
+                if trial % 3 == 0:  # every record below target: no member anywhere
+                    records = [(a, min(r, 6)) for a, r in records]
+                profile = Profile(grid.link_count, 12, None, records)
+                before = len(spy.calls)
+                for target in (2, 7, 11):
+                    result = search(grid, profile, kernel, target)
+                    assert result == full_grid_search(grid, profile, kernel, target)
+                assert len(spy.calls) == before + 3
+                knn = KnnPredictor(int(rng.integers(1, profile.size + 1)))
+                assert (search(grid, profile, None, 7, predictor=knn)
+                        == full_grid_search(grid, profile, None, 7, predictor=knn))
+                assert len(spy.calls) == before + 3
+
+    @pytest.mark.parametrize("stray", [(1.3, 2.5), (0.0, 31.25), (51.25, 0.0)],
+                             ids=["off_lattice", "outside_box", "beyond_max"])
+    def test_stray_record_falls_back(self, stray, monkeypatch):
+        spy = CountingLattice()
+        monkeypatch.setattr(search_module, "lattice_batch", spy)
+        grid = SearchGrid(1.25, (50.0, 30.0))
+        rng = np.random.default_rng(3)
+        kernel = KernelParams(2.0)
+        for level in (1, 12):
+            records = lattice_records(rng, grid, 10)
+            records.insert(int(rng.integers(0, 10)), (stray, level))
+            profile = Profile(2, 12, None, records)
+            for target in (2, 7, 11):
+                assert (search(grid, profile, kernel, target)
+                        == full_grid_search(grid, profile, kernel, target))
+        assert spy.calls == []
+
+    def test_large_grid_searches_block_by_block_on_the_table(self, monkeypatch):
+        spy = CountingLattice()
+        monkeypatch.setattr(search_module, "lattice_batch", spy)
+        grid = large_grid()
+        kernel = KernelParams(200.0)
+        rng = np.random.default_rng(8)
+        profile = level_by_total_profile(rng, symmetric=False, records=40)
+        negative = Profile(3, 12, None, [(r.allocation, min(r.response, 6))
+                                         for r in profile.records])
+        result = search(grid, negative, kernel, 9)
+        assert not result.feasible_found
+        assert spy.calls == [len(rows) for rows in grid.blocks()]
+        assert result == full_grid_search(grid, negative, kernel, 9)
+        spy.calls.clear()
+        result = search(grid, profile, kernel, 12)
+        assert result == full_grid_search(grid, profile, kernel, 12)
+        assert len(spy.calls) >= 1
+
+    def test_empty_profile_still_raises(self):
+        with pytest.raises(EmptyProfileError):
+            search(SearchGrid(1.25, (50.0, 30.0)), Profile(2, 12, None), KernelParams(), 7)
