@@ -15,10 +15,19 @@ records can only shrink it.
 Run:  python demos/03_allocation_search.py
 """
 
-from qosalloc import KernelParams, Profile, SearchGrid, membership_c_form, predict, search
+from qosalloc import (
+    GrnnPredictor,
+    KernelParams,
+    Profile,
+    SearchGrid,
+    membership_c_form,
+    predict,
+    search,
+)
 
 profile = Profile(1, 3, None, records=[((0.0,), 1), ((30.0,), 3)])
 kernel = KernelParams(sigma2=100.0)
+predictor = GrnnPredictor(kernel)
 grid = SearchGrid(step=10.0, max_per_link=(30.0,))
 TARGET = 2
 
@@ -33,7 +42,7 @@ for x in grid.points():
         f"{c1:7.4f}  {c2:7.4f}  {c3:7.4f}"
     )
 
-result = search(grid, profile, kernel, TARGET)
+result = search(grid, profile, predictor, TARGET)
 print(
     f"\nchosen allocation: {result.allocation} "
     f"(total {result.total} Mbps, predicted level {result.prediction.y_hat})"
@@ -43,7 +52,7 @@ print("\nwith only negative records no point can ever qualify")
 print("(C1 = 0 and C2 is half of C3 at best), so the search falls back to")
 print("the most promising point instead of failing:")
 hopeless = Profile(1, 3, None, records=[((0.0,), 1), ((15.0,), 1), ((30.0,), 1)])
-result = search(grid, hopeless, kernel, TARGET)
+result = search(grid, hopeless, predictor, TARGET)
 print(
     f"  feasible_found={result.feasible_found}, fallback allocation "
     f"{result.allocation} with y*={result.prediction.y_star:.3f}"

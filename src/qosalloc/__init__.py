@@ -9,7 +9,7 @@ closes the loop, kNN and unbounded-profile baselines, and an experiment
 harness with deterministic, auditable outputs.
 """
 
-from .baselines import KnnPredictor, PredictorKind, knn_predict
+from .baselines import KnnPredictor, PredictorKind
 from .controller import (
     ConfigError,
     QosConfig,
@@ -30,7 +30,7 @@ from .harness import (
     run_scenario,
     seed_profile_generate,
 )
-from .netsim import EndOfRun, LinkSpec, ServiceSpec, Simulator, distribute_rate, transmit
+from .netsim import EndOfRun, LinkSpec, ServiceSpec, Simulator
 from .predictor import (
     DEFAULT_SIGMA2,
     EmptyProfileError,
@@ -42,13 +42,7 @@ from .predictor import (
     variation_bound,
 )
 from .profile import Profile, ProfileFormatError, ProfileRecord, UpdateResult, classify
-from .search import (
-    AllocationResult,
-    SearchGrid,
-    membership_c_form,
-    search,
-    total_bandwidth,
-)
+from .search import AllocationResult, SearchGrid, membership_c_form, search
 
 __version__ = "0.1.0"
 
@@ -82,9 +76,7 @@ __all__ = [
     "classify",
     "compare_predictors",
     "compute_erab",
-    "distribute_rate",
     "dump_scenario",
-    "knn_predict",
     "load_scenario",
     "membership_c_form",
     "predict",
@@ -93,7 +85,5 @@ __all__ = [
     "run_scenario",
     "search",
     "seed_profile_generate",
-    "total_bandwidth",
-    "transmit",
     "variation_bound",
 ]

@@ -15,12 +15,15 @@ two predictors holds or is tested.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .predictor import EmptyProfileError, Prediction, round_response
+from .predictor import EmptyProfileError
 from .profile import Profile
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .search import SearchGrid
 
 GRNN_BOUNDED = "grnn_bounded"
 GRNN_UNBOUNDED = "grnn_unbounded"
@@ -52,27 +55,12 @@ class PredictorKind:
         return f"{self.tag}_k{self.knn_k}" if self.tag == KNN else self.tag
 
 
-def knn_predict(x: Sequence[float], profile: Profile, k_neighbors: int) -> Prediction:
-    """Mean response of the k records nearest to x.
-
-    Distance ties are broken toward the lowest record index. The rounding
-    and clamping of the integer prediction match the kernel predictor's.
-    kernel_sum reports k (each selected neighbor carries unit weight).
-    """
-    if profile.size == 0:
-        raise EmptyProfileError("cannot predict against an empty profile")
-    if not 1 <= k_neighbors <= profile.size:
-        raise ValueError(
-            f"k_neighbors must be in [1, {profile.size}], got {k_neighbors}"
-        )
-    xs = np.asarray(x, dtype=float).reshape(1, -1)
-    y_star, _ = _knn_batch(xs, profile, k_neighbors)
-    ys = float(y_star[0])
-    return Prediction(y_star=ys, y_hat=round_response(ys, profile.level_count),
-                      kernel_sum=float(k_neighbors))
-
-
 def _knn_batch(xs: np.ndarray, profile: Profile, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mean response of the k records nearest to each row of xs, and k per row.
+
+    Distance ties are broken toward the lowest record index. The kernel
+    sum reports k: each selected neighbor carries unit weight.
+    """
     allocs = profile.allocation_matrix()
     responses = profile.response_vector().astype(float)
     if xs.ndim != 2 or xs.shape[1] != profile.link_count:
@@ -87,7 +75,7 @@ def _knn_batch(xs: np.ndarray, profile: Profile, k: int) -> tuple[np.ndarray, np
 
 
 class KnnPredictor:
-    """k-nearest-neighbor predictor with the search-facing interface."""
+    """k-nearest-neighbor predictor with the search-facing predict_batch / predict_grid."""
 
     kind = KNN
 
@@ -95,9 +83,6 @@ class KnnPredictor:
         if k_neighbors < 1:
             raise ValueError(f"k_neighbors must be >= 1, got {k_neighbors}")
         self.k_neighbors = k_neighbors
-
-    def predict(self, x: Sequence[float], profile: Profile) -> Prediction:
-        return knn_predict(x, profile, self.k_neighbors)
 
     def predict_batch(self, xs: np.ndarray, profile: Profile) -> tuple[np.ndarray, np.ndarray]:
         if profile.size == 0:
@@ -108,3 +93,7 @@ class KnnPredictor:
             )
         return _knn_batch(np.asarray(xs, dtype=float), profile, self.k_neighbors)
 
+    def predict_grid(self, grid: "SearchGrid", rows, profile: Profile
+                     ) -> tuple[np.ndarray, np.ndarray]:
+        """predict_batch on grid.points()[rows]."""
+        return self.predict_batch(grid.points()[rows], profile)

@@ -10,6 +10,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 
@@ -24,6 +25,13 @@ from .harness import (
 )
 
 DEFAULT_VARIANTS = "grnn_bounded@16,grnn_bounded@31,grnn_bounded@46,knn,grnn_unbounded"
+
+
+def _positive_scale(text: str) -> float:
+    scale = float(text)
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return scale
 
 
 def _add_config_arg(parser: argparse.ArgumentParser) -> None:
@@ -127,7 +135,7 @@ def main(argv=None) -> int:
 
     p_verify = sub.add_parser("verify", help="run the property suites")
     p_verify.add_argument(
-        "--scale", type=float, default=0.2,
+        "--scale", type=_positive_scale, default=0.2,
         help="suite size multiplier; 1.0 = full acceptance sizes (default 0.2)",
     )
     p_verify.set_defaults(func=cmd_verify)

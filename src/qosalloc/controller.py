@@ -122,10 +122,14 @@ class EpochRecord:
     erab: float
     response: int
     feasible_found: bool
-    search_fallback: bool
     low_confidence: bool
     update_action: str = APPENDED
     search_ms: float = 0.0
+
+    @property
+    def search_fallback(self) -> bool:
+        """The applied allocation was the search's infeasible fallback."""
+        return not self.feasible_found
 
 
 def compute_erab(total_allocated: float, source_rate: float) -> float:
@@ -196,10 +200,7 @@ class QosController:
         self.initial_search_ms = (time.perf_counter() - t0) * 1e3
 
     def _search(self) -> AllocationResult:
-        return search(
-            self.config.grid, self.profile, self.config.kernel, self.target,
-            predictor=self.predictor,
-        )
+        return search(self.config.grid, self.profile, self.predictor, self.target)
 
     @property
     def current_allocation(self) -> tuple[float, ...]:
@@ -240,7 +241,6 @@ class QosController:
                 erab=measured_erab,
                 response=response,
                 feasible_found=applied.feasible_found,
-                search_fallback=not applied.feasible_found,
                 low_confidence=low_conf,
                 update_action=update.action,
                 search_ms=search_ms,

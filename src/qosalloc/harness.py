@@ -122,6 +122,8 @@ class ScenarioConfig:
             if not 1 <= q <= len(self.targets):
                 raise ConfigError(f"qos_level {q} outside [1, {len(self.targets)}]")
         for s, trace in enumerate(self.rates):
+            if not all(math.isfinite(r) and r >= 0.0 for r in trace):
+                raise ConfigError(f"service {s + 1} rate trace must be finite and >= 0")
             if len(trace) < self.run_length:
                 raise ConfigError(
                     f"service {s + 1} rate trace has {len(trace)} epochs, "
@@ -525,10 +527,7 @@ def _measure_final_search_ms(
     for _ in range(reps + 1):
         for ctrl, samples in zip(ctrls, times):
             t0 = time.perf_counter()
-            search(
-                ctrl.config.grid, ctrl.profile, ctrl.config.kernel, ctrl.target,
-                predictor=ctrl.predictor,
-            )
+            search(ctrl.config.grid, ctrl.profile, ctrl.predictor, ctrl.target)
             samples.append((time.perf_counter() - t0) * 1e3)
     # the first round is the warm-up
     return [float(np.median(samples[1:])) for samples in times]
@@ -721,14 +720,17 @@ class Variant:
 def parse_variant(token: str) -> Variant:
     """Parse CLI variant tokens like 'grnn_bounded@16' or 'knn@7'.
 
-    For bounded kinds the @N suffix overrides the profile capacity; for the
-    kNN kind it overrides the neighbor count.
+    For the bounded kind the @N suffix overrides the profile capacity; for
+    the kNN kind it overrides the neighbor count. The unbounded kind has no
+    capacity, so @N on it is rejected.
     """
     name, _, suffix = token.partition("@")
     if name == "knn":
         kind = PredictorKind(tag="knn", knn_k=int(suffix) if suffix else 5)
         return Variant(kind)
     kind = PredictorKind(tag=name)
+    if suffix and not kind.bounded:
+        raise ValueError(f"{token!r}: {name} has no capacity to override")
     return Variant(kind, capacity=int(suffix) if suffix else None)
 
 
@@ -740,6 +742,8 @@ def compare_predictors(
     The final search times of all variants are measured together, after
     the runs, with their repetitions interleaved.
     """
+    if not variants:
+        raise ConfigError("need at least one variant to compare")
     runs: list[tuple[str, ScenarioResult]] = []
     for variant in variants:
         cfg = replace(

@@ -82,44 +82,11 @@ class ServiceSpec:
         return self.rate_trace[epoch]
 
 
-def distribute_rate(source_rate: float, allocation: Sequence[float]) -> np.ndarray:
-    """Split a source rate across links proportionally to the allocation.
-
-    r_j = R * x_j / |x|, so the per-link rates sum back to R. A zero
-    allocation with positive R is a degenerate epoch: nothing can be sent,
-    every rate is zero, and the caller logs the epoch as total loss.
-    """
-    x = np.asarray(allocation, dtype=float)
-    if source_rate < 0.0:
-        raise ValueError(f"source rate must be >= 0, got {source_rate}")
-    total = x.sum()
-    if source_rate == 0.0 or total <= 0.0:
-        return np.zeros_like(x)
-    # divide before scaling: the shares are well-conditioned in [0, 1]
-    return source_rate * (x / total)
-
-
 def effective_allocation(allocation: Sequence[float], headroom: Sequence[float]) -> np.ndarray:
     """Clamp a nominal allocation to the per-link headroom (>= 0)."""
     x = np.asarray(allocation, dtype=float)
     h = np.maximum(np.asarray(headroom, dtype=float), 0.0)
     return np.minimum(x, h)
-
-
-def transmit(links: Sequence[LinkSpec], allocation: Sequence[float], source_rate: float,
-             epoch: int = 0) -> float:
-    """Measured ERAB for one service alone on the given links.
-
-    The effective per-link allocation is min(x_j, capacity_j - background_j);
-    the ERAB is the effective total minus the source rate. With ample
-    capacity the clamp is inactive and the measurement is exactly |x| - R.
-    """
-    x = np.asarray(allocation, dtype=float)
-    if len(links) != x.shape[0]:
-        raise ValueError(f"{len(links)} links but allocation has {x.shape[0]} entries")
-    headroom = np.array([l.capacity - l.background_at(epoch) for l in links])
-    eff = effective_allocation(x, headroom)
-    return compute_erab(float(eff.sum()), source_rate)
 
 
 class Simulator:
@@ -149,8 +116,8 @@ class Simulator:
                     f"controller grid has {ctrl.config.grid.link_count} links, "
                     f"simulator has {len(links)}"
                 )
-        if noise_std < 0.0:
-            raise ValueError(f"noise_std must be >= 0, got {noise_std}")
+        if not (math.isfinite(noise_std) and noise_std >= 0.0):
+            raise ValueError(f"noise_std must be finite and >= 0, got {noise_std}")
         if noise_std > 0.0 and rng is None:
             raise ValueError("measurement noise requires an explicit rng")
         self.links = tuple(links)

@@ -27,12 +27,19 @@ rows.
 
 lattice_batch runs the same accumulation loop, but reads each chunk's
 weights from a precomputed table (one np.take per chunk) instead of
-computing distances, division and exp. The search uses it for grid points
-against records that are grid points too, where each weight depends only
-on the step-count offset between them; SearchGrid.kernel_table builds the
-table with this module's float operations in this module's order, so its
-entries equal the computed weights bit for bit. The underflow fallback is
-the same in both.
+computing distances, division and exp. It serves grid points against
+records that are grid points too, where each weight depends only on the
+step-count offset between them; SearchGrid.kernel_table builds the table
+with this module's float operations in this module's order, so its entries
+equal the computed weights bit for bit. The underflow fallback is the same
+in both.
+
+Every predictor the search accepts has two methods: predict_batch(xs,
+profile) for arbitrary candidates, and predict_grid(grid, rows, profile),
+which predicts grid.points()[rows]. GrnnPredictor.predict_grid is where the
+choice between the table and the computed path is made, so the search never
+needs to know which predictor it holds. The single-point form is the
+module-level predict().
 """
 
 from __future__ import annotations
@@ -45,6 +52,7 @@ import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover
     from .profile import Profile
+    from .search import SearchGrid
 
 #: Fallback kernel width (Mbps^2) when a scenario does not set one; roughly
 #: one grid step times sqrt(n), squared, scaled so several neighbors stay
@@ -312,8 +320,24 @@ class GrnnPredictor:
     def __init__(self, kernel: KernelParams | None = None):
         self.kernel = kernel or KernelParams()
 
-    def predict(self, x: Sequence[float], profile: "Profile") -> Prediction:
-        return predict(x, profile, self.kernel)
-
     def predict_batch(self, xs: np.ndarray, profile: "Profile") -> tuple[np.ndarray, np.ndarray]:
         return predict_batch(xs, profile, self.kernel)
+
+    def predict_grid(self, grid: "SearchGrid", rows, profile: "Profile"
+                     ) -> tuple[np.ndarray, np.ndarray]:
+        """predict_batch on grid.points()[rows], from the grid's kernel table when it can.
+
+        rows is a slice or an index array into the row-major grid. The table
+        serves when every record is a grid point (grid.record_bases) and the
+        grid passes its exactness check (grid.kernel_table); the results
+        are then bit-identical to predict_batch, which every other case
+        calls. grid.points() is built only where needed: the table path
+        leaves it unbuilt unless some weight sum underflows.
+        """
+        bases = grid.record_bases(profile.allocation_matrix()) if profile.size else None
+        lattice = None if bases is None else grid.kernel_table(self.kernel.sigma2)
+        if lattice is None:
+            return predict_batch(grid.points()[rows], profile, self.kernel)
+        table, offsets = lattice
+        return lattice_batch(table, offsets[rows], bases, profile,
+                             lambda fallback: grid.points()[rows][fallback].T)

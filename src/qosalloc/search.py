@@ -20,22 +20,21 @@ per-point cost. A search with no member evaluates every block, which costs
 up to ceil(log2(size / _BLOCK_MIN)) extra predictor calls over one
 whole-grid call.
 
-With the kernel-regression predictor, a block's kernel weights are
-usually read from a table instead of computed. When every profile record
-is a grid point, the weight between grid point c and record r depends only
-on the step-count offset c - r, so one table per (grid, sigma2) of
-prod_j (2 C_j + 1) entries holds them all: 3,969 entries (31 KB) on the
-2-link reference grid, 194,481 (1.56 MB) on the 3-link 25,625-point grid.
-SearchGrid.kernel_table builds it with predict_batch's float operations in
-predict_batch's order and caches it on the grid, and the shared
-accumulation loop in the predictor gathers from it, so every output bit is
-the one predict_batch gives. The table path needs three things: a
-GrnnPredictor, a grid that passes its exactness check ((c * step -
-r * step)**2 depends on c - r alone, as computed; true of steps such as
-0.5, 1.25 or 2.5, not of 0.7) within _TABLE_MAX, and records that all
-equal grid points. Otherwise, as for kNN, any other predictor, an
-off-lattice or out-of-box record, or a step like 0.7, the search calls
-predictor.predict_batch unchanged.
+The search knows a predictor only through predict_grid(grid, rows,
+profile), which predicts grid.points()[rows] for one block; see the
+predictor module for the protocol. The kernel-regression predictor usually
+reads a block's kernel weights from a table instead of computing them.
+When every profile record is a grid point, the weight between grid point c
+and record r depends only on the step-count offset c - r, so one table per
+(grid, sigma2) of prod_j (2 C_j + 1) entries holds them all: 3,969 entries
+(31 KB) on the 2-link reference grid, 194,481 (1.56 MB) on the 3-link
+25,625-point grid. SearchGrid.kernel_table builds it with predict_batch's
+float operations in predict_batch's order and caches it on the grid, and
+the shared accumulation loop in the predictor gathers from it, so every
+output bit is the one predict_batch gives. The table needs a grid that
+passes its exactness check ((c * step - r * step)**2 depends on c - r
+alone, as computed; true of steps such as 0.5, 1.25 or 2.5, not of 0.7)
+within _TABLE_MAX, and records that all equal grid points.
 
 membership_c_form() evaluates the same predicate in an algebraically
 rearranged form, C1 + C2 >= C3, that groups kernel weights by response
@@ -54,14 +53,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .predictor import (
-    EmptyProfileError,
-    GrnnPredictor,
-    KernelParams,
-    Prediction,
-    lattice_batch,
-    round_response,
-)
+from .predictor import EmptyProfileError, KernelParams, Prediction, round_response
 from .profile import Profile
 
 # Tolerance used when mapping per-link maxima onto step counts, so a
@@ -296,11 +288,6 @@ class AllocationResult:
     feasible_found: bool
 
 
-def total_bandwidth(allocation: Sequence[float]) -> float:
-    """|x|: summed per-link bandwidth."""
-    return float(np.asarray(allocation, dtype=float).sum())
-
-
 def membership_c_form(
     x: Sequence[float], profile: Profile, kernel: KernelParams, target: int
 ) -> tuple[float, float, float, bool]:
@@ -336,21 +323,15 @@ def membership_c_form(
     return c1, c2, c3, bool(c1 + c2 >= c3)
 
 
-def search(
-    grid: SearchGrid,
-    profile: Profile,
-    kernel: KernelParams | None,
-    target: int,
-    predictor=None,
-) -> AllocationResult:
+def search(grid: SearchGrid, profile: Profile, predictor, target: int) -> AllocationResult:
     """Search the grid for the cheapest allocation meeting target.
 
-    Ties on total bandwidth go to the highest predicted y*, then to the
-    lexicographically smallest allocation. When no grid point is predicted
-    feasible the result carries feasible_found=False and the point with the
-    highest y* (ties lexicographic). The predictor argument swaps in a
-    baseline predictor; by default a kernel-regression predictor built from
-    `kernel` is used.
+    predictor is any object with predict_grid(grid, rows, profile), such
+    as GrnnPredictor or KnnPredictor. Ties on total bandwidth go to the
+    highest predicted y*, then to the lexicographically smallest
+    allocation. When no grid point is predicted feasible the result carries
+    feasible_found=False and the point with the highest y* (ties
+    lexicographic). An empty profile raises EmptyProfileError.
 
     The grid is predicted block by block (grid.blocks(), increasing total)
     and the search stops after the first block holding a member; points
@@ -359,39 +340,23 @@ def search(
     each row independently of its batch. A search with no member predicts
     every block: on a multi-block grid that is one predictor call per block
     instead of one in all.
-
-    A GrnnPredictor's blocks are evaluated from the grid's kernel table
-    (predictor.lattice_batch) when the grid passes its exactness check and
-    every record is a grid point; the results are bit-identical to
-    predictor.predict_batch, which every other case calls.
     """
-    if predictor is None:
-        predictor = GrnnPredictor(kernel)
+    if profile.size == 0:
+        raise EmptyProfileError("cannot search against an empty profile")
     if grid.link_count != profile.link_count:
         raise ValueError(
             f"grid has {grid.link_count} links but profile has {profile.link_count}"
         )
     counts = grid.counts()
     threshold = target - 0.5
-    lattice = _lattice(grid, profile, predictor)
-
-    def evaluate(rows):
-        # grid.points() only where needed: the table path leaves it unbuilt
-        if lattice is None:
-            pts = grid.points()
-            return predictor.predict_batch(pts if isinstance(rows, slice) else pts[rows], profile)
-        table, offsets, bases = lattice
-        return lattice_batch(table, offsets[rows], bases, profile,
-                             lambda fallback: grid.points()[rows][fallback].T)
-
     blocks = grid.blocks()
     if len(blocks) == 1:
-        y_star, kernel_sum = evaluate(blocks[0])
+        y_star, kernel_sum = predictor.predict_grid(grid, blocks[0], profile)
     else:
         y_star = np.full(grid.size, -np.inf)
         kernel_sum = np.zeros(grid.size)
         for rows in blocks:
-            block_y, block_sum = evaluate(rows)
+            block_y, block_sum = predictor.predict_grid(grid, rows, profile)
             y_star[rows] = block_y
             kernel_sum[rows] = block_sum
             if (block_y >= threshold).any():
@@ -408,28 +373,12 @@ def search(
     else:
         idx = int(np.argmax(y_star))
         feasible = False
-    allocation = tuple(float(v) for v in counts[idx] * grid.step)  # row idx of points()
+    point = counts[idx] * grid.step  # row idx of points()
     ys = float(y_star[idx])
     return AllocationResult(
-        allocation=allocation,
-        total=total_bandwidth(allocation),
+        allocation=tuple(float(v) for v in point),
+        total=float(point.sum()),
         prediction=Prediction(y_star=ys, y_hat=round_response(ys, profile.level_count),
                               kernel_sum=float(kernel_sum[idx])),
         feasible_found=feasible,
     )
-
-
-def _lattice(grid: SearchGrid, profile: Profile, predictor):
-    """(table, offsets, bases) when the grid's kernel table can serve the search.
-
-    That needs a kernel-regression predictor, a non-empty profile whose
-    records are all grid points, and a grid that passes its exactness
-    check; otherwise None, and the search calls predictor.predict_batch.
-    """
-    if type(predictor) is not GrnnPredictor or profile.size == 0:
-        return None
-    bases = grid.record_bases(profile.allocation_matrix())
-    if bases is None:
-        return None
-    lattice = grid.kernel_table(predictor.kernel.sigma2)
-    return None if lattice is None else (*lattice, bases)

@@ -41,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from .harness import run_scenario
-from .predictor import KernelParams, predict, predict_batch
+from .predictor import GrnnPredictor, KernelParams, predict, predict_batch
 from .profile import REPLACED_FALLBACK, Profile
 from .search import SearchGrid, membership_c_form, search
 
@@ -288,7 +288,7 @@ def search_oracle_suite(instances: int = 100, seed: int = 20240604,
                 (r.allocation, int(rng.integers(1, target))) for r in profile.records
             ]
             profile = Profile(profile.link_count, level_count, None, records)
-        result = search(grid, profile, kernel, target)
+        result = search(grid, profile, GrnnPredictor(kernel), target)
         records = [(r.allocation, r.response) for r in profile.records]
         expected_alloc, expected_feasible = naive_search(
             grid.step, grid.max_per_link, records, kernel.sigma2, target, level_count

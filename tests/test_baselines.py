@@ -7,13 +7,9 @@ import time
 import numpy as np
 import pytest
 
-from qosalloc.baselines import (
-    KnnPredictor,
-    PredictorKind,
-    knn_predict,
-)
+from qosalloc.baselines import KnnPredictor, PredictorKind
 from qosalloc.controller import QosConfig, QosController
-from qosalloc.predictor import GrnnPredictor, KernelParams, predict
+from qosalloc.predictor import GrnnPredictor, KernelParams, predict, round_response
 from qosalloc.profile import APPENDED, Profile, UpdateResult
 from qosalloc.search import SearchGrid, search
 
@@ -35,35 +31,41 @@ class TestPredictorKind:
         assert PredictorKind("grnn_bounded").label == "grnn_bounded"
 
 
+def knn_one(x, profile, k):
+    """KnnPredictor(k) at the single candidate x: (y*, kernel sum)."""
+    y_star, kernel_sum = KnnPredictor(k).predict_batch(np.array([x], dtype=float), profile)
+    return float(y_star[0]), float(kernel_sum[0])
+
+
 class TestKnnPredict:
     def test_k1_returns_nearest(self):
         profile = Profile(1, 12, None, [((0.0,), 2), ((10.0,), 4), ((100.0,), 12)])
-        pred = knn_predict((9.0,), profile, 1)
-        assert pred.y_star == 4.0
-        assert pred.y_hat == 4
+        y_star, _ = knn_one((9.0,), profile, 1)
+        assert y_star == 4.0
+        assert round_response(y_star, 12) == 4
 
     def test_k2_distance_tie_keeps_lowest_index(self):
         # x=(5,) is 25 away from both (0,) and (10,); 9025 from (100,)
         profile = Profile(1, 12, None, [((0.0,), 2), ((10.0,), 4), ((100.0,), 12)])
-        pred = knn_predict((5.0,), profile, 2)
-        assert pred.y_star == 3.0
-        assert pred.y_hat == 3
-        assert pred.kernel_sum == 2.0
+        y_star, kernel_sum = knn_one((5.0,), profile, 2)
+        assert y_star == 3.0
+        assert round_response(y_star, 12) == 3
+        assert kernel_sum == 2.0
 
     def test_k_equal_p_is_global_mean(self):
         profile = Profile(1, 12, None, [((0.0,), 2), ((10.0,), 4), ((100.0,), 12)])
-        pred = knn_predict((50.0,), profile, 3)
-        assert pred.y_star == pytest.approx((2 + 4 + 12) / 3)
+        y_star, _ = knn_one((50.0,), profile, 3)
+        assert y_star == pytest.approx((2 + 4 + 12) / 3)
 
     def test_k_larger_than_profile_rejected(self):
         profile = Profile(1, 12, None, [((0.0,), 2)])
         with pytest.raises(ValueError):
-            knn_predict((0.0,), profile, 2)
+            knn_one((0.0,), profile, 2)
 
     def test_not_equivalent_to_kernel_predictor(self):
         # uniform weighting over all records differs from kernel weighting
         profile = Profile(1, 12, None, [((0.0,), 1), ((10.0,), 12)])
-        k_mean = knn_predict((0.0,), profile, 2).y_star
+        k_mean, _ = knn_one((0.0,), profile, 2)
         kernel = predict((0.0,), profile, KernelParams(50.0)).y_star
         assert k_mean != kernel
 
@@ -77,14 +79,14 @@ class TestKnnPredict:
         xs = rng.uniform(0, 50, (15, 2))
         y_star, ksum = predictor.predict_batch(xs, profile)
         for i in range(15):
-            single = predictor.predict(tuple(xs[i]), profile)
-            assert single.y_star == y_star[i]
+            single, _ = predictor.predict_batch(xs[i:i + 1], profile)
+            assert single[0] == y_star[i]
         assert (ksum == 5.0).all()
 
     def test_plugs_into_search(self):
         profile = Profile(1, 12, None, [((0.0,), 1), ((20.0,), 12), ((30.0,), 12)])
         grid = SearchGrid(10.0, (30.0,))
-        result = search(grid, profile, None, 7, predictor=KnnPredictor(1))
+        result = search(grid, profile, KnnPredictor(1), 7)
         # nearest-record prediction: (20,) is the cheapest point whose
         # nearest record has level >= 7
         assert result.allocation == (20.0,)

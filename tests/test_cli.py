@@ -56,6 +56,17 @@ def test_compare_writes_table(scenario_file, tmp_path, capsys):
     assert "grnn_bounded_S16" in stdout
 
 
+@pytest.mark.parametrize("variants", [",", "grnn_unbounded@16"],
+                         ids=["empty_list", "unbounded_with_capacity"])
+def test_compare_rejects_bad_variants(scenario_file, tmp_path, capsys, variants):
+    out = tmp_path / "cmp"
+    code = main(["compare", "--config", str(scenario_file), "--out", str(out),
+                 "--variants", variants])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_seed_generates_profile(scenario_file, tmp_path, capsys):
     out = tmp_path / "seed.csv"
     code = main(["seed", "--config", str(scenario_file), "--out", str(out)])
@@ -79,6 +90,14 @@ def test_verify_runs_scaled_suites(capsys):
     assert code == 0, out
     assert "monotonicity" in out
     assert "6/6 suites passed" in out
+
+
+@pytest.mark.parametrize("scale", ["inf", "nan", "0", "-1", "many"])
+def test_verify_rejects_bad_scale(capsys, scale):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--scale", scale])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_config_errors_are_reported(tmp_path, capsys):

@@ -1,0 +1,92 @@
+"""Closed-loop differential test: the kernel-table path against the computed path.
+
+GrnnPredictor.predict_grid serves a search block from the grid's kernel
+table when it can; ComputedGrnn always calls predict_batch, and its runs
+search each grid as one block. Whole seeded closed loops, with ERAB noise,
+background traces and shared links, must make the same decisions bit for
+bit and leave byte-identical profiles whether the table, small blocks or
+both serve the search.
+"""
+
+from __future__ import annotations
+
+import importlib
+
+import numpy as np
+import pytest
+
+from qosalloc.controller import QosConfig, QosController
+from qosalloc.harness import seed_profile_generate
+from qosalloc.netsim import LinkSpec, ServiceSpec, Simulator
+from qosalloc.predictor import GrnnPredictor, KernelParams, lattice_batch, predict_batch
+from qosalloc.search import SearchGrid
+
+search_module = importlib.import_module("qosalloc.search")
+predictor_module = importlib.import_module("qosalloc.predictor")
+
+THRESHOLDS = (-11.25, -8.75, -6.25, -3.75, -1.25, 1.25, 3.75, 6.25, 8.75, 11.25, 13.75)
+EPOCHS = 30
+
+
+class ComputedGrnn(GrnnPredictor):
+    """GrnnPredictor whose predict_grid never reads the kernel table."""
+
+    def predict_grid(self, grid, rows, profile):
+        return predict_batch(grid.points()[rows], profile, self.kernel)
+
+
+def run_loop(seed, predictor_cls):
+    """One seeded closed loop; returns (decision bytes, profile bytes per service)."""
+    rng = np.random.default_rng(seed)
+    n = 1 + seed % 3
+    maxima = tuple(1.25 * int(rng.integers(4, 11)) for _ in range(n))
+    config = QosConfig(
+        level_count=12, thresholds=THRESHOLDS, targets=(7, 9, 11),
+        kernel=KernelParams(float(rng.uniform(30.0, 900.0))),
+        grid=SearchGrid(1.25, maxima), capacity=int(rng.integers(6, 17)),
+        min_kernel_sum=0.5,
+    )
+    services = 1 + seed % 2
+    nominal = 0.4 * sum(maxima)
+    ctrls = []
+    for _ in range(services):
+        records = min(config.capacity, config.grid.size)
+        seed_profile = seed_profile_generate(config.grid, config, records, nominal, rng,
+                                             capacity=config.capacity)
+        if seed % 4 == 3:  # an off-lattice record keeps the table out until it is evicted
+            seed_profile.update(tuple(b / 3 for b in maxima), 12, target=7)
+        ctrls.append(QosController(config, seed_profile, int(rng.integers(1, 4)),
+                                   predictor=predictor_cls(config.kernel)))
+    links = [LinkSpec(1.2 * b, tuple(rng.uniform(0, 0.5 * b, EPOCHS))) for b in maxima]
+    specs = [ServiceSpec(tuple(rng.uniform(0.5, 1.5, EPOCHS) * nominal), c.qos_level)
+             for c in ctrls]
+    sim = Simulator(links, specs, ctrls, noise_std=1.0, rng=rng)
+    decisions = []
+    for _ in range(EPOCHS):
+        sim.run_epoch()
+        decisions.append([c.current_result for c in ctrls])
+    log = [
+        (r.epoch, r.allocation, r.total, r.source_rate, r.erab, r.response,
+         r.feasible_found, r.search_fallback, r.low_confidence, r.update_action)
+        for c in ctrls for r in c.log
+    ]
+    return repr((decisions, log)).encode(), [c.profile.to_bytes() for c in ctrls]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_table_and_computed_paths_run_identical_loops(seed, monkeypatch):
+    table_rows = []
+
+    def counting_lattice(table, offsets, *args):
+        table_rows.append(len(offsets))
+        return lattice_batch(table, offsets, *args)
+
+    monkeypatch.setattr(predictor_module, "lattice_batch", counting_lattice)
+    computed = run_loop(seed, ComputedGrnn)  # every grid here is one block by default
+    assert table_rows == []
+    if seed % 2:  # small blocks: the search predicts index-array rows, block by block
+        monkeypatch.setattr(search_module, "_BLOCK_MIN", 16)
+    tabled = run_loop(seed, GrnnPredictor)
+    if seed % 4 != 3:
+        assert len(table_rows) >= EPOCHS
+    assert tabled == computed

@@ -138,6 +138,7 @@ def test_load_scenario_raises_only_config_error(tmp_path, data):
         return
     assert isinstance(config, ScenarioConfig)
     assert config.run_length >= 1 and math.isfinite(config.sigma2)
+    assert all(math.isfinite(r) and r >= 0.0 for trace in config.rates for r in trace)
 
 
 @pytest.mark.parametrize("field", ["rate_trace", "background_trace"])

@@ -201,11 +201,16 @@ class TestScenarioFileIO:
         (lambda doc: doc.update(run_length=float("inf")), "run_length"),
         (lambda doc: doc.update(services=[5]), r"services\[0\]"),
         (lambda doc: doc.update(rate_trace={"inline": [None]}), "inline row 1"),
+        (lambda doc: doc["rate_trace"]["inline"][1].__setitem__(0, float("nan")),
+         "service 1 rate trace must be finite"),
+        (lambda doc: doc["rate_trace"]["inline"][4].__setitem__(0, -1.0),
+         "service 1 rate trace must be finite"),
         (lambda doc: doc.update(seed_profile=[]), "seed_profile"),
         (lambda doc: doc["predictor"].update(knn_k="many"), "knn_k"),
     ], ids=["grid_without_step", "grid_not_object", "links_not_objects", "nan_capacity",
             "null_thresholds", "infinite_run_length", "services_not_objects",
-            "inline_row_not_list", "seed_profile_not_object", "knn_k_not_int"])
+            "inline_row_not_list", "nan_rate", "negative_rate", "seed_profile_not_object",
+            "knn_k_not_int"])
     def test_malformed_field_is_a_config_error(self, tmp_path, capsys, edit, field):
         path = tmp_path / "scenario.json"
         dump_scenario(small_scenario(), path)
@@ -406,6 +411,10 @@ class TestComparePredictors:
         )
         assert len(plot) == 1 + config.run_length
 
+    def test_empty_variant_list_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="at least one variant"):
+            compare_predictors(small_scenario(), [], out_dir=tmp_path)
+
     def test_capacity_override_applies(self):
         config = small_scenario()
         results = compare_predictors(config, [Variant(PredictorKind("grnn_bounded"), 7)])
@@ -430,3 +439,8 @@ class TestParseVariant:
     def test_unknown_token(self):
         with pytest.raises(ValueError):
             parse_variant("magic")
+
+    def test_unbounded_has_no_capacity_to_override(self):
+        # the run ignored the capacity while labelling the row grnn_unbounded_S16
+        with pytest.raises(ValueError, match="no capacity"):
+            parse_variant("grnn_unbounded@16")

@@ -1,86 +1,21 @@
-"""Rate distribution, clamping, contention, and the epoch loop."""
+"""Link and service specs, clamping, contention, and the epoch loop."""
 
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from qosalloc.controller import QosConfig, QosController
-from qosalloc.netsim import (
-    EndOfRun,
-    LinkSpec,
-    ServiceSpec,
-    Simulator,
-    distribute_rate,
-    transmit,
-)
+from qosalloc.netsim import EndOfRun, LinkSpec, ServiceSpec, Simulator
 from qosalloc.predictor import KernelParams
 from qosalloc.profile import Profile
 from qosalloc.search import SearchGrid
 
 
-class TestDistributeRate:
-    def test_allocation_equal_to_rate(self):
-        np.testing.assert_array_equal(distribute_rate(40.0, (30.0, 10.0)), [30.0, 10.0])
-
-    def test_proportional_split(self):
-        np.testing.assert_allclose(distribute_rate(40.0, (25.0, 25.0)), [20.0, 20.0])
-
-    def test_zero_rate(self):
-        np.testing.assert_array_equal(distribute_rate(0.0, (10.0, 5.0)), [0.0, 0.0])
-
-    def test_zero_allocation_is_total_loss(self):
-        np.testing.assert_array_equal(distribute_rate(40.0, (0.0, 0.0)), [0.0, 0.0])
-
-    def test_rejects_negative_rate(self):
-        with pytest.raises(ValueError):
-            distribute_rate(-1.0, (10.0,))
-
-    @given(
-        st.floats(0.001, 500),
-        st.lists(st.floats(0, 100), min_size=1, max_size=4).filter(lambda xs: sum(xs) > 0),
-    )
-    def test_conservation(self, rate, alloc):
-        r = distribute_rate(rate, alloc)
-        assert abs(r.sum() - rate) <= 1e-12 * max(1.0, rate)
-        assert (r >= 0).all()
-
-
-class TestTransmit:
-    def test_ample_headroom_is_exact(self):
-        links = [LinkSpec(300.0, 40.0), LinkSpec(300.0, 40.0)]
-        assert transmit(links, (30.0, 15.0), 40.0) == 5.0
-
-    def test_clamp_reduces_effective_total(self):
-        links = [LinkSpec(60.0, 40.0), LinkSpec(60.0, 40.0)]
-        # link 1 clamps 30 -> 20, so |x_eff| = 35 and ERAB = -5
-        assert transmit(links, (30.0, 15.0), 40.0) == -5.0
-
-    def test_zero_allocation_loses_everything(self):
-        links = [LinkSpec(300.0), LinkSpec(300.0)]
-        assert transmit(links, (0.0, 0.0), 40.0) == -40.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            transmit([LinkSpec(300.0)], (1.0, 2.0), 10.0)
-
-    def test_monotone_contention(self):
-        # more background never increases the measured ERAB
-        rng = np.random.default_rng(31)
-        for _ in range(200):
-            caps = rng.uniform(50, 300, 2)
-            bg = rng.uniform(0, caps)
-            alloc = tuple(rng.uniform(0, 60, 2))
-            rate = float(rng.uniform(0, 80))
-            base = transmit([LinkSpec(c, b) for c, b in zip(caps, bg)], alloc, rate)
-            bumped = np.minimum(bg + rng.uniform(0, 30, 2), caps)
-            more = transmit([LinkSpec(c, b) for c, b in zip(caps, bumped)], alloc, rate)
-            assert more <= base + 1e-12
-
+class TestLinkSpec:
     def test_background_validation(self):
         with pytest.raises(ValueError):
             LinkSpec(100.0, 150.0)
@@ -93,6 +28,26 @@ class TestTransmit:
     def test_capacity_checked_before_background(self, capacity):
         with pytest.raises(ValueError, match="capacity must be finite"):
             LinkSpec(capacity, 40.0)
+
+
+class FixedAllocation:
+    """Stands in for a controller: applies one allocation and keeps each measured ERAB."""
+
+    def __init__(self, allocation):
+        self.current_allocation = tuple(allocation)
+        self.config = SimpleNamespace(grid=SimpleNamespace(link_count=len(allocation)))
+        self.erabs = []
+
+    def step(self, erab, source_rate):
+        self.erabs.append(erab)
+        return self.current_allocation, None
+
+
+def measured_erab(links, allocation, rate):
+    """The ERAB one Simulator epoch measures for a fixed allocation alone on links."""
+    fixed = FixedAllocation(allocation)
+    Simulator(links, [ServiceSpec((rate,), 1)], [fixed]).run_epoch()
+    return fixed.erabs[0]
 
 
 def contention_controller():
@@ -123,6 +78,27 @@ class TestServiceSpec:
 
 
 class TestSimulator:
+    def test_clamp_reduces_effective_total(self):
+        links = [LinkSpec(60.0, 40.0), LinkSpec(60.0, 40.0)]
+        # link 1 clamps 30 -> 20, so |x_eff| = 35 and ERAB = -5
+        assert measured_erab(links, (30.0, 15.0), 40.0) == -5.0
+
+    def test_zero_allocation_loses_everything(self):
+        assert measured_erab([LinkSpec(300.0), LinkSpec(300.0)], (0.0, 0.0), 40.0) == -40.0
+
+    def test_monotone_contention(self):
+        # more background never increases the measured ERAB
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            caps = rng.uniform(50, 300, 2)
+            bg = rng.uniform(0, caps)
+            alloc = tuple(rng.uniform(0, 60, 2))
+            rate = float(rng.uniform(0, 80))
+            base = measured_erab([LinkSpec(c, b) for c, b in zip(caps, bg)], alloc, rate)
+            bumped = np.minimum(bg + rng.uniform(0, 30, 2), caps)
+            more = measured_erab([LinkSpec(c, b) for c, b in zip(caps, bumped)], alloc, rate)
+            assert more <= base + 1e-12
+
     def test_single_service_ample_capacity_reduces_to_erab(self):
         ctrl = contention_controller()
         assert ctrl.current_allocation == (20.0, 0.0)
@@ -196,14 +172,19 @@ class TestSimulator:
 
         assert run() == run()
 
-    def test_noise_requires_rng(self):
+    @pytest.mark.parametrize("noise_std, rng", [
+        (1.0, None), (math.nan, np.random.default_rng(0)),
+    ], ids=["no_rng", "nan_std"])
+    def test_noise_needs_rng_and_finite_std(self, noise_std, rng):
+        # a nan noise_std used to pass validation and mean "no noise"
         ctrl = contention_controller()
         with pytest.raises(ValueError):
             Simulator(
                 [LinkSpec(300.0), LinkSpec(300.0)],
                 [ServiceSpec((15.0,), 1)],
                 [ctrl],
-                noise_std=1.0,
+                noise_std=noise_std,
+                rng=rng,
             )
 
     def test_noise_is_reproducible(self):
@@ -226,3 +207,7 @@ class TestSimulator:
         ctrl = contention_controller()
         with pytest.raises(ValueError):
             Simulator([LinkSpec(300.0), LinkSpec(300.0)], [], [ctrl])
+
+    def test_link_count_mismatch(self):
+        with pytest.raises(ValueError, match="2 links"):
+            Simulator([LinkSpec(300.0)], [ServiceSpec((15.0,), 1)], [contention_controller()])

@@ -432,4 +432,28 @@ def test_predictor_wrapper_matches_functions():
     profile = make_profile([((0.0,), 1), ((30.0,), 3)], level_count=3)
     k = KernelParams(100.0)
     wrapper = GrnnPredictor(k)
-    assert wrapper.predict((10.0,), profile) == predict((10.0,), profile, k)
+    y_star, kernel_sum = wrapper.predict_batch(np.array([[10.0]]), profile)
+    expected = predict((10.0,), profile, k)
+    assert (y_star[0], kernel_sum[0]) == (expected.y_star, expected.kernel_sum)
+
+
+@pytest.mark.parametrize("stray, table_calls", [((5.0, 7.5), 2), ((5.1, 7.5), 0)],
+                         ids=["on_lattice", "off_lattice"])
+def test_predict_grid_is_predict_batch_on_its_rows(stray, table_calls, monkeypatch):
+    """GrnnPredictor.predict_grid takes the table only when every record is a grid point."""
+    calls = []
+
+    def counting_lattice(*args):
+        calls.append(args[1].size)
+        return lattice_batch(*args)
+
+    monkeypatch.setattr(predictor_module, "lattice_batch", counting_lattice)
+    grid = SearchGrid(2.5, (10.0, 7.5))
+    profile = make_profile([((0.0, 2.5), 1), (stray, 9), ((10.0, 0.0), 4)])
+    wrapper = GrnnPredictor(KernelParams(30.0))
+    for rows in (slice(None), np.array([7, 0, 19, 3])):
+        y_star, kernel_sum = wrapper.predict_grid(grid, rows, profile)
+        ref_y, ref_sum = predict_batch(grid.points()[rows], profile, wrapper.kernel)
+        assert np.array_equal(y_star, ref_y)
+        assert np.array_equal(kernel_sum, ref_sum)
+    assert len(calls) == table_calls

@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from qosalloc.baselines import KnnPredictor, knn_predict
+from qosalloc.baselines import KnnPredictor
 from qosalloc.predictor import (
     EmptyProfileError,
     GrnnPredictor,
@@ -27,23 +27,16 @@ from qosalloc.predictor import (
     round_response,
 )
 from qosalloc.profile import Profile
-from qosalloc.search import (
-    AllocationResult,
-    SearchGrid,
-    membership_c_form,
-    search,
-    total_bandwidth,
-)
+from qosalloc.search import AllocationResult, SearchGrid, membership_c_form, search
 from qosalloc.verification import naive_search, random_instance
 
 # the package re-exports the search function under the module's name
 search_module = importlib.import_module("qosalloc.search")
+predictor_module = importlib.import_module("qosalloc.predictor")
 
 
-def full_grid_search(grid, profile, kernel, target, predictor=None):
-    """Reference: search() as one predictor call over the whole grid."""
-    if predictor is None:
-        predictor = GrnnPredictor(kernel)
+def full_grid_search(grid, profile, predictor, target):
+    """Reference: search() as one predict_batch call over the whole grid."""
     counts = grid.counts()
     pts = grid.points()
     y_star, kernel_sum = predictor.predict_batch(pts, profile)
@@ -63,7 +56,7 @@ def full_grid_search(grid, profile, kernel, target, predictor=None):
     ys = float(y_star[idx])
     return AllocationResult(
         allocation=allocation,
-        total=total_bandwidth(allocation),
+        total=float(np.sum(pts[idx])),
         prediction=Prediction(y_star=ys, y_hat=round_response(ys, profile.level_count),
                               kernel_sum=float(kernel_sum[idx])),
         feasible_found=feasible,
@@ -71,15 +64,15 @@ def full_grid_search(grid, profile, kernel, target, predictor=None):
 
 
 class SpyPredictor:
-    """Wraps a predictor and keeps every candidate batch it was given."""
+    """Wraps a predictor and keeps the grid rows of every block it was asked for."""
 
     def __init__(self, inner):
         self.inner = inner
         self.batches = []
 
-    def predict_batch(self, xs, profile):
-        self.batches.append(xs)
-        return self.inner.predict_batch(xs, profile)
+    def predict_grid(self, grid, rows, profile):
+        self.batches.append(np.arange(grid.size)[rows])
+        return self.inner.predict_grid(grid, rows, profile)
 
 
 def large_grid():
@@ -192,7 +185,7 @@ class TestMembershipCForm:
 class TestSearch:
     def test_one_dimensional_brute_force_case(self):
         grid = SearchGrid(10.0, (30.0,))
-        result = search(grid, two_point_profile(), KernelParams(100.0), 2)
+        result = search(grid, two_point_profile(), GrnnPredictor(KernelParams(100.0)), 2)
         assert result.allocation == (20.0,)
         assert result.total == 20.0
         assert result.feasible_found
@@ -201,7 +194,7 @@ class TestSearch:
     def test_all_positive_profile_returns_origin(self):
         profile = Profile(2, 12, None, [((10.0, 10.0), 12), ((40.0, 20.0), 12)])
         grid = SearchGrid(5.0, (50.0, 30.0))
-        result = search(grid, profile, KernelParams(200.0), 7)
+        result = search(grid, profile, GrnnPredictor(KernelParams(200.0)), 7)
         assert result.allocation == (0.0, 0.0)
         assert result.total == 0.0
         assert result.feasible_found
@@ -209,7 +202,7 @@ class TestSearch:
     def test_infeasible_returns_highest_prediction_fallback(self):
         profile = Profile(1, 3, None, [((0.0,), 1), ((10.0,), 1), ((30.0,), 1)])
         grid = SearchGrid(10.0, (30.0,))
-        result = search(grid, profile, KernelParams(100.0), 2)
+        result = search(grid, profile, GrnnPredictor(KernelParams(100.0)), 2)
         assert not result.feasible_found
         # every grid point predicts level 1; the fallback maximizes y*
         pts = grid.points()
@@ -222,7 +215,7 @@ class TestSearch:
         # (0, 10) and (10, 0) share total 10; records make (10, 0) safer
         profile = Profile(2, 12, None, [((10.0, 0.0), 12), ((0.0, 10.0), 8), ((0.0, 0.0), 1)])
         grid = SearchGrid(10.0, (10.0, 10.0))
-        result = search(grid, profile, KernelParams(60.0), 7)
+        result = search(grid, profile, GrnnPredictor(KernelParams(60.0)), 7)
         assert result.feasible_found
         assert result.total == 10.0
         assert result.allocation == (10.0, 0.0)
@@ -232,18 +225,18 @@ class TestSearch:
         # the lexicographically smaller (0, 10) must win
         profile = Profile(2, 12, None, [((10.0, 10.0), 12), ((0.0, 0.0), 12)])
         grid = SearchGrid(10.0, (10.0, 10.0))
-        result = search(grid, profile, KernelParams(100.0), 7)
+        result = search(grid, profile, GrnnPredictor(KernelParams(100.0)), 7)
         assert result.allocation == (0.0, 0.0)  # origin is a member here
         # force the tie at total 10 by making the origin non-member
         profile2 = Profile(2, 12, None, [((10.0, 10.0), 12), ((0.0, 0.0), 1)])
-        result2 = search(grid, profile2, KernelParams(30.0), 7)
+        result2 = search(grid, profile2, GrnnPredictor(KernelParams(30.0)), 7)
         assert result2.total == 10.0
         assert result2.allocation == (0.0, 10.0)
 
     def test_result_prediction_matches_chosen_point(self):
         profile = two_point_profile()
         k = KernelParams(100.0)
-        result = search(SearchGrid(10.0, (30.0,)), profile, k, 2)
+        result = search(SearchGrid(10.0, (30.0,)), profile, GrnnPredictor(k), 2)
         assert result.prediction == predict(result.allocation, profile, k)
 
     def test_result_prediction_equals_single_point_predict(self):
@@ -262,25 +255,26 @@ class TestSearch:
             profile = Profile(n, 12, None, records)
             k = KernelParams(float(rng.choice([1e-3, 0.5, 50.0, 800.0])))
             target = int(rng.integers(2, 13))
-            result = search(grid, profile, k, target)
+            result = search(grid, profile, GrnnPredictor(k), target)
             expected = predict(result.allocation, profile, k)
             assert result.prediction.y_star == expected.y_star
             assert result.prediction.y_hat == expected.y_hat
             assert result.prediction.kernel_sum == expected.kernel_sum
             knn = KnnPredictor(int(rng.integers(1, len(records) + 1)))
-            result = search(grid, profile, None, target, predictor=knn)
-            expected = knn_predict(result.allocation, profile, knn.k_neighbors)
-            assert result.prediction.y_star == expected.y_star
-            assert result.prediction.y_hat == expected.y_hat
-            assert result.prediction.kernel_sum == expected.kernel_sum
+            result = search(grid, profile, knn, target)
+            y_star, kernel_sum = knn.predict_batch(np.array([result.allocation]), profile)
+            assert result.prediction.y_star == y_star[0]
+            assert result.prediction.y_hat == round_response(y_star[0], 12)
+            assert result.prediction.kernel_sum == kernel_sum[0]
+            assert result.total == float(np.sum(result.allocation))
 
     def test_empty_profile(self):
         with pytest.raises(EmptyProfileError):
-            search(SearchGrid(10.0, (30.0,)), Profile(1, 3, None), KernelParams(), 2)
+            search(SearchGrid(10.0, (30.0,)), Profile(1, 3, None), GrnnPredictor(), 2)
 
     def test_link_count_mismatch(self):
         with pytest.raises(ValueError):
-            search(SearchGrid(10.0, (30.0, 30.0)), two_point_profile(), KernelParams(), 2)
+            search(SearchGrid(10.0, (30.0, 30.0)), two_point_profile(), GrnnPredictor(), 2)
 
 
 def test_matches_naive_oracle_spot_checks():
@@ -300,7 +294,7 @@ def test_matches_naive_oracle_spot_checks():
         profile = Profile(n, 12, None, records)
         sigma2 = float(rng.uniform(50, 2000))
         target = int(rng.integers(2, 13))
-        result = search(grid, profile, KernelParams(sigma2), target)
+        result = search(grid, profile, GrnnPredictor(KernelParams(sigma2)), target)
         expected_alloc, expected_feasible = naive_search(
             step, grid.max_per_link, records, sigma2, target, 12
         )
@@ -319,11 +313,11 @@ def test_search_cost_scales_linearly_with_profile_size():
             (tuple(rng.uniform(0, 50, 2)), int(rng.integers(1, 13))) for _ in range(p)
         ]
         profile = Profile(2, 12, None, records)
-        search(grid, profile, k, 7)  # warm-up
+        search(grid, profile, GrnnPredictor(k), 7)  # warm-up
         samples = []
         for _ in range(9):
             t0 = time.perf_counter()
-            search(grid, profile, k, 7)
+            search(grid, profile, GrnnPredictor(k), 7)
             samples.append(time.perf_counter() - t0)
         # scheduler noise is additive, so the minimum tracks the true cost
         return float(np.min(samples))
@@ -331,10 +325,6 @@ def test_search_cost_scales_linearly_with_profile_size():
     t16 = timed(16)
     t64 = timed(64)
     assert t64 <= 8.0 * t16, f"search time grew superlinearly: {t16:.6f}s -> {t64:.6f}s"
-
-
-def test_total_bandwidth_helper():
-    assert total_bandwidth((1.25, 2.5, 0.0)) == 3.75
 
 
 def assert_block_rule(grid, block_min):
@@ -408,22 +398,22 @@ class TestBlockedSearch:
         grid = SearchGrid(1.25, (50.0, 30.0))
         profile = Profile(2, 12, None, [((10.0, 10.0), 4), ((40.0, 20.0), 12)])
         spy = SpyPredictor(GrnnPredictor(KernelParams(200.0)))
-        search(grid, profile, None, 7, predictor=spy)
+        search(grid, profile, spy, 7)
         assert len(spy.batches) == 1
-        assert spy.batches[0] is grid.points()
+        np.testing.assert_array_equal(spy.batches[0], np.arange(grid.size))
 
     def test_early_winner_skips_later_blocks(self):
         grid = large_grid()
         profile = Profile(3, 12, None, [((10.0, 10.0, 10.0), 12), ((40.0, 20.0, 20.0), 12)])
         spy = SpyPredictor(GrnnPredictor(KernelParams(200.0)))
-        result = search(grid, profile, None, 7, predictor=spy)
+        result = search(grid, profile, spy, 7)
         assert result.allocation == (0.0, 0.0, 0.0)
         assert len(spy.batches) == 1
         assert sum(len(b) for b in spy.batches) < grid.size
         # an infeasible search still sees every point
         spy.batches.clear()
         negative = Profile(3, 12, None, [((10.0, 10.0, 10.0), 3), ((40.0, 20.0, 20.0), 5)])
-        result = search(grid, negative, None, 7, predictor=spy)
+        result = search(grid, negative, spy, 7)
         assert not result.feasible_found
         assert len(spy.batches) == len(grid.blocks())
         assert sum(len(b) for b in spy.batches) == grid.size
@@ -439,10 +429,10 @@ class TestBlockedSearch:
             ((0.0, 0.0), 1), ((10.0, 0.0), 1), ((0.0, 10.0), 1),
             ((0.0, 20.0), 11), ((20.0, 0.0), 12),
         ])
-        kernel = KernelParams(30.0)
-        result = search(grid, profile, kernel, 9)
+        predictor = GrnnPredictor(KernelParams(30.0))
+        result = search(grid, profile, predictor, 9)
         assert result.allocation == (20.0, 0.0)
-        assert result == full_grid_search(grid, profile, kernel, 9)
+        assert result == full_grid_search(grid, profile, predictor, 9)
         totals = grid.counts().sum(axis=1)
         assert [sorted(set(totals[rows])) for rows in grid.blocks()] == [[0, 1], [2], [3, 4]]
 
@@ -455,8 +445,9 @@ class TestBlockedSearch:
                 if trial % 3 == 0:  # every record below target: no member anywhere
                     profile = Profile(profile.link_count, 12, None, [
                         (r.allocation, int(rng.integers(1, target))) for r in profile.records])
-                result = search(grid, profile, kernel, target)
-                assert result == full_grid_search(grid, profile, kernel, target)
+                predictor = GrnnPredictor(kernel)
+                result = search(grid, profile, predictor, target)
+                assert result == full_grid_search(grid, profile, predictor, target)
                 if trial % 3 == 0:
                     assert not result.feasible_found
                 records = [(r.allocation, r.response) for r in profile.records]
@@ -464,8 +455,8 @@ class TestBlockedSearch:
                                         kernel.sigma2, target, 12)
                 assert (result.allocation, result.feasible_found) == expected
                 knn = KnnPredictor(int(rng.integers(1, profile.size + 1)))
-                assert (search(grid, profile, None, target, predictor=knn)
-                        == full_grid_search(grid, profile, None, target, predictor=knn))
+                assert search(grid, profile, knn, target) == full_grid_search(
+                    grid, profile, knn, target)
 
     def test_large_grid_matches_full_grid_reference(self):
         grid = large_grid()
@@ -473,8 +464,7 @@ class TestBlockedSearch:
         for k, rows in enumerate(grid.blocks()):
             block_of[rows] = k
         totals = grid.counts().sum(axis=1)
-        kernel = KernelParams(200.0)
-        predictor = GrnnPredictor(kernel)
+        predictor = GrnnPredictor(KernelParams(200.0))
         rng = np.random.default_rng(31)
         winner_blocks, tied, infeasible = set(), 0, 0
         profiles = [level_by_total_profile(rng, symmetric=k % 2 == 1) for k in range(4)]
@@ -483,8 +473,8 @@ class TestBlockedSearch:
         for profile in profiles:
             y_star, _ = predictor.predict_batch(grid.points(), profile)
             for target in (2, 5, 7, 9, 11, 12):
-                result = search(grid, profile, kernel, target)
-                expected = full_grid_search(grid, profile, kernel, target)
+                result = search(grid, profile, predictor, target)
+                expected = full_grid_search(grid, profile, predictor, target)
                 assert result.allocation == expected.allocation
                 assert result.total == expected.total
                 assert result.prediction == expected.prediction
@@ -509,7 +499,7 @@ def lattice_records(rng, grid, p, level_count=12):
 
 
 class CountingLattice:
-    """Stands in for search's lattice_batch and records the rows it serves."""
+    """Stands in for the predictor module's lattice_batch and records the rows it serves."""
 
     def __init__(self):
         self.calls = []
@@ -566,11 +556,11 @@ class TestKernelTable:
         # some pair (c, r) misses the value its offset c - r has elsewhere
         assert any(len(set(squares[deltas == d].tolist())) > 1 for d in range(len(values)))
         spy = CountingLattice()
-        monkeypatch.setattr(search_module, "lattice_batch", spy)
+        monkeypatch.setattr(predictor_module, "lattice_batch", spy)
         rng = np.random.default_rng(7)
         profile = Profile(grid.link_count, 12, None, lattice_records(rng, grid, 6))
-        assert search(grid, profile, KernelParams(3.0), 7) == full_grid_search(
-            grid, profile, KernelParams(3.0), 7)
+        predictor = GrnnPredictor(KernelParams(3.0))
+        assert search(grid, profile, predictor, 7) == full_grid_search(grid, profile, predictor, 7)
         assert spy.calls == []
 
     def test_size_limit(self, monkeypatch):
@@ -592,9 +582,9 @@ class TestKernelTable:
     @pytest.mark.parametrize("sigma2", [300.0, 7.3, 0.5, 1e-6])
     def test_search_takes_the_table_and_matches_whole_grid(self, sigma2, monkeypatch):
         spy = CountingLattice()
-        monkeypatch.setattr(search_module, "lattice_batch", spy)
+        monkeypatch.setattr(predictor_module, "lattice_batch", spy)
         rng = np.random.default_rng(int(sigma2 * 1e6) % 2**32)
-        kernel = KernelParams(sigma2)
+        predictor = GrnnPredictor(KernelParams(sigma2))
         for grid in EXACT_GRIDS:
             for trial in range(6):
                 records = lattice_records(rng, grid, int(rng.integers(1, 40)))
@@ -603,49 +593,48 @@ class TestKernelTable:
                 profile = Profile(grid.link_count, 12, None, records)
                 before = len(spy.calls)
                 for target in (2, 7, 11):
-                    result = search(grid, profile, kernel, target)
-                    assert result == full_grid_search(grid, profile, kernel, target)
+                    result = search(grid, profile, predictor, target)
+                    assert result == full_grid_search(grid, profile, predictor, target)
                 assert len(spy.calls) == before + 3
                 knn = KnnPredictor(int(rng.integers(1, profile.size + 1)))
-                assert (search(grid, profile, None, 7, predictor=knn)
-                        == full_grid_search(grid, profile, None, 7, predictor=knn))
+                assert search(grid, profile, knn, 7) == full_grid_search(grid, profile, knn, 7)
                 assert len(spy.calls) == before + 3
 
     @pytest.mark.parametrize("stray", [(1.3, 2.5), (0.0, 31.25), (51.25, 0.0)],
                              ids=["off_lattice", "outside_box", "beyond_max"])
     def test_stray_record_falls_back(self, stray, monkeypatch):
         spy = CountingLattice()
-        monkeypatch.setattr(search_module, "lattice_batch", spy)
+        monkeypatch.setattr(predictor_module, "lattice_batch", spy)
         grid = SearchGrid(1.25, (50.0, 30.0))
         rng = np.random.default_rng(3)
-        kernel = KernelParams(2.0)
+        predictor = GrnnPredictor(KernelParams(2.0))
         for level in (1, 12):
             records = lattice_records(rng, grid, 10)
             records.insert(int(rng.integers(0, 10)), (stray, level))
             profile = Profile(2, 12, None, records)
             for target in (2, 7, 11):
-                assert (search(grid, profile, kernel, target)
-                        == full_grid_search(grid, profile, kernel, target))
+                assert search(grid, profile, predictor, target) == full_grid_search(
+                    grid, profile, predictor, target)
         assert spy.calls == []
 
     def test_large_grid_searches_block_by_block_on_the_table(self, monkeypatch):
         spy = CountingLattice()
-        monkeypatch.setattr(search_module, "lattice_batch", spy)
+        monkeypatch.setattr(predictor_module, "lattice_batch", spy)
         grid = large_grid()
-        kernel = KernelParams(200.0)
+        predictor = GrnnPredictor(KernelParams(200.0))
         rng = np.random.default_rng(8)
         profile = level_by_total_profile(rng, symmetric=False, records=40)
         negative = Profile(3, 12, None, [(r.allocation, min(r.response, 6))
                                          for r in profile.records])
-        result = search(grid, negative, kernel, 9)
+        result = search(grid, negative, predictor, 9)
         assert not result.feasible_found
         assert spy.calls == [len(rows) for rows in grid.blocks()]
-        assert result == full_grid_search(grid, negative, kernel, 9)
+        assert result == full_grid_search(grid, negative, predictor, 9)
         spy.calls.clear()
-        result = search(grid, profile, kernel, 12)
-        assert result == full_grid_search(grid, profile, kernel, 12)
+        result = search(grid, profile, predictor, 12)
+        assert result == full_grid_search(grid, profile, predictor, 12)
         assert len(spy.calls) >= 1
 
     def test_empty_profile_still_raises(self):
         with pytest.raises(EmptyProfileError):
-            search(SearchGrid(1.25, (50.0, 30.0)), Profile(2, 12, None), KernelParams(), 7)
+            search(SearchGrid(1.25, (50.0, 30.0)), Profile(2, 12, None), GrnnPredictor(), 7)
