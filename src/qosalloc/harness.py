@@ -222,8 +222,20 @@ def _floats(value) -> tuple[float, ...]:
     return tuple(float(v) for v in _list(value))
 
 
+def _int(value) -> int:
+    """A JSON integer; a bool, a string or a number with a fraction raises.
+
+    An integral float such as 3.0 is taken as 3.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected an integer, got {value!r}")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _ints(value) -> tuple[int, ...]:
-    return tuple(int(v) for v in _list(value))
+    return tuple(_int(v) for v in _list(value))
 
 
 def _construct(where: str, build, *args, **kwargs):
@@ -322,7 +334,7 @@ def load_scenario(path) -> ScenarioConfig:
     qos_levels = []
     for i, entry in enumerate(services_raw):
         at = f"{where}: services[{i}]"
-        qos_levels.append(_field(_object(entry, at, _SERVICE_KEYS), "qos_level", at, int))
+        qos_levels.append(_field(_object(entry, at, _SERVICE_KEYS), "qos_level", at, _int))
 
     rates = _inline_or_file_trace(
         _require(raw, "rate_trace", where), base, len(services_raw), f"{where}: rate_trace"
@@ -339,7 +351,7 @@ def load_scenario(path) -> ScenarioConfig:
     seed = _construct(
         at, SeedSpec,
         file=_field(seed_raw, "file", at, lambda f: str(base / f), None),
-        records=_field(seed_raw, "records", at, int, None),
+        records=_field(seed_raw, "records", at, _int, None),
         nominal_rate=_field(seed_raw, "nominal_rate", at, float, None),
     )
 
@@ -350,19 +362,19 @@ def load_scenario(path) -> ScenarioConfig:
         predictor = _construct(
             at, PredictorKind,
             tag=_field(predictor_raw, "kind", at, str, GRNN_BOUNDED),
-            knn_k=_field(predictor_raw, "knn_k", at, int, 5),
+            knn_k=_field(predictor_raw, "knn_k", at, _int, 5),
         )
 
     return _construct(
         where, ScenarioConfig,
-        level_count=_field(raw, "levels", where, int),
+        level_count=_field(raw, "levels", where, _int),
         thresholds=_field(raw, "thresholds", where, _floats),
         targets=_field(raw, "targets", where, _ints),
         grid_step=_field(grid, "step", grid_at, float),
         grid_max_per_link=_field(grid, "max_per_link", grid_at, _floats),
-        capacity=_field(raw, "capacity", where, int),
-        run_length=_field(raw, "run_length", where, int),
-        rng_seed=_field(raw, "rng_seed", where, int),
+        capacity=_field(raw, "capacity", where, _int),
+        run_length=_field(raw, "run_length", where, _int),
+        rng_seed=_field(raw, "rng_seed", where, _int),
         links=tuple(links),
         qos_levels=tuple(qos_levels),
         rates=rates,

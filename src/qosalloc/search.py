@@ -36,6 +36,16 @@ passes its exactness check ((c * step - r * step)**2 depends on c - r
 alone, as computed; true of steps such as 0.5, 1.25 or 2.5, not of 0.7)
 within _TABLE_MAX, and records that all equal grid points.
 
+The kNN predictor reads the same lattice a second way: the grid's
+distance_ranks hold, per offset, the rank of the squared distance
+sum_j D_j[c_j - r_j] among the distinct values of that sum. They are laid
+out like the kernel table and built from the same sum (one flat array,
+added link 0 first), so ranks compare exactly as the float distances do.
+They are built only when a kNN predictor searches a grid whose records all
+sit on it, and need the same exactness check and limits as the kernel
+table, plus fewer than 8 links: numpy sums longer rows pairwise, and the
+kNN distances would then follow that order instead of link order.
+
 membership_c_form() evaluates the same predicate in an algebraically
 rearranged form, C1 + C2 >= C3, that groups kernel weights by response
 level. It exists as an independent cross-check of the membership math: each
@@ -67,6 +77,10 @@ _BLOCK_MIN = 4096
 # Most entries in a grid's kernel table, and most (c, r) pairs in its
 # exactness check; a grid over either limit is searched without the table.
 _TABLE_MAX = 2**18
+
+# Fewest values numpy sums pairwise when it reduces a row; shorter rows are
+# added left to right, in link order.
+_PAIRWISE_LINKS = 8
 
 
 @dataclass(frozen=True)
@@ -163,12 +177,7 @@ class SearchGrid:
             return None
         tables = self._tables
         if sigma2 not in tables:
-            c_max = max(self.steps_per_link)
-            table = None
-            for c in self.steps_per_link:  # link 0 first
-                d = self._offset_squares[c_max - c:c_max + c + 1]
-                table = d.copy() if table is None else np.add.outer(table, d)
-            table = table.reshape(-1)
+            table = self._offset_distances()
             np.divide(table, -sigma2, out=table)
             np.exp(table, out=table)
             table.flags.writeable = False
@@ -176,14 +185,40 @@ class SearchGrid:
             tables[sigma2] = table
         return tables[sigma2], self._table_offsets
 
+    def distance_ranks(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """Rank of every offset's squared distance, and each point's offset.
+
+        Laid out like kernel_table: the entry for point c and a record at r
+        is ranks[offsets[c] + base[r]]. Each entry is the int64 rank of
+        sum_j D_j[c_j - r_j], added link 0 first, among the distinct values
+        of that sum over all offsets, so two entries compare as the float
+        distances do, equality included. On the grid those distances are
+        bit for bit the ones the kNN predictor computes for a point and a
+        record, so ranks order neighbors as its sort does. On the 2-link
+        reference grid the ranks are 3,969 int64 entries (31 KB).
+
+        Returns None when kernel_table would, or when the grid has
+        _PAIRWISE_LINKS links or more: numpy sums a row of that many
+        values pairwise, not left to right, so its distances may round
+        differently. Built on first use, cached apart from the kernel
+        table's one-sigma2 cache, and returned read-only.
+        """
+        ranks = self._ranks
+        return None if ranks is None else (ranks, self._table_offsets)
+
     def record_bases(self, allocs: np.ndarray) -> np.ndarray | None:
-        """Each record's base offset into the kernel table, or None.
+        """Each record's base offset into the kernel table and the distance ranks, or None.
 
         allocs is a (p, n) array of record allocations. A record has a base
         only if it is a grid point: on every link its allocation equals
         r * step for a step count 0 <= r <= C_j. If any record is not,
-        the result is None and the table cannot serve the profile.
+        the result is None and the table cannot serve the profile. Records
+        with another link count than the grid's raise ValueError.
         """
+        if allocs.shape[1] != self.link_count:
+            raise ValueError(
+                f"grid has {self.link_count} links but records have {allocs.shape[1]}"
+            )
         steps = np.asarray(self.steps_per_link)
         counts = np.rint(allocs / self.step)
         if not ((counts >= 0) & (counts <= steps)).all():
@@ -242,6 +277,23 @@ class SearchGrid:
         offsets = self._counts @ self._table_strides
         offsets.flags.writeable = False
         return offsets
+
+    def _offset_distances(self) -> np.ndarray:
+        """A new flat array of sum_j D_j[c_j - r_j] for every table offset, link 0 first."""
+        c_max = max(self.steps_per_link)
+        table = None
+        for c in self.steps_per_link:
+            d = self._offset_squares[c_max - c:c_max + c + 1]
+            table = d.copy() if table is None else np.add.outer(table, d)
+        return table.reshape(-1)
+
+    @functools.cached_property
+    def _ranks(self) -> np.ndarray | None:
+        if not self._lattice_exact or self.link_count >= _PAIRWISE_LINKS:
+            return None
+        ranks = np.unique(self._offset_distances(), return_inverse=True)[1]
+        ranks.flags.writeable = False
+        return ranks
 
     @functools.cached_property
     def _offset_squares(self) -> np.ndarray:

@@ -2,16 +2,22 @@
 
 from __future__ import annotations
 
+import re
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qosalloc.baselines import KnnPredictor, PredictorKind
 from qosalloc.controller import QosConfig, QosController
-from qosalloc.predictor import GrnnPredictor, KernelParams, predict, round_response
+from qosalloc.predictor import (
+    EmptyProfileError, GrnnPredictor, KernelParams, predict, round_response,
+)
 from qosalloc.profile import APPENDED, Profile, UpdateResult
 from qosalloc.search import SearchGrid, search
+from test_search import lattice_records
 
 
 class TestPredictorKind:
@@ -29,6 +35,20 @@ class TestPredictorKind:
     def test_labels(self):
         assert PredictorKind("knn", knn_k=7).label == "knn_k7"
         assert PredictorKind("grnn_bounded").label == "grnn_bounded"
+
+    @pytest.mark.parametrize("k", [2.5, True, False, "3", None, 0, -2, 3.0],
+                             ids=["fraction", "true", "false", "string", "none", "zero",
+                                  "negative", "integral_float"])
+    def test_k_must_be_a_positive_integer(self, k):
+        with pytest.raises(ValueError, match=rf"knn_k .*{re.escape(repr(k))}"):
+            PredictorKind("knn", knn_k=k)
+        with pytest.raises(ValueError, match=rf"k_neighbors .*{re.escape(repr(k))}"):
+            KnnPredictor(k)
+
+    def test_integer_types_are_taken_as_int(self):
+        assert PredictorKind("knn", knn_k=np.int64(3)).knn_k == 3
+        assert type(PredictorKind("knn", knn_k=np.int64(3)).knn_k) is int
+        assert KnnPredictor(np.int32(4)).k_neighbors == 4
 
 
 def knn_one(x, profile, k):
@@ -90,6 +110,136 @@ class TestKnnPredict:
         # nearest-record prediction: (20,) is the cheapest point whose
         # nearest record has level >= 7
         assert result.allocation == (20.0,)
+
+
+def knn_reference(xs, profile, k):
+    """kNN by a full stable argsort of every row's squared distances.
+
+    The definition KnnPredictor.predict_batch implements, kept here as the
+    reference its grid path must match bit for bit.
+    """
+    allocs = profile.allocation_matrix()
+    responses = profile.response_vector().astype(float)
+    d2 = ((xs[:, None, :] - allocs[None, :, :]) ** 2).sum(axis=2)
+    order = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    return responses[order].mean(axis=1), np.full(xs.shape[0], float(k))
+
+
+@st.composite
+def tie_heavy_lattice_cases(draw):
+    """(grid, profile, k, index rows): records on the lattice, many of them tied.
+
+    Records repeat a few anchors or sit at the ends and the middle of each
+    link, so many grid points are equidistant from many records.
+    """
+    step = draw(st.sampled_from([0.5, 1.25, 2.5]))
+    steps = draw(st.lists(st.integers(0, 6), min_size=1, max_size=3))
+    grid = SearchGrid(step, tuple(c * step for c in steps))
+    symmetric = st.tuples(*[st.sampled_from(sorted({0, c // 2, c})) for c in steps])
+    anywhere = st.tuples(*[st.integers(0, c) for c in steps])
+    anchors = draw(st.lists(symmetric | anywhere, min_size=1, max_size=4))
+    counts = draw(st.lists(st.sampled_from(anchors) | symmetric | anywhere,
+                           min_size=1, max_size=24))
+    records = [(tuple(c * step for c in count), draw(st.integers(1, 12))) for count in counts]
+    profile = Profile(len(steps), 12, None, records)
+    k = draw(st.integers(1, profile.size))
+    rows = np.array(draw(st.lists(st.integers(0, grid.size - 1), min_size=1, max_size=64)))
+    return grid, profile, k, rows
+
+
+class SpyBatch:
+    """Wraps KnnPredictor.predict_batch and counts its calls."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        original = KnnPredictor.predict_batch
+
+        def spy(predictor, xs, profile):
+            self.calls += 1
+            return original(predictor, xs, profile)
+
+        monkeypatch.setattr(KnnPredictor, "predict_batch", spy)
+
+
+def lattice_profile(grid, p, seed):
+    return Profile(grid.link_count, 12, None,
+                   lattice_records(np.random.default_rng(seed), grid, p))
+
+
+class TestKnnOnTheLattice:
+    @settings(max_examples=300, deadline=None)
+    @given(tie_heavy_lattice_cases())
+    def test_predict_grid_equals_stable_argsort(self, case):
+        grid, profile, k, rows = case
+        predictor = KnnPredictor(k)
+        assert grid.record_bases(profile.allocation_matrix()) is not None
+        assert grid.distance_ranks() is not None
+        for block in (slice(None), rows):
+            expected = knn_reference(grid.points()[block], profile, k)
+            got = predictor.predict_grid(grid, block, profile)
+            assert np.array_equal(got[0], expected[0])
+            assert np.array_equal(got[1], expected[1])
+
+    def test_lattice_path_serves_without_predict_batch(self, monkeypatch):
+        spy = SpyBatch(monkeypatch)
+        grid = SearchGrid(1.25, (50.0, 30.0))
+        profile = lattice_profile(grid, 40, seed=5)
+        for k in (1, 5, 40):
+            y_star, kernel_sum = KnnPredictor(k).predict_grid(grid, slice(None), profile)
+            expected = knn_reference(grid.points(), profile, k)
+            assert np.array_equal(y_star, expected[0])
+            assert np.array_equal(kernel_sum, expected[1])
+        assert spy.calls == 0
+
+    @pytest.mark.parametrize("records, k, error", [
+        ([], 1, EmptyProfileError), ([((0.0,), 2), ((1.25,), 3)], 3, ValueError),
+    ], ids=["empty_profile", "k_above_size"])
+    def test_errors_come_before_any_table(self, records, k, error, monkeypatch):
+        profile = Profile(1, 12, None, records)
+        predictor = KnnPredictor(k)
+        with pytest.raises(error) as from_batch:
+            predictor.predict_batch(np.zeros((1, 1)), profile)
+
+        def no_table(*args):
+            raise AssertionError("read a grid table before checking the profile")
+
+        for name in ("record_bases", "distance_ranks", "points"):
+            monkeypatch.setattr(SearchGrid, name, no_table)
+        with pytest.raises(error) as from_grid:
+            predictor.predict_grid(SearchGrid(1.25, (5.0,)), slice(None), profile)
+        assert str(from_grid.value) == str(from_batch.value)
+
+    @pytest.mark.parametrize("grid, stray", [
+        (SearchGrid(1.25, (50.0, 30.0)), (1.3, 2.5)),
+        (SearchGrid(0.7, (7.0, 4.2)), None),
+    ], ids=["off_lattice_record", "inexact_step"])
+    def test_falls_back_to_predict_batch(self, grid, stray, monkeypatch):
+        profile = lattice_profile(grid, 12, seed=9)
+        if stray is not None:
+            profile.update(stray, 12, target=7)
+        spy = SpyBatch(monkeypatch)
+        rows = np.arange(0, grid.size, 3)
+        for block in (slice(None), rows):
+            got = KnnPredictor(5).predict_grid(grid, block, profile)
+            expected = knn_reference(grid.points()[block], profile, 5)
+            assert np.array_equal(got[0], expected[0])
+        assert spy.calls == 2
+        if stray is None:
+            assert grid.distance_ranks() is None
+        else:  # the ranks are built only for a profile they can serve
+            assert "_ranks" not in vars(grid)
+
+    @pytest.mark.parametrize("k", [1, 100, 170, 256])
+    def test_eight_links_fall_back(self, k):
+        # numpy sums rows of 8 or more values pairwise: on this grid its
+        # distances hold ties that link-order sums do not, and ranks built
+        # from those sums would pick other records for k in 164..218
+        grid = SearchGrid(0.3, (0.3,) * 8)
+        assert grid.distance_ranks() is None
+        profile = Profile(8, 12, None,
+                          [(tuple(x), 1 + i % 12) for i, x in enumerate(grid.points())])
+        got = KnnPredictor(k).predict_grid(grid, slice(None), profile)
+        assert np.array_equal(got[0], knn_reference(grid.points(), profile, k)[0])
 
 
 class TestUnboundedGrowth:

@@ -1,11 +1,12 @@
-"""Closed-loop differential test: the kernel-table path against the computed path.
+"""Closed-loop differential test: the grid-table paths against the computed paths.
 
 GrnnPredictor.predict_grid serves a search block from the grid's kernel
-table when it can; ComputedGrnn always calls predict_batch, and its runs
-search each grid as one block. Whole seeded closed loops, with ERAB noise,
-background traces and shared links, must make the same decisions bit for
-bit and leave byte-identical profiles whether the table, small blocks or
-both serve the search.
+table when it can, and KnnPredictor.predict_grid from the grid's distance
+ranks; ComputedGrnn and ComputedKnn always call predict_batch, and their
+runs search each grid as one block. Whole seeded closed loops, with ERAB
+noise, background traces and shared links, must make the same decisions
+bit for bit and leave byte-identical profiles whether a table, small blocks
+or both serve the search.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import importlib
 import numpy as np
 import pytest
 
+from qosalloc.baselines import KnnPredictor
 from qosalloc.controller import QosConfig, QosController
 from qosalloc.harness import seed_profile_generate
 from qosalloc.netsim import LinkSpec, ServiceSpec, Simulator
@@ -35,8 +37,18 @@ class ComputedGrnn(GrnnPredictor):
         return predict_batch(grid.points()[rows], profile, self.kernel)
 
 
-def run_loop(seed, predictor_cls):
-    """One seeded closed loop; returns (decision bytes, profile bytes per service)."""
+class ComputedKnn(KnnPredictor):
+    """KnnPredictor whose predict_grid never reads the distance ranks."""
+
+    def predict_grid(self, grid, rows, profile):
+        return self.predict_batch(grid.points()[rows], profile)
+
+
+def run_loop(seed, make_predictor):
+    """One seeded closed loop; returns (decision bytes, profile bytes per service).
+
+    make_predictor(config) gives each service's predictor.
+    """
     rng = np.random.default_rng(seed)
     n = 1 + seed % 3
     maxima = tuple(1.25 * int(rng.integers(4, 11)) for _ in range(n))
@@ -56,7 +68,7 @@ def run_loop(seed, predictor_cls):
         if seed % 4 == 3:  # an off-lattice record keeps the table out until it is evicted
             seed_profile.update(tuple(b / 3 for b in maxima), 12, target=7)
         ctrls.append(QosController(config, seed_profile, int(rng.integers(1, 4)),
-                                   predictor=predictor_cls(config.kernel)))
+                                   predictor=make_predictor(config)))
     links = [LinkSpec(1.2 * b, tuple(rng.uniform(0, 0.5 * b, EPOCHS))) for b in maxima]
     specs = [ServiceSpec(tuple(rng.uniform(0.5, 1.5, EPOCHS) * nominal), c.qos_level)
              for c in ctrls]
@@ -82,11 +94,34 @@ def test_table_and_computed_paths_run_identical_loops(seed, monkeypatch):
         return lattice_batch(table, offsets, *args)
 
     monkeypatch.setattr(predictor_module, "lattice_batch", counting_lattice)
-    computed = run_loop(seed, ComputedGrnn)  # every grid here is one block by default
+    # every grid here is one block by default
+    computed = run_loop(seed, lambda config: ComputedGrnn(config.kernel))
     assert table_rows == []
     if seed % 2:  # small blocks: the search predicts index-array rows, block by block
         monkeypatch.setattr(search_module, "_BLOCK_MIN", 16)
-    tabled = run_loop(seed, GrnnPredictor)
+    tabled = run_loop(seed, lambda config: GrnnPredictor(config.kernel))
     if seed % 4 != 3:
         assert len(table_rows) >= EPOCHS
     assert tabled == computed
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_knn_ranks_and_computed_paths_run_identical_loops(seed, monkeypatch):
+    served = []
+    distance_ranks = SearchGrid.distance_ranks
+
+    def counting_ranks(grid):
+        ranks = distance_ranks(grid)
+        served.append(ranks is not None)
+        return ranks
+
+    monkeypatch.setattr(SearchGrid, "distance_ranks", counting_ranks)
+    k = 1 + seed % 5  # every seed profile holds at least 5 records
+    computed = run_loop(seed, lambda config: ComputedKnn(k))
+    assert served == []
+    if seed % 2:
+        monkeypatch.setattr(search_module, "_BLOCK_MIN", 16)
+    ranked = run_loop(seed, lambda config: KnnPredictor(k))
+    if seed % 4 != 3:
+        assert served.count(True) >= EPOCHS
+    assert ranked == computed

@@ -207,10 +207,22 @@ class TestScenarioFileIO:
          "service 1 rate trace must be finite"),
         (lambda doc: doc.update(seed_profile=[]), "seed_profile"),
         (lambda doc: doc["predictor"].update(knn_k="many"), "knn_k"),
+        (lambda doc: doc["predictor"].update(knn_k=2.5), "knn_k"),
+        (lambda doc: doc["predictor"].update(knn_k=True), "knn_k"),
+        (lambda doc: doc["predictor"].update(knn_k="3"), "knn_k"),
+        (lambda doc: doc["services"][0].update(qos_level=1.5), "qos_level"),
+        (lambda doc: doc["seed_profile"].update(records=True), "records"),
+        (lambda doc: doc.update(levels="12"), "levels"),
+        (lambda doc: doc.update(targets=[7, 9.5, 11]), "targets"),
+        (lambda doc: doc.update(capacity=8.5), "capacity"),
+        (lambda doc: doc.update(run_length=True), "run_length"),
+        (lambda doc: doc.update(rng_seed="5"), "rng_seed"),
     ], ids=["grid_without_step", "grid_not_object", "links_not_objects", "nan_capacity",
             "null_thresholds", "infinite_run_length", "services_not_objects",
             "inline_row_not_list", "nan_rate", "negative_rate", "seed_profile_not_object",
-            "knn_k_not_int"])
+            "knn_k_not_int", "knn_k_fraction", "knn_k_bool", "knn_k_string",
+            "qos_level_fraction", "records_bool", "levels_string", "targets_fraction",
+            "capacity_fraction", "run_length_bool", "rng_seed_string"])
     def test_malformed_field_is_a_config_error(self, tmp_path, capsys, edit, field):
         path = tmp_path / "scenario.json"
         dump_scenario(small_scenario(), path)

@@ -579,6 +579,15 @@ class TestKernelTable:
         assert grid.record_bases(np.array([[0.0, 31.25]])) is None  # outside the box
         assert grid.record_bases(np.array([[0.0, 1.25 + 1e-15]])) is None
 
+    @pytest.mark.parametrize("predictor", [GrnnPredictor(), KnnPredictor(1)], ids=["grnn", "knn"])
+    def test_predict_grid_rejects_another_link_count(self, predictor):
+        # a 1-link profile broadcast against a 2-link grid used to predict
+        # silently from the wrong offsets
+        grid = SearchGrid(1.25, (5.0, 5.0))
+        profile = Profile(1, 12, None, [((0.0,), 3), ((2.5,), 7)])
+        with pytest.raises(ValueError, match="grid has 2 links but records have 1"):
+            predictor.predict_grid(grid, slice(None), profile)
+
     @pytest.mark.parametrize("sigma2", [300.0, 7.3, 0.5, 1e-6])
     def test_search_takes_the_table_and_matches_whole_grid(self, sigma2, monkeypatch):
         spy = CountingLattice()
@@ -638,3 +647,36 @@ class TestKernelTable:
     def test_empty_profile_still_raises(self):
         with pytest.raises(EmptyProfileError):
             search(SearchGrid(1.25, (50.0, 30.0)), Profile(2, 12, None), GrnnPredictor(), 7)
+
+
+class TestDistanceRanks:
+    @pytest.mark.parametrize("grid", EXACT_GRIDS, ids=repr)
+    def test_ranks_order_and_tie_as_the_distances_do(self, grid):
+        ranks, offsets = grid.distance_ranks()
+        assert ranks.dtype == np.int64
+        assert ranks.size == math.prod(2 * c + 1 for c in grid.steps_per_link)
+        assert not ranks.flags.writeable
+        rng = np.random.default_rng(grid.size)
+        allocs = np.array([a for a, _ in lattice_records(rng, grid, 12)])
+        got = ranks[offsets[:, None] + grid.record_bases(allocs)[None, :]]
+        d2 = ((grid.points()[:, None, :] - allocs[None, :, :]) ** 2).sum(axis=2)
+        # equal dense rankings: every order and every tie is kept
+        assert np.array_equal(np.unique(got, return_inverse=True)[1],
+                              np.unique(d2, return_inverse=True)[1])
+
+    def test_reference_grid_ranks_are_cached_beside_the_kernel_table(self):
+        grid = SearchGrid(1.25, (50.0, 30.0))
+        table, table_offsets = grid.kernel_table(200.0)
+        ranks, offsets = grid.distance_ranks()
+        assert ranks.size == 3969 and ranks.nbytes == 31_752
+        assert offsets is table_offsets
+        assert grid.distance_ranks()[0] is ranks
+        assert grid.kernel_table(200.0)[0] is table  # building the ranks kept the table
+
+    def test_no_ranks_where_no_table(self, monkeypatch):
+        assert SearchGrid(0.7, (7.0, 4.2)).distance_ranks() is None
+        assert SearchGrid(0.3, (0.3,) * 8).distance_ranks() is None  # numpy sums pairwise
+        assert SearchGrid(0.3, (0.3,) * 7).distance_ranks() is not None
+        monkeypatch.setattr(search_module, "_TABLE_MAX", 41**2)
+        assert SearchGrid(1.25, (50.0,)).distance_ranks() is not None
+        assert SearchGrid(1.25, (50.0, 25.0)).distance_ranks() is None
