@@ -25,17 +25,17 @@ out_dir = Path(__file__).resolve().parent.parent / "demo_output"
 out_dir.mkdir(exist_ok=True)
 
 for q in (1, 2, 3):
-    report = run_scenario(tracking_scenario(qos_level=q)).reports[0]
+    log = run_scenario(tracking_scenario(qos_level=q)).controllers[0].log
     target = TARGETS[q - 1]
     band = (THRESHOLDS[target - 2], THRESHOLDS[target - 1])
-    erab = np.array(report.erab)
+    erab = np.array([rec.erab for rec in log])
     print(f"\nQoS level {q}: response target {target}, steady ERAB band {band} Mbps")
     print(f"{'epoch':>5}  {'rate':>6}  {'total':>6}  {'ERAB':>7}  {'level':>5}")
-    for t in range(report.epochs):
-        marker = " <- rate step" if t == 20 else ""
+    for rec in log:
+        marker = " <- rate step" if rec.epoch == 21 else ""
         print(
-            f"{t + 1:5d}  {report.source_rate[t]:6.1f}  {report.total_allocation[t]:6.1f}  "
-            f"{report.erab[t]:7.2f}  {report.response[t]:5d}{marker}"
+            f"{rec.epoch:5d}  {rec.source_rate:6.1f}  {rec.total:6.1f}  "
+            f"{rec.erab:7.2f}  {rec.response:5d}{marker}"
         )
     tail = erab[-20:]
     print(
@@ -45,9 +45,6 @@ for q in (1, 2, 3):
     path = out_dir / f"tracking_q{q}.csv"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("epoch,source_rate_mbps,total_mbps,erab_mbps\n")
-        for t in range(report.epochs):
-            fh.write(
-                f"{t + 1},{report.source_rate[t]},{report.total_allocation[t]},"
-                f"{report.erab[t]}\n"
-            )
+        for rec in log:
+            fh.write(f"{rec.epoch},{rec.source_rate},{rec.total},{rec.erab}\n")
     print(f"plot data written to {path}")

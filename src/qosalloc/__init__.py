@@ -14,7 +14,6 @@ from .controller import (
     ConfigError,
     QosConfig,
     QosController,
-    TransmissionOutcome,
     compute_erab,
     quantize,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "SeedSpec",
     "ServiceSpec",
     "Simulator",
-    "TransmissionOutcome",
     "UpdateResult",
     "Variant",
     "classify",

@@ -104,8 +104,6 @@ def _knn_batch(xs: np.ndarray, profile: Profile, k: int) -> tuple[np.ndarray, np
 class KnnPredictor:
     """k-nearest-neighbor predictor with the search-facing predict_batch / predict_grid."""
 
-    kind = KNN
-
     def __init__(self, k_neighbors: int = 5):
         self.k_neighbors = _neighbor_count(k_neighbors, "k_neighbors")
 

@@ -4,7 +4,10 @@ Each transmission epoch the controller applies its current allocation, is
 handed the measured ERAB (the signed surplus of allocated bandwidth over
 the source rate), quantizes it into a response level, stores the
 (allocation, response) pair through the class-aware profile update, and
-re-runs the minimum-bandwidth search for the next epoch. The controller
+re-runs the minimum-bandwidth search for the next epoch. The facts of the
+epoch go into one EpochRecord, appended to the controller's log and
+returned by step(); the log is the only per-epoch record, and the
+simulator, the metrics and every output file read it. The controller
 never measures traffic itself; the environment (simulator or a replayed
 trace) feeds it measurements, which keeps the control law independent of
 transport details.
@@ -15,10 +18,10 @@ from __future__ import annotations
 import math
 import time
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .predictor import GrnnPredictor, KernelParams
-from .profile import APPENDED, Profile, UpdateResult
+from .profile import Profile, UpdateResult
 from .search import AllocationResult, SearchGrid, search
 
 
@@ -67,6 +70,8 @@ class QosConfig:
                 f"need {self.level_count - 1} thresholds for {self.level_count} levels, "
                 f"got {len(self.thresholds)}"
             )
+        if not all(math.isfinite(t) for t in self.thresholds):
+            raise ConfigError(f"thresholds must be finite: {self.thresholds}")
         if any(a >= b for a, b in zip(self.thresholds, self.thresholds[1:])):
             raise ConfigError(f"thresholds must be strictly increasing: {self.thresholds}")
         if not self.targets:
@@ -82,10 +87,6 @@ class QosConfig:
                 f"min_kernel_sum must be finite and >= 0, got {self.min_kernel_sum}"
             )
 
-    @property
-    def qos_level_count(self) -> int:
-        return len(self.targets)
-
     def target_for(self, qos_level: int) -> int:
         if not 1 <= qos_level <= len(self.targets):
             raise ConfigError(
@@ -95,22 +96,12 @@ class QosConfig:
 
 
 @dataclass(frozen=True)
-class TransmissionOutcome:
-    """Measured result of one service epoch."""
-
-    erab: float
-    response: int
-    applied_allocation: tuple[float, ...]
-    source_rate: float
-
-
-@dataclass
 class EpochRecord:
-    """One transmission-log row.
+    """One transmission-log row, as step() appends and returns it.
 
-    feasible_found / low_confidence describe the allocation applied this
-    epoch; update_action reports what the profile update did; search_ms is
-    the wall-clock of the end-of-epoch search that produced the next
+    feasible_found / low_confidence describe the applied allocation;
+    update_action reports what the profile update did; search_ms is the
+    wall-clock of the end-of-epoch search that produced the next
     allocation. Timing is the only field excluded from the byte-determinism
     contract of scenario outputs.
     """
@@ -123,8 +114,8 @@ class EpochRecord:
     response: int
     feasible_found: bool
     low_confidence: bool
-    update_action: str = APPENDED
-    search_ms: float = 0.0
+    update_action: str
+    search_ms: float
 
     @property
     def search_fallback(self) -> bool:
@@ -193,7 +184,6 @@ class QosController:
             )
         self.profile = seed_profile
         self.predictor = predictor if predictor is not None else GrnnPredictor(config.kernel)
-        self.epoch = 0
         self.log: list[EpochRecord] = []
         t0 = time.perf_counter()
         self._current = self._search()
@@ -210,12 +200,11 @@ class QosController:
     def current_result(self) -> AllocationResult:
         return self._current
 
-    def step(
-        self, measured_erab: float, source_rate: float = math.nan
-    ) -> tuple[tuple[float, ...], TransmissionOutcome]:
-        """Consume one epoch's measurement; returns (next allocation, outcome).
+    def step(self, measured_erab: float, source_rate: float = math.nan) -> EpochRecord:
+        """Consume one epoch's measurement; returns the log record it appends.
 
-        A non-finite measurement raises ValueError before any state changes.
+        The next epoch's allocation is then current_allocation. A non-finite
+        measurement raises ValueError before any state changes.
         """
         if not math.isfinite(measured_erab):
             raise ValueError(f"measured ERAB must be finite, got {measured_erab}")
@@ -227,29 +216,21 @@ class QosController:
         t0 = time.perf_counter()
         self._current = self._search()
         search_ms = (time.perf_counter() - t0) * 1e3
-        self.epoch += 1
         low_conf = (
             self.config.min_kernel_sum > 0.0
             and applied.prediction.kernel_sum < self.config.min_kernel_sum
         )
-        self.log.append(
-            EpochRecord(
-                epoch=self.epoch,
-                allocation=applied.allocation,
-                total=applied.total,
-                source_rate=source_rate,
-                erab=measured_erab,
-                response=response,
-                feasible_found=applied.feasible_found,
-                low_confidence=low_conf,
-                update_action=update.action,
-                search_ms=search_ms,
-            )
-        )
-        outcome = TransmissionOutcome(
+        record = EpochRecord(
+            epoch=len(self.log) + 1,
+            allocation=applied.allocation,
+            total=applied.total,
+            source_rate=source_rate,
             erab=measured_erab,
             response=response,
-            applied_allocation=applied.allocation,
-            source_rate=source_rate,
+            feasible_found=applied.feasible_found,
+            low_confidence=low_conf,
+            update_action=update.action,
+            search_ms=search_ms,
         )
-        return self._current.allocation, outcome
+        self.log.append(record)
+        return record

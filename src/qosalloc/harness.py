@@ -4,7 +4,9 @@ A scenario bundles the QoS configuration, the links, the services with
 their rate traces, a seed-profile source, and a predictor choice. Scenarios
 are fully deterministic: (config, rng_seed) fixes every output byte except
 wall-clock timing, which is therefore segregated into its own sidecar file
-(timings.csv) and excluded from the determinism contract.
+(timings.csv) and excluded from the determinism contract. Every per-epoch
+series is read from the controllers' logs, and every CSV file goes through
+one writer with one value format (repr for floats, 1/0 for flags).
 
 Config files are JSON with a strict key set (unknown keys are rejected) so
 experiments stay auditable; rate and background traces are CSV files with
@@ -64,8 +66,13 @@ class SeedSpec:
             raise ConfigError(
                 "seed_profile needs exactly one of: a file, or records + nominal_rate"
             )
-        if generated and (self.records is None or self.nominal_rate is None):
+        if not generated:
+            return
+        if self.records is None or self.nominal_rate is None:
             raise ConfigError("generated seed_profile needs both records and nominal_rate")
+        if self.records < 1:
+            raise ConfigError(f"records must be >= 1, got {self.records}")
+        _check_nominal_rate(self.nominal_rate)
 
 
 @dataclass(frozen=True)
@@ -102,6 +109,8 @@ class ScenarioConfig:
         )
         if self.run_length < 1:
             raise ConfigError(f"run_length must be >= 1, got {self.run_length}")
+        if self.rng_seed < 0:
+            raise ConfigError(f"rng_seed must be >= 0, got {self.rng_seed}")
         if len(self.links) != len(self.grid_max_per_link):
             raise ConfigError(
                 f"{len(self.links)} links but grid covers {len(self.grid_max_per_link)}"
@@ -148,6 +157,11 @@ class ScenarioConfig:
             capacity=self.capacity,
             min_kernel_sum=self.min_kernel_sum,
         )
+
+
+def _check_nominal_rate(nominal_rate: float) -> None:
+    if not (math.isfinite(nominal_rate) and nominal_rate >= 0.0):
+        raise ConfigError(f"nominal_rate must be finite and >= 0, got {nominal_rate}")
 
 
 def _check_knn_k(predictor: PredictorKind, seed_records: int) -> None:
@@ -278,13 +292,11 @@ def read_trace_csv(path: Path, expected_columns: int, what: str) -> tuple[tuple[
 
 def write_trace_csv(path: Path, columns: Sequence[Sequence[float]], prefix: str) -> None:
     """Write a trace CSV, one column per series, header '<prefix>_<i>_mbps'."""
-    path = Path(path)
-    epochs = len(columns[0])
-    header = ",".join(f"{prefix}_{i + 1}_mbps" for i in range(len(columns)))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for t in range(epochs):
-            fh.write(",".join(repr(float(col[t])) for col in columns) + "\n")
+    _write_csv(
+        Path(path),
+        [f"{prefix}_{i + 1}_mbps" for i in range(len(columns))],
+        (map(float, row) for row in zip(*columns)),
+    )
 
 
 def _inline_or_file_trace(value, base: Path, columns: int, what: str):
@@ -435,9 +447,7 @@ def dump_scenario(config: ScenarioConfig, path, rate_trace_name: str | None = No
             "records": config.seed.records,
             "nominal_rate": config.seed.nominal_rate,
         }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8", newline="\n")
 
 
 # ---------------------------------------------------------------------------
@@ -464,6 +474,7 @@ def seed_profile_generate(
         raise ValueError(f"n_records must be >= 1, got {n_records}")
     if n_records > grid.size:
         raise ValueError(f"n_records={n_records} exceeds grid size {grid.size}")
+    _check_nominal_rate(nominal_rate)
     rng = (
         rng_seed
         if isinstance(rng_seed, np.random.Generator)
@@ -489,7 +500,7 @@ def seed_profile_generate(
 
 @dataclass(frozen=True)
 class MetricsReport:
-    """Per-service metrics plus the per-epoch series they derive from."""
+    """Per-service metrics; the per-epoch series are in the controller's log."""
 
     service: int
     qos_level: int
@@ -498,11 +509,6 @@ class MetricsReport:
     avg_dlr: float
     avg_bw_variation: float
     final_search_time_ms: float
-    erab: tuple[float, ...]
-    total_allocation: tuple[float, ...]
-    source_rate: tuple[float, ...]
-    response: tuple[int, ...]
-    search_ms: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -614,9 +620,9 @@ def run_scenario(
         final_ms = [math.nan] * len(controllers)
     reports = []
     for i, ctrl in enumerate(controllers):
-        erab = tuple(rec.erab for rec in ctrl.log)
-        totals = tuple(rec.total for rec in ctrl.log)
-        avg_rab, avg_dlr, avg_var = compute_metrics(erab, totals)
+        avg_rab, avg_dlr, avg_var = compute_metrics(
+            [rec.erab for rec in ctrl.log], [rec.total for rec in ctrl.log]
+        )
         reports.append(
             MetricsReport(
                 service=i + 1,
@@ -626,11 +632,6 @@ def run_scenario(
                 avg_dlr=avg_dlr,
                 avg_bw_variation=avg_var,
                 final_search_time_ms=final_ms[i],
-                erab=erab,
-                total_allocation=totals,
-                source_rate=tuple(rec.source_rate for rec in ctrl.log),
-                response=tuple(rec.response for rec in ctrl.log),
-                search_ms=tuple(rec.search_ms for rec in ctrl.log),
             )
         )
     result = ScenarioResult(
@@ -642,11 +643,24 @@ def run_scenario(
 
 
 def _fmt(value) -> str:
+    """The one CSV value format: repr for floats, 1/0 for flags, ints and str as is."""
+    kind = type(value)
+    if kind is float:  # exact-type tests first: this runs for every value written
+        return repr(value)
+    if kind is int or kind is str:
+        return str(value)
     if isinstance(value, bool):
         return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return repr(float(value))
+
+
+def _write_csv(path: Path, header: Sequence[str], rows) -> None:
+    """Write a header line, then one line per row of values formatted by _fmt."""
+    lines = [",".join(header), *(",".join(map(_fmt, row)) for row in rows)]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_outputs(result: ScenarioResult, out_dir) -> None:
@@ -657,59 +671,41 @@ def write_outputs(result: ScenarioResult, out_dir) -> None:
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    n_links = len(result.config.links)
-
-    with open(out / "metrics.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("service,qos_level,epochs,avg_rab_mbps,avg_dlr_mbps,avg_bw_variation_mbps\n")
-        for rep in result.reports:
-            fh.write(
-                ",".join(
-                    [str(rep.service), str(rep.qos_level), str(rep.epochs),
-                     _fmt(rep.avg_rab), _fmt(rep.avg_dlr), _fmt(rep.avg_bw_variation)]
-                )
-                + "\n"
-            )
-
-    alloc_cols = ",".join(f"x{j + 1}_mbps" for j in range(n_links))
-    with open(out / "epochs.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(
-            "service,epoch," + alloc_cols
-            + ",total_mbps,source_rate_mbps,erab_mbps,response,"
-            + "feasible_found,search_fallback,low_confidence,update_action\n"
-        )
-        for rep, ctrl in zip(result.reports, result.controllers):
-            for rec in ctrl.log:
-                row = [str(rep.service), str(rec.epoch)]
-                row += [_fmt(v) for v in rec.allocation]
-                row += [
-                    _fmt(rec.total), _fmt(rec.source_rate), _fmt(rec.erab),
-                    str(rec.response), _fmt(rec.feasible_found),
-                    _fmt(rec.search_fallback), _fmt(rec.low_confidence),
-                    rec.update_action,
-                ]
-                fh.write(",".join(row) + "\n")
-
-    with open(out / "plot_total_bw.csv", "w", encoding="utf-8", newline="\n") as fh:
-        head = ["epoch"]
-        for rep in result.reports:
-            head += [f"source_rate_s{rep.service}_mbps", f"total_s{rep.service}_mbps"]
-        fh.write(",".join(head) + "\n")
-        for t in range(result.config.run_length):
-            row = [str(t + 1)]
-            for rep in result.reports:
-                row += [_fmt(rep.source_rate[t]), _fmt(rep.total_allocation[t])]
-            fh.write(",".join(row) + "\n")
-
-    for rep, ctrl in zip(result.reports, result.controllers):
+    runs = list(zip(result.reports, result.controllers))
+    _write_csv(
+        out / "metrics.csv",
+        ["service", "qos_level", "epochs", "avg_rab_mbps", "avg_dlr_mbps",
+         "avg_bw_variation_mbps"],
+        ((rep.service, rep.qos_level, rep.epochs, rep.avg_rab, rep.avg_dlr,
+          rep.avg_bw_variation) for rep in result.reports),
+    )
+    _write_csv(
+        out / "epochs.csv",
+        ["service", "epoch", *(f"x{j + 1}_mbps" for j in range(len(result.config.links))),
+         "total_mbps", "source_rate_mbps", "erab_mbps", "response", "feasible_found",
+         "search_fallback", "low_confidence", "update_action"],
+        ((rep.service, rec.epoch, *rec.allocation, rec.total, rec.source_rate, rec.erab,
+          rec.response, rec.feasible_found, rec.search_fallback, rec.low_confidence,
+          rec.update_action) for rep, ctrl in runs for rec in ctrl.log),
+    )
+    _write_csv(
+        out / "plot_total_bw.csv",
+        ["epoch", *(f"{name}_s{rep.service}_mbps"
+                    for rep in result.reports for name in ("source_rate", "total"))],
+        ((t, *(v for rec in recs for v in (rec.source_rate, rec.total)))
+         for t, recs in enumerate(zip(*(ctrl.log for ctrl in result.controllers)), 1)),
+    )
+    for rep, ctrl in runs:
         ctrl.profile.save(out / f"profile_s{rep.service}.csv")
-
-    with open(out / "timings.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("service,label,ms\n")
-        for rep, ctrl in zip(result.reports, result.controllers):
-            fh.write(f"{rep.service},initial,{_fmt(ctrl.initial_search_ms)}\n")
-            for rec in ctrl.log:
-                fh.write(f"{rep.service},epoch_{rec.epoch},{_fmt(rec.search_ms)}\n")
-            fh.write(f"{rep.service},final_median,{_fmt(rep.final_search_time_ms)}\n")
+    _write_csv(
+        out / "timings.csv",
+        ["service", "label", "ms"],
+        (row for rep, ctrl in runs for row in (
+            (rep.service, "initial", ctrl.initial_search_ms),
+            *((rep.service, f"epoch_{rec.epoch}", rec.search_ms) for rec in ctrl.log),
+            (rep.service, "final_median", rep.final_search_time_ms),
+        )),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -779,25 +775,21 @@ def compare_predictors(
 def write_comparison(results: Sequence[tuple[str, ScenarioResult]], out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "comparison.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("variant,service,avg_rab_mbps,avg_dlr_mbps,avg_bw_variation_mbps\n")
-        for label, result in results:
-            for rep in result.reports:
-                fh.write(
-                    f"{label},{rep.service},{_fmt(rep.avg_rab)},{_fmt(rep.avg_dlr)},"
-                    f"{_fmt(rep.avg_bw_variation)}\n"
-                )
-    with open(out / "comparison_timing.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("variant,service,final_search_time_ms\n")
-        for label, result in results:
-            for rep in result.reports:
-                fh.write(f"{label},{rep.service},{_fmt(rep.final_search_time_ms)}\n")
-    with open(out / "plot_compare.csv", "w", encoding="utf-8", newline="\n") as fh:
-        head = ["epoch", "source_rate_mbps"] + [f"total_{label}_mbps" for label, _ in results]
-        fh.write(",".join(head) + "\n")
-        epochs = results[0][1].config.run_length
-        base = results[0][1].reports[0]
-        for t in range(epochs):
-            row = [str(t + 1), _fmt(base.source_rate[t])]
-            row += [_fmt(result.reports[0].total_allocation[t]) for _, result in results]
-            fh.write(",".join(row) + "\n")
+    rows = [(label, rep) for label, result in results for rep in result.reports]
+    _write_csv(
+        out / "comparison.csv",
+        ["variant", "service", "avg_rab_mbps", "avg_dlr_mbps", "avg_bw_variation_mbps"],
+        ((label, rep.service, rep.avg_rab, rep.avg_dlr, rep.avg_bw_variation)
+         for label, rep in rows),
+    )
+    _write_csv(
+        out / "comparison_timing.csv",
+        ["variant", "service", "final_search_time_ms"],
+        ((label, rep.service, rep.final_search_time_ms) for label, rep in rows),
+    )
+    _write_csv(
+        out / "plot_compare.csv",
+        ["epoch", "source_rate_mbps", *(f"total_{label}_mbps" for label, _ in results)],
+        ((t, recs[0].source_rate, *(rec.total for rec in recs))
+         for t, recs in enumerate(zip(*(r.controllers[0].log for _, r in results)), 1)),
+    )

@@ -11,7 +11,8 @@ transmission epoch, and rate-level clamping is all it can observe.
 Multiple services on shared links are resolved in service-index order: each
 service's effective allocation is clamped against capacity minus background
 minus the effective allocations already granted this epoch. The simulator
-owns the epoch clock; controllers are advanced one step per epoch.
+owns the epoch clock; controllers are advanced one step per epoch, and the
+log records their steps append are what run_epoch and run return.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .controller import QosController, TransmissionOutcome, compute_erab
+from .controller import EpochRecord, QosController, compute_erab
 
 
 class EndOfRun(Exception):
@@ -127,8 +128,8 @@ class Simulator:
         self.rng = rng
         self.epoch = 0
 
-    def run_epoch(self) -> list[TransmissionOutcome]:
-        """Advance every service by one epoch; returns their outcomes.
+    def run_epoch(self) -> list[EpochRecord]:
+        """Advance every service by one epoch; returns their log records.
 
         Raises EndOfRun before touching any state when a trace is
         exhausted, so a partially advanced epoch can never occur.
@@ -138,7 +139,7 @@ class Simulator:
         backgrounds = np.array([link.background_at(t) for link in self.links])
         capacities = np.array([link.capacity for link in self.links])
         used = np.zeros(len(self.links))
-        outcomes: list[TransmissionOutcome] = []
+        records: list[EpochRecord] = []
         for rate, ctrl in zip(rates, self.controllers):
             x = np.asarray(ctrl.current_allocation, dtype=float)
             eff = effective_allocation(x, capacities - backgrounds - used)
@@ -146,11 +147,10 @@ class Simulator:
             erab = compute_erab(float(eff.sum()), rate)
             if self.noise_std > 0.0:
                 erab += self.noise_std * self.rng.standard_normal()
-            _, outcome = ctrl.step(erab, source_rate=rate)
-            outcomes.append(outcome)
+            records.append(ctrl.step(erab, source_rate=rate))
         self.epoch += 1
-        return outcomes
+        return records
 
-    def run(self, epochs: int) -> list[list[TransmissionOutcome]]:
-        """Run a fixed number of epochs, collecting per-epoch outcomes."""
+    def run(self, epochs: int) -> list[list[EpochRecord]]:
+        """Run a fixed number of epochs, collecting each epoch's log records."""
         return [self.run_epoch() for _ in range(epochs)]

@@ -315,8 +315,6 @@ class GrnnPredictor:
     evaluations against immutable profile snapshots.
     """
 
-    kind = "grnn"
-
     def __init__(self, kernel: KernelParams | None = None):
         self.kernel = kernel or KernelParams()
 

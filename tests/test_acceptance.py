@@ -64,8 +64,8 @@ def test_criterion_4_closed_loop_tracking():
     ok = True
     for q in (1, 2, 3):
         config = tracking_scenario(qos_level=q)
-        report = run_scenario(config).reports[0]
-        tail = np.array(report.erab[-20:])
+        log = run_scenario(config).controllers[0].log
+        tail = np.array([rec.erab for rec in log[-20:]])
         mean_erab = float(tail.mean())
         mean_dlr = float(np.maximum(-tail, 0.0).mean())
         target = TARGETS[q - 1]

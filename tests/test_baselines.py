@@ -294,8 +294,9 @@ class TestBoundedUnboundedAgreement:
         erabs = [float(e) for e in rng.uniform(-15, 15, 10)]
         divergence_epoch = None
         for t, erab in enumerate(erabs, start=1):
-            a, _ = bounded.step(erab)
-            b, _ = unbounded.step(erab)
+            bounded.step(erab)
+            unbounded.step(erab)
+            a, b = bounded.current_allocation, unbounded.current_allocation
             if t <= 3:
                 # bounded appends until p=5: epochs 1..3 update identically,
                 # so allocations for epochs 2..4 match exactly

@@ -84,6 +84,24 @@ def test_seed_with_overrides(scenario_file, tmp_path):
     assert Profile.load(out).size == 5
 
 
+@pytest.mark.parametrize("rate", ["nan", "inf", "-inf", "-1"])
+def test_seed_rejects_bad_nominal_rate(scenario_file, tmp_path, capsys, rate):
+    # nan and inf used to write a profile whose responses were all level 1
+    out = tmp_path / "seed.csv"
+    code = main(["seed", "--config", str(scenario_file), "--out", str(out),
+                 f"--nominal-rate={rate}"])
+    assert code == 2
+    assert "nominal_rate" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_rejects_negative_seed_override(scenario_file, tmp_path, capsys):
+    code = main(["run", "--config", str(scenario_file), "--out", str(tmp_path / "o"),
+                 "--seed", "-1"])
+    assert code == 2
+    assert "rng_seed must be >= 0" in capsys.readouterr().err
+
+
 def test_verify_runs_scaled_suites(capsys):
     code = main(["verify", "--scale", "0.01"])
     out = capsys.readouterr().out

@@ -166,9 +166,9 @@ class TestStep:
         config = small_config()
         seed = Profile(1, 3, 31, [((30.0,), 3)])
         ctrl = QosController(config, seed, qos_level=1)
-        new_alloc, outcome = ctrl.step(100.0)  # lands in the top level
-        assert outcome.response == 3
-        assert new_alloc == (0.0,)
+        rec = ctrl.step(100.0)  # lands in the top level
+        assert rec.response == 3
+        assert ctrl.current_allocation == (0.0,)
 
     def test_positive_measurement_lowers_total(self):
         # appending ((20,), 3) makes (10,) feasible: next total 10 <= 20
@@ -176,8 +176,9 @@ class TestStep:
         seed = Profile(1, 3, 31, [((0.0,), 1), ((30.0,), 3)])
         ctrl = QosController(config, seed, qos_level=1)
         assert ctrl.current_allocation == (20.0,)
-        new_alloc, outcome = ctrl.step(10.0)  # > 5 -> level 3
-        assert outcome.response == 3
+        rec = ctrl.step(10.0)  # > 5 -> level 3
+        new_alloc = ctrl.current_allocation
+        assert rec.response == 3
         assert ctrl.profile.records[-1].allocation == (20.0,)
         assert ctrl.profile.records[-1].response == 3
         assert sum(new_alloc) <= 20.0
@@ -187,8 +188,9 @@ class TestStep:
         config = small_config()
         seed = Profile(1, 3, 31, [((0.0,), 1), ((30.0,), 3)])
         ctrl = QosController(config, seed, qos_level=1)
-        new_alloc, outcome = ctrl.step(-10.0)  # <= -5 -> level 1
-        assert outcome.response == 1
+        rec = ctrl.step(-10.0)  # <= -5 -> level 1
+        new_alloc = ctrl.current_allocation
+        assert rec.response == 1
         assert sum(new_alloc) >= 20.0
         assert new_alloc == (20.0,)  # frozen: (20,) stays the cheapest member
 
@@ -197,8 +199,9 @@ class TestStep:
         seed = Profile(1, 3, 31, [((0.0,), 1), ((30.0,), 3)])
         ctrl = QosController(config, seed, qos_level=1)
         for erab in (-20.0, -5.0, 0.0, 5.0, 20.0):
-            _, outcome = ctrl.step(float(erab))
-            assert outcome.response == quantize(erab, config)
+            rec = ctrl.step(float(erab))
+            assert rec.response == quantize(erab, config)
+            assert rec is ctrl.log[-1]
 
     def test_log_carries_applied_allocation_and_rate(self):
         config = small_config()
@@ -221,18 +224,18 @@ class TestStep:
         config = small_config()
         seed = Profile(1, 3, 31, [((0.0,), 1), ((30.0,), 3)])
         ctrl = QosController(config, seed, qos_level=1)
-        before = (ctrl.profile.to_bytes(), ctrl.current_result, ctrl.epoch)
+        before = (ctrl.profile.to_bytes(), ctrl.current_result)
         with pytest.raises(ValueError, match="finite"):
             ctrl.step(erab)
-        assert (ctrl.profile.to_bytes(), ctrl.current_result, ctrl.epoch) == before
+        assert (ctrl.profile.to_bytes(), ctrl.current_result) == before
         assert ctrl.log == []
 
     def test_source_rate_defaults_to_nan(self):
         config = small_config()
         seed = Profile(1, 3, 31, [((30.0,), 3)])
         ctrl = QosController(config, seed, qos_level=1)
-        _, outcome = ctrl.step(0.0)
-        assert math.isnan(outcome.source_rate)
+        rec = ctrl.step(0.0)
+        assert math.isnan(rec.source_rate)
 
     def test_low_confidence_flag_marks_thin_kernel_sums(self):
         # single far-away record: kernel sum at the chosen origin is far

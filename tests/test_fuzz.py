@@ -139,6 +139,10 @@ def test_load_scenario_raises_only_config_error(tmp_path, data):
     assert isinstance(config, ScenarioConfig)
     assert config.run_length >= 1 and math.isfinite(config.sigma2)
     assert all(math.isfinite(r) and r >= 0.0 for trace in config.rates for r in trace)
+    assert all(math.isfinite(t) for t in config.thresholds) and config.rng_seed >= 0
+    if config.seed.file is None:
+        assert config.seed.records >= 1
+        assert math.isfinite(config.seed.nominal_rate) and config.seed.nominal_rate >= 0.0
 
 
 @pytest.mark.parametrize("field", ["rate_trace", "background_trace"])

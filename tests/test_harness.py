@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import math
+
 import numpy as np
 import pytest
 
@@ -217,12 +219,26 @@ class TestScenarioFileIO:
         (lambda doc: doc.update(capacity=8.5), "capacity"),
         (lambda doc: doc.update(run_length=True), "run_length"),
         (lambda doc: doc.update(rng_seed="5"), "rng_seed"),
+        (lambda doc: doc.update(rng_seed=-1), "rng_seed must be >= 0"),
+        (lambda doc: doc["seed_profile"].update(records=0), "records must be >= 1"),
+        (lambda doc: doc["seed_profile"].update(nominal_rate=float("nan")), "nominal_rate"),
+        (lambda doc: doc["seed_profile"].update(nominal_rate=float("inf")), "nominal_rate"),
+        (lambda doc: doc["seed_profile"].update(nominal_rate=float("-inf")), "nominal_rate"),
+        (lambda doc: doc["seed_profile"].update(nominal_rate=-1.0), "nominal_rate"),
+        (lambda doc: doc.update(thresholds=[float("nan")] * 11), "thresholds must be finite"),
+        (lambda doc: doc["thresholds"].__setitem__(4, float("nan")),
+         "thresholds must be finite"),
+        (lambda doc: doc["thresholds"].__setitem__(10, float("inf")),
+         "thresholds must be finite"),
     ], ids=["grid_without_step", "grid_not_object", "links_not_objects", "nan_capacity",
             "null_thresholds", "infinite_run_length", "services_not_objects",
             "inline_row_not_list", "nan_rate", "negative_rate", "seed_profile_not_object",
             "knn_k_not_int", "knn_k_fraction", "knn_k_bool", "knn_k_string",
             "qos_level_fraction", "records_bool", "levels_string", "targets_fraction",
-            "capacity_fraction", "run_length_bool", "rng_seed_string"])
+            "capacity_fraction", "run_length_bool", "rng_seed_string", "negative_rng_seed",
+            "zero_records", "nan_nominal_rate", "inf_nominal_rate", "minus_inf_nominal_rate",
+            "negative_nominal_rate", "all_nan_thresholds", "one_nan_threshold",
+            "inf_threshold"])
     def test_malformed_field_is_a_config_error(self, tmp_path, capsys, edit, field):
         path = tmp_path / "scenario.json"
         dump_scenario(small_scenario(), path)
@@ -331,7 +347,7 @@ class TestRunScenario:
     def test_metrics_reconcile_with_erab_series(self):
         result = run_scenario(small_scenario())
         rep = result.reports[0]
-        erab = np.array(rep.erab)
+        erab = np.array([rec.erab for rec in result.controllers[0].log])
         n = rep.epochs
         assert rep.avg_rab * n - rep.avg_dlr * n == pytest.approx(erab.sum(), abs=1e-9)
         assert rep.avg_rab >= 0 and rep.avg_dlr >= 0
@@ -364,7 +380,8 @@ class TestRunScenario:
     def test_different_seed_changes_outputs(self, tmp_path):
         a = run_scenario(small_scenario())
         b = run_scenario(small_scenario(rng_seed=6))
-        assert a.reports[0].total_allocation != b.reports[0].total_allocation or (
+        totals = [[rec.total for rec in r.controllers[0].log] for r in (a, b)]
+        assert totals[0] != totals[1] or (
             a.controllers[0].profile != b.controllers[0].profile
         )
 
@@ -422,6 +439,23 @@ class TestComparePredictors:
             "total_knn_k3_mbps,total_grnn_unbounded_mbps"
         )
         assert len(plot) == 1 + config.run_length
+
+    def test_timing_sidecars_format(self, tmp_path):
+        config = small_scenario(qos_levels=(1, 3), rates=((40.0,) * 6, (10.0,) * 6))
+        run_scenario(config, out_dir=tmp_path / "run")
+        compare_predictors(config, [Variant(PredictorKind("grnn_bounded"), 6),
+                                    Variant(PredictorKind("knn", 3))], out_dir=tmp_path / "cmp")
+        timings = [r.split(",") for r in (tmp_path / "run/timings.csv").read_text().splitlines()]
+        labels = ["initial", *(f"epoch_{t}" for t in range(1, 7)), "final_median"]
+        assert timings[0] == ["service", "label", "ms"]
+        assert [r[:2] for r in timings[1:]] == [[s, lab] for s in ("1", "2") for lab in labels]
+        final = [r.split(",")
+                 for r in (tmp_path / "cmp/comparison_timing.csv").read_text().splitlines()]
+        assert final[0] == ["variant", "service", "final_search_time_ms"]
+        assert [r[:2] for r in final[1:]] == [
+            [v, s] for v in ("grnn_bounded_S6", "knn_k3") for s in ("1", "2")]
+        for ms in [float(r[2]) for r in timings[1:]] + [float(r[2]) for r in final[1:]]:
+            assert math.isfinite(ms) and ms >= 0.0
 
     def test_empty_variant_list_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="at least one variant"):

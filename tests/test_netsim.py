@@ -107,10 +107,11 @@ class TestSimulator:
             [ServiceSpec((15.0, 15.0), 1)],
             [ctrl],
         )
-        outcomes = sim.run_epoch()
-        assert outcomes[0].erab == 5.0  # |x| - R = 20 - 15
-        assert outcomes[0].applied_allocation == (20.0, 0.0)
-        assert outcomes[0].source_rate == 15.0
+        records = sim.run_epoch()
+        assert records == ctrl.log
+        assert records[0].erab == 5.0  # |x| - R = 20 - 15
+        assert records[0].allocation == (20.0, 0.0)
+        assert records[0].source_rate == 15.0
 
     def test_two_services_clamp_in_index_order(self):
         # both controllers start at (20, 0); link 1 has 25 Mbps headroom,
@@ -122,9 +123,9 @@ class TestSimulator:
             [ServiceSpec((15.0,), 1), ServiceSpec((10.0,), 1)],
             [ctrl_a, ctrl_b],
         )
-        outcomes = sim.run_epoch()
-        assert outcomes[0].erab == 5.0  # 20 - 15
-        assert outcomes[1].erab == -5.0  # clamped to 5, rate 10
+        records = sim.run_epoch()
+        assert records[0].erab == 5.0  # 20 - 15
+        assert records[1].erab == -5.0  # clamped to 5, rate 10
 
     def test_zero_length_trace_ends_immediately(self):
         ctrl = contention_controller()
@@ -152,7 +153,7 @@ class TestSimulator:
         second = sim.run_epoch()[0]
         # epoch-2 allocation is whatever the controller chose; its link-1
         # share is clamped to 15 Mbps of headroom
-        applied = np.asarray(second.applied_allocation)
+        applied = np.asarray(second.allocation)
         eff = np.minimum(applied, [60.0 - 45.0, 60.0])
         assert second.erab == pytest.approx(eff.sum() - 15.0)
 
@@ -165,7 +166,7 @@ class TestSimulator:
                 [ctrl],
             )
             return [
-                (o.erab, o.response, o.applied_allocation)
+                (o.erab, o.response, o.allocation)
                 for epoch in sim.run(4)
                 for o in epoch
             ]
