@@ -24,6 +24,11 @@ stable sort does, so the k smallest keys, found by np.partition instead of
 a full sort, name exactly the records the sort would take. Their responses
 are small integers, so summing them in any order is exact, and the sum
 divided by k is the mean. Every other case calls predict_batch.
+
+KnnPredictor.predict_bounds is the profile's constant [min, max] response
+interval, so a kNN search predicts as many points as an unscreened search
+would, except when every record's response reaches the target: then every
+point is a member, and only the origin is predicted.
 """
 
 from __future__ import annotations
@@ -102,7 +107,7 @@ def _knn_batch(xs: np.ndarray, profile: Profile, k: int) -> tuple[np.ndarray, np
 
 
 class KnnPredictor:
-    """k-nearest-neighbor predictor with the search-facing predict_batch / predict_grid."""
+    """k-nearest-neighbor predictor with the search-facing predict_bounds / predict_grid."""
 
     def __init__(self, k_neighbors: int = 5):
         self.k_neighbors = _neighbor_count(k_neighbors, "k_neighbors")
@@ -118,6 +123,19 @@ class KnnPredictor:
     def predict_batch(self, xs: np.ndarray, profile: Profile) -> tuple[np.ndarray, np.ndarray]:
         self._check(profile)
         return _knn_batch(np.asarray(xs, dtype=float), profile, self.k_neighbors)
+
+    def predict_bounds(self, grid: "SearchGrid", profile: Profile
+                       ) -> tuple[np.ndarray, np.ndarray]:
+        """The interval [min response, max response] at every grid point.
+
+        A mean of k responses lies between the smallest and the largest,
+        and so does its float value: the sum of k small integers is exact,
+        and dividing by k rounds to a float between them. Both arrays have
+        shape (grid.size,).
+        """
+        self._check(profile)
+        responses = profile.response_vector()
+        return np.full(grid.size, float(responses.min())), np.full(grid.size, float(responses.max()))
 
     def predict_grid(self, grid: "SearchGrid", rows, profile: Profile
                      ) -> tuple[np.ndarray, np.ndarray]:

@@ -125,8 +125,6 @@ class ScenarioConfig:
             raise ConfigError(
                 f"erab_noise_std must be finite and >= 0, got {self.erab_noise_std}"
             )
-        if self.seed.records is not None:
-            _check_knn_k(self.predictor, self.seed.records)
         for q in self.qos_levels:
             if not 1 <= q <= len(self.targets):
                 raise ConfigError(f"qos_level {q} outside [1, {len(self.targets)}]")
@@ -145,7 +143,16 @@ class ScenarioConfig:
                     f"run needs {self.run_length}"
                 )
         # fail early on inconsistent QoS parameters
-        self.to_qos_config()
+        grid = self.to_qos_config().grid
+        records = self.seed.records
+        if records is not None:
+            _check_knn_k(self.predictor, records)
+            if self.predictor.bounded and records > self.capacity:
+                raise ConfigError(
+                    f"seed.records={records} exceeds the profile capacity {self.capacity}"
+                )
+            if records > grid.size:
+                raise ConfigError(f"seed.records={records} exceeds the {grid.size} grid points")
 
     def to_qos_config(self) -> QosConfig:
         return QosConfig(
@@ -574,10 +581,6 @@ def _build_seed_profile(
             loaded.link_count, loaded.level_count, capacity,
             loaded.allocation_matrix(), loaded.response_vector(),
         )
-    if capacity is not None and config.seed.records > capacity:
-        raise ConfigError(
-            f"seed has {config.seed.records} records but capacity is {capacity}"
-        )
     return seed_profile_generate(
         qos_config.grid, qos_config, config.seed.records, config.seed.nominal_rate,
         rng, capacity=capacity,
@@ -773,6 +776,11 @@ def compare_predictors(
 
 
 def write_comparison(results: Sequence[tuple[str, ScenarioResult]], out_dir) -> None:
+    """comparison.csv, comparison_timing.csv, and one plot file per service.
+
+    Service 1's totals per variant go to plot_compare.csv, service i's
+    (i >= 2) to plot_compare_s{i}.csv, with the same header.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = [(label, rep) for label, result in results for rep in result.reports]
@@ -787,9 +795,10 @@ def write_comparison(results: Sequence[tuple[str, ScenarioResult]], out_dir) -> 
         ["variant", "service", "final_search_time_ms"],
         ((label, rep.service, rep.final_search_time_ms) for label, rep in rows),
     )
-    _write_csv(
-        out / "plot_compare.csv",
-        ["epoch", "source_rate_mbps", *(f"total_{label}_mbps" for label, _ in results)],
-        ((t, recs[0].source_rate, *(rec.total for rec in recs))
-         for t, recs in enumerate(zip(*(r.controllers[0].log for _, r in results)), 1)),
-    )
+    header = ["epoch", "source_rate_mbps", *(f"total_{label}_mbps" for label, _ in results)]
+    for i in range(len(results[0][1].controllers)):
+        _write_csv(
+            out / ("plot_compare.csv" if i == 0 else f"plot_compare_s{i + 1}.csv"), header,
+            ((t, recs[0].source_rate, *(rec.total for rec in recs))
+             for t, recs in enumerate(zip(*(r.controllers[i].log for _, r in results)), 1)),
+        )

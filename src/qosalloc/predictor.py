@@ -34,12 +34,25 @@ with this module's float operations in this module's order, so its entries
 equal the computed weights bit for bit. The underflow fallback is the same
 in both.
 
-Every predictor the search accepts has two methods: predict_batch(xs,
-profile) for arbitrary candidates, and predict_grid(grid, rows, profile),
-which predicts grid.points()[rows]. GrnnPredictor.predict_grid is where the
-choice between the table and the computed path is made, so the search never
-needs to know which predictor it holds. The single-point form is the
-module-level predict().
+Every predictor the search accepts has three methods: predict_batch(xs,
+profile) for arbitrary candidates; predict_grid(grid, rows, profile), which
+predicts grid.points()[rows]; and predict_bounds(grid, profile), which
+gives an interval [lo, hi] per grid point that holds the y* predict_grid
+would give there. GrnnPredictor.predict_grid is where the choice between
+the table and the computed path is made, so the search never needs to know
+which predictor it holds. The single-point form is the module-level
+predict().
+
+GrnnPredictor.predict_bounds screens the whole grid at once. The Gaussian
+kernel factors over links, exp(-sum_j d_j / sigma2) = prod_j exp(-d_j /
+sigma2), so with one (C_j + 1, S) factor K_j[c, i] = exp(-(c * step -
+a_ij)**2 / sigma2) per link, numerator and denominator of y* on the whole
+grid are one matrix product of the left links' factor (with and without
+the responses) and the right links' factor. That estimate is not bit-exact:
+its rounding differs from predict_batch's. Its interval is y* +- tol with
+tol = _SCREEN_TOL * L, valid wherever the screened kernel sum is at least
+_SCREEN_MIN_SUM; elsewhere it is (-inf, inf). The derivation is in
+GrnnPredictor.predict_bounds.
 """
 
 from __future__ import annotations
@@ -58,6 +71,17 @@ if TYPE_CHECKING:  # pragma: no cover
 #: one grid step times sqrt(n), squared, scaled so several neighbors stay
 #: influential on a 1.25-Mbps grid.
 DEFAULT_SIGMA2 = 200.0
+
+#: Half-width of GrnnPredictor.predict_bounds' interval per response level:
+#: the interval is the screened y* +- _SCREEN_TOL * L. The error it covers is
+#: below _SCREEN_TOL * L / 1000 for up to 8 links and 2^20 records; see
+#: predict_bounds.
+_SCREEN_TOL = 2.0**-20
+
+#: Smallest screened kernel sum whose interval predict_bounds trusts; where
+#: the sum is smaller, weights near underflow could dominate it, and the
+#: interval is (-inf, inf).
+_SCREEN_MIN_SUM = 2.0**-900
 
 
 class EmptyProfileError(ValueError):
@@ -339,3 +363,95 @@ class GrnnPredictor:
         table, offsets = lattice
         return lattice_batch(table, offsets[rows], bases, profile,
                              lambda fallback: grid.points()[rows][fallback].T)
+
+    def predict_bounds(self, grid: "SearchGrid", profile: "Profile"
+                       ) -> tuple[np.ndarray, np.ndarray]:
+        """An interval [lo, hi] per grid point that holds predict_grid's y* there.
+
+        Both arrays have shape (grid.size,), row-major. The screen builds
+        each link's factor K_j[c, i] = exp((c * step - a_ij)**2 / -sigma2),
+        multiplies the factors of links 1..n-1 into one (M, S) factor F
+        with M = prod_{j>=1} (C_j + 1) (625 on the 3-link stress grid), and
+        makes one matrix product, vstack([K_0, K_0 * r]) @ F.T, whose two
+        halves are the kernel sum and the weighted response sum at every
+        grid point, row-major. Their ratio y is the screened y*, and the
+        interval is y +- tol with tol = _SCREEN_TOL * L; where the screened
+        kernel sum is below _SCREEN_MIN_SUM (tau) it is (-inf, inf).
+
+        Why |y - y*| <= tol where the kernel sum is at least tau. Let u =
+        2^-53, gamma_k = k u / (1 - k u), w_i = exp(-t_i) the true weight
+        of record i (t_i its true distance over sigma2), D = sum_i w_i, N =
+        sum_i r_i w_i, and y_true = N / D; responses r_i lie in [1, L]. Assume
+        np.exp is within 4 ulps: a relative 8u on normal results, 2^-1072
+        absolute on subnormal ones.
+        - Each path computes every weight from the same grid coordinates
+          and records. predict_batch (and the kernel table, which equals it)
+          rounds the argument of exp by a relative gamma_{n+3} (subtraction,
+          square, n - 1 link additions, division); the screen rounds each
+          link's argument by gamma_4, so the sum of its argument errors is
+          at most gamma_4 * t_i. Only weights with t_i <= 746 survive
+          underflow, so each computed weight is w_i (1 + rho_i) + eta_i with
+          |rho_i| <= exp(746 gamma_{n+3}) - 1 + 9u (exact path; the extra u
+          is the product with r_i) or exp(746 gamma_4) - 1 + (9n + 1) u
+          (screen: n exps, n - 1 link products, one product with r_i, one
+          in the matrix product), and |eta_i| <= 2^-1060 covers subnormal
+          and underflowed weights and products.
+        - Both paths add the same S non-negative terms, in order or in any
+          order the BLAS picks; either way the sum is off by at most
+          gamma_{S+1} of itself. So each path's sums are N_p = sum r_i w_i
+          (1 + psi_i) + zeta_N and D_p = sum w_i (1 + phi_i) + zeta_D with
+          |psi_i|, |phi_i| <= eps_p = rho_p + gamma_{S+1} (to first order),
+          |zeta_D| <= S eta and |zeta_N| <= L S eta.
+        - Since sum (r_i - y_true) w_i = 0, N_p - y_true D_p = sum w_i (r_i
+          psi_i - y_true phi_i) + zeta_N - y_true zeta_D, so |N_p / D_p -
+          y_true| <= 2 L (eps_p D + S eta) / D_p, and the final division
+          adds at most L u.
+        - A screened sum D_s >= tau gives D >= (tau - S eta) / (1 + eps_s)
+          and D_e >= D (1 - eps_e) - S eta, both within a hair of tau, so
+          |y - y*| <= 2 L (eps_s + eps_e) (1 + 1e-6) + 2 L u + 8 L S eta / tau.
+        With tau = 2^-900, the last term is S 2^-157 L, below 2^-130 L for
+        S < 2^27 records. For n <= 8 links and S <= 2^20 records, eps_s +
+        eps_e <= 746 * 15 u + 100 u + 2 gamma_{S+1} < 2.4e-10, so the bound
+        is below 4.8e-10 L, about tol / 1990 with tol = 2^-20 L; at S =
+        1000 and n = 4 it is about 2.3e-12 L, tol / 4e5. The largest
+        deviation measured was 4.3e-15 L, over 400 random cases of 1-4
+        links and 1-600 records.
+
+        Where D_s < tau the interval is infinite, so those points are
+        always predicted exactly; that includes every point where
+        predict_batch's sum underflows to 0 and y* falls back to the
+        nearest record. The screen works for any records, on the lattice
+        or not. It costs exp on sum_j (C_j + 1) S entries, about M S
+        products and one (2 (C_0 + 1), S) by (S, M) matrix product, and
+        holds about 8 S (2 C_0 + 2 + M) + 16 size bytes.
+        """
+        if profile.size == 0:
+            raise EmptyProfileError("cannot screen against an empty profile")
+        allocs = profile.allocation_matrix()
+        if allocs.shape[1] != grid.link_count:
+            raise ValueError(
+                f"grid has {grid.link_count} links but records have {allocs.shape[1]}"
+            )
+        factors = []
+        for j, c in enumerate(grid.steps_per_link):
+            k_j = np.subtract.outer(np.arange(c + 1) * grid.step, allocs[:, j])
+            np.square(k_j, out=k_j)
+            np.divide(k_j, -self.kernel.sigma2, out=k_j)
+            np.exp(k_j, out=k_j)
+            factors.append(k_j)
+        k_0 = factors[0]
+        # F[(c_1, ..., c_{n-1}), i] = prod_{j>=1} K_j[c_j, i], rows row-major
+        f = factors[1] if len(factors) > 1 else np.ones((1, profile.size))
+        for k_j in factors[2:]:
+            f = (f[:, None, :] * k_j[None, :, :]).reshape(-1, profile.size)
+        out = np.vstack([k_0, k_0 * profile.response_vector()]) @ f.T
+        den, y = out[:len(k_0)].reshape(-1), out[len(k_0):].reshape(-1)
+        lost = ~(den >= _SCREEN_MIN_SUM)
+        np.divide(y, den, out=y, where=~lost)
+        tol = _SCREEN_TOL * profile.level_count
+        lo = np.subtract(y, tol, out=den)
+        hi = np.add(y, tol, out=y)
+        lo[lost] = -np.inf
+        hi[lost] = np.inf
+        return lo, hi
+

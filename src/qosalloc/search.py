@@ -7,28 +7,45 @@ y* >= target - 1/2. Among members the search returns the allocation with
 the smallest total bandwidth, breaking ties by highest y* and then by
 lexicographically smallest allocation, so results are deterministic.
 
-The grid is evaluated in blocks of whole total-bandwidth layers, in
-increasing total, and the search stops after the first block that holds a
-member: that block contains the whole cheapest member layer, so the
-tie-breaks see every candidate, and points in later blocks are never
-predicted. Each block holds at least _BLOCK_MIN points, and every block but
-the last at least as many as all earlier blocks together, so block sizes
-roughly double and a grid under 2 * _BLOCK_MIN points is one block,
-evaluated as before in a single predictor call. The minimum sits above the
-point where a predictor call's fixed per-record cost stops dominating its
-per-point cost. A search with no member evaluates every block, which costs
-up to ceil(log2(size / _BLOCK_MIN)) extra predictor calls over one
-whole-grid call.
+The search screens the grid before it predicts it. A predictor's
+predict_bounds(grid, profile) gives every grid point an interval [lo, hi]
+that holds the exact y* predict_grid would give there, and only the
+points the interval cannot decide are predicted exactly: those whose hi
+reaches the threshold, up to the cheapest layer holding a point whose lo
+reaches it (a sure member). The kernel-regression predictor's interval is
+an estimate of y* from one matrix product over the separable kernel,
++- 2^-20 L, and is infinite where the estimated kernel sum nears
+underflow; the predictor module derives that tolerance. The kNN
+predictor's interval is the profile's [min, max] response. Every value a
+decision reads still comes from predict_grid, so the result is bit for
+bit the one a whole-grid prediction gives. On the 3-link 25,625-point
+grid of the stress benchmark a search predicts 10 to 16 points exactly on
+average, where it predicted about half the grid before.
 
-The search knows a predictor only through predict_grid(grid, rows,
-profile), which predicts grid.points()[rows] for one block; see the
-predictor module for the protocol. The kernel-regression predictor usually
-reads a block's kernel weights from a table instead of computing them.
-When every profile record is a grid point, the weight between grid point c
-and record r depends only on the step-count offset c - r, so one table per
-(grid, sigma2) of prod_j (2 C_j + 1) entries holds them all: 3,969 entries
-(31 KB) on the 2-link reference grid, 194,481 (1.56 MB) on the 3-link
-25,625-point grid. SearchGrid.kernel_table builds it with predict_batch's
+The candidates are evaluated in blocks of whole total-bandwidth layers,
+in increasing total, and the search stops after the first block that
+holds a member: that block contains every candidate of the cheapest member
+layer, so the tie-breaks see every member of it, and points in later
+blocks are never predicted. Each block holds at least _BLOCK_MIN points,
+and every block but the last at least as many as all earlier blocks
+together, so block sizes roughly double and fewer than 2 * _BLOCK_MIN
+candidates are one block, evaluated in a single predictor call. The
+minimum sits above the point where a predictor call's fixed per-record
+cost stops dominating its per-point cost. grid.blocks() is the same rule
+over the whole grid, which is what a search evaluates when the interval
+rules out no point. When no candidate is a member, the search predicts,
+in one more call, every remaining point whose hi reaches the largest lo,
+since only those can hold the highest y*.
+
+The search knows a predictor only through predict_bounds(grid, profile)
+and predict_grid(grid, rows, profile), which predicts grid.points()[rows]
+for one block; see the predictor module for the protocol. The
+kernel-regression predictor usually reads a block's kernel weights from a
+table instead of computing them. When every profile record is a grid
+point, the weight between grid point c and record r depends only on the
+step-count offset c - r, so one table per (grid, sigma2) of
+prod_j (2 C_j + 1) entries holds them all: 3,969 entries (31 KB) on the
+2-link reference grid, 194,481 (1.56 MB) on the 3-link 25,625-point grid. SearchGrid.kernel_table builds it with predict_batch's
 float operations in predict_batch's order and caches it on the grid, and
 the shared accumulation loop in the predictor gathers from it, so every
 output bit is the one predict_batch gives. The table needs a grid that
@@ -133,6 +150,10 @@ class SearchGrid:
         """Grid allocations in Mbps, shape (size, n), row-major; read-only."""
         return self._points
 
+    def totals(self) -> np.ndarray:
+        """Total step count of every grid point, shape (size,); built once, read-only."""
+        return self._totals
+
     def by_total_order(self) -> np.ndarray:
         """Row indices sorted by total step count, row-major within a total.
 
@@ -144,12 +165,13 @@ class SearchGrid:
     def blocks(self) -> tuple[np.ndarray | slice, ...]:
         """The grid split into evaluation blocks, as row indices per block.
 
-        Blocks hold whole total-step layers and come in increasing total;
-        each indexes the row-major grid. Each block holds at least
-        _BLOCK_MIN points and every block but the last at least as many as
-        all earlier blocks together. A grid that forms one block yields
-        (slice(None),). Built on first use; the arrays are read-only views
-        of by_total_order().
+        These are the blocks a search predicts when every point is a
+        candidate. Blocks hold whole total-step layers and come in
+        increasing total; each indexes the row-major grid. Each block holds
+        at least _BLOCK_MIN points and every block but the last at least as
+        many as all earlier blocks together. A grid that forms one block
+        yields (slice(None),). Built on first use; the arrays are read-only
+        views of by_total_order().
         """
         return self._blocks
 
@@ -243,28 +265,22 @@ class SearchGrid:
         return points
 
     @functools.cached_property
+    def _totals(self) -> np.ndarray:
+        totals = self._counts.sum(axis=1)
+        totals.flags.writeable = False
+        return totals
+
+    @functools.cached_property
     def _by_total(self) -> np.ndarray:
-        order = np.argsort(self._counts.sum(axis=1), kind="stable")
+        order = np.argsort(self._totals, kind="stable")
         order.flags.writeable = False
         return order
 
     @functools.cached_property
     def _blocks(self) -> tuple[np.ndarray | slice, ...]:
-        whole = (slice(None),)
-        size = self.size
-        if size < 2 * _BLOCK_MIN:
-            return whole
         order = self.by_total_order()
-        totals = self._counts.sum(axis=1)[order]
-        bounds = [0]
-        for end in (np.flatnonzero(np.diff(totals)) + 1).tolist():
-            lo = bounds[-1]
-            if end - lo >= max(_BLOCK_MIN, lo) and size - end >= _BLOCK_MIN:
-                bounds.append(end)
-        if len(bounds) == 1:
-            return whole
-        bounds.append(size)
-        return tuple(order[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]))
+        blocks = _layer_blocks(order, self._totals[order])
+        return (slice(None),) if len(blocks) == 1 else blocks
 
     @functools.cached_property
     def _table_strides(self) -> np.ndarray:
@@ -375,23 +391,56 @@ def membership_c_form(
     return c1, c2, c3, bool(c1 + c2 >= c3)
 
 
+def _layer_blocks(rows: np.ndarray, totals: np.ndarray) -> tuple[np.ndarray, ...]:
+    """rows, sorted by total, split into blocks of whole layers; totals are theirs.
+
+    Each block holds at least _BLOCK_MIN rows and every block but the last
+    at least as many as all earlier blocks together, so fewer than
+    2 * _BLOCK_MIN rows are one block, and no rows are no block. Blocks
+    are views of rows.
+    """
+    size = len(rows)
+    if size < 2 * _BLOCK_MIN:
+        return (rows,) if size else ()
+    bounds = [0]
+    for end in (np.flatnonzero(np.diff(totals)) + 1).tolist():
+        lo = bounds[-1]
+        if end - lo >= max(_BLOCK_MIN, lo) and size - end >= _BLOCK_MIN:
+            bounds.append(end)
+    bounds.append(size)
+    return tuple(rows[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]))
+
+
 def search(grid: SearchGrid, profile: Profile, predictor, target: int) -> AllocationResult:
     """Search the grid for the cheapest allocation meeting target.
 
-    predictor is any object with predict_grid(grid, rows, profile), such
-    as GrnnPredictor or KnnPredictor. Ties on total bandwidth go to the
-    highest predicted y*, then to the lexicographically smallest
-    allocation. When no grid point is predicted feasible the result carries
-    feasible_found=False and the point with the highest y* (ties
-    lexicographic). An empty profile raises EmptyProfileError.
+    predictor is any object with predict_bounds(grid, profile) and
+    predict_grid(grid, rows, profile), such as GrnnPredictor or
+    KnnPredictor. Ties on total bandwidth go to the highest predicted y*,
+    then to the lexicographically smallest allocation. When no grid point
+    is predicted feasible the result carries feasible_found=False and the
+    point with the highest y* (ties lexicographic). An empty profile raises
+    EmptyProfileError.
 
-    The grid is predicted block by block (grid.blocks(), increasing total)
-    and the search stops after the first block holding a member; points
-    not predicted stay at y* = -inf and are never members. The result is
-    the one a whole-grid evaluation gives, because the predictor computes
-    each row independently of its batch. A search with no member predicts
-    every block: on a multi-block grid that is one predictor call per block
-    instead of one in all.
+    The search first screens the grid: predict_bounds gives an interval
+    [lo, hi] that holds each point's exact y*, and only the points the
+    interval cannot rule out are predicted exactly. With threshold =
+    target - 1/2, a point with lo >= threshold is surely a member; let
+    T_sure be the smallest total of such a point (infinite if none). The
+    candidates are the points with hi >= threshold and total <= T_sure:
+    every member of the cheapest member layer is among them, since that
+    layer's total is at most T_sure and a member has y* >= threshold. The
+    candidates are predicted in whole-layer blocks of increasing total
+    (the grid.blocks() rule applied to the candidate rows; all of
+    grid.blocks() when every point is a candidate), and the search stops
+    after the first block holding a member, which holds every member of
+    its cheapest layer for the tie-breaks. With no member among the
+    candidates there is none on the grid; the search then also predicts
+    every point not yet predicted with hi >= max(lo), since no other point
+    can reach the highest y*, and takes the highest y*. Every value a
+    decision reads comes from predict_grid, which predicts each row
+    independently of its batch, so the result is the one an exact
+    prediction of the whole grid gives.
     """
     if profile.size == 0:
         raise EmptyProfileError("cannot search against an empty profile")
@@ -399,38 +448,42 @@ def search(grid: SearchGrid, profile: Profile, predictor, target: int) -> Alloca
         raise ValueError(
             f"grid has {grid.link_count} links but profile has {profile.link_count}"
         )
-    counts = grid.counts()
     threshold = target - 0.5
-    blocks = grid.blocks()
-    if len(blocks) == 1:
-        y_star, kernel_sum = predictor.predict_grid(grid, blocks[0], profile)
+    lo, hi = predictor.predict_bounds(grid, profile)
+    totals = grid.totals()
+    order = grid.by_total_order()
+    sure = totals[lo >= threshold]
+    candidate = hi >= threshold
+    if sure.size:
+        candidate &= totals <= sure.min()
+    rows = order[candidate[order]]
+    blocks = grid.blocks() if len(rows) == len(totals) else _layer_blocks(rows, totals[rows])
+    predicted = []  # (rows, y*, kernel sums) of every predicted block
+    for block in blocks:
+        y_star, kernel_sum = predictor.predict_grid(grid, block, profile)
+        block = np.arange(len(totals))[block] if isinstance(block, slice) else block
+        predicted.append((block, y_star, kernel_sum))
+        members = y_star >= threshold
+        if members.any():
+            block_totals = totals[block]
+            best = members & (block_totals == block_totals[members].min())
+            best &= y_star == y_star[best].max()
+            feasible = True
+            break
     else:
-        y_star = np.full(grid.size, -np.inf)
-        kernel_sum = np.zeros(grid.size)
-        for rows in blocks:
-            block_y, block_sum = predictor.predict_grid(grid, rows, profile)
-            y_star[rows] = block_y
-            kernel_sum[rows] = block_sum
-            if (block_y >= threshold).any():
-                break
-    members = y_star >= threshold
-    if members.any():
-        total_c = counts.sum(axis=1)
-        best_total = total_c[members].min()
-        cand = members & (total_c == best_total)
-        best_y = y_star[cand].max()
-        cand &= y_star == best_y
-        idx = int(np.argmax(cand))  # first hit = lexicographically smallest
-        feasible = True
-    else:
-        idx = int(np.argmax(y_star))
+        extra = np.flatnonzero((hi >= lo.max()) & ~candidate)
+        if extra.size:
+            predicted.append((extra, *predictor.predict_grid(grid, extra, profile)))
+        block, y_star, kernel_sum = (np.concatenate(parts) for parts in zip(*predicted))
+        best = y_star == y_star.max()
         feasible = False
-    point = counts[idx] * grid.step  # row idx of points()
-    ys = float(y_star[idx])
+    k = np.flatnonzero(best)[np.argmin(block[best])]  # ties: the lowest row
+    point = grid.counts()[block[k]] * grid.step
+    ys = float(y_star[k])
     return AllocationResult(
         allocation=tuple(float(v) for v in point),
         total=float(point.sum()),
         prediction=Prediction(y_star=ys, y_hat=round_response(ys, profile.level_count),
-                              kernel_sum=float(kernel_sum[idx])),
+                              kernel_sum=float(kernel_sum[k])),
         feasible_found=feasible,
     )

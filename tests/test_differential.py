@@ -6,7 +6,9 @@ ranks; ComputedGrnn and ComputedKnn always call predict_batch, and their
 runs search each grid as one block. Whole seeded closed loops, with ERAB
 noise, background traces and shared links, must make the same decisions
 bit for bit and leave byte-identical profiles whether a table, small blocks
-or both serve the search.
+or both serve the search. UnscreenedGrnn's interval rules out no grid point,
+so its searches predict the whole grid block by block, as a search did
+before the screen; the screened GrnnPredictor must make the same loops.
 """
 
 from __future__ import annotations
@@ -35,6 +37,13 @@ class ComputedGrnn(GrnnPredictor):
 
     def predict_grid(self, grid, rows, profile):
         return predict_batch(grid.points()[rows], profile, self.kernel)
+
+
+class UnscreenedGrnn(GrnnPredictor):
+    """GrnnPredictor whose interval is (-inf, inf): the search screens nothing."""
+
+    def predict_bounds(self, grid, profile):
+        return np.full(grid.size, -np.inf), np.full(grid.size, np.inf)
 
 
 class ComputedKnn(KnnPredictor):
@@ -125,3 +134,24 @@ def test_knn_ranks_and_computed_paths_run_identical_loops(seed, monkeypatch):
     if seed % 4 != 3:
         assert served.count(True) >= EPOCHS
     assert ranked == computed
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_screened_and_unscreened_searches_run_identical_loops(seed, monkeypatch):
+    predicted = []
+
+    def counting_lattice(table, offsets, *args):
+        predicted.append(len(offsets))
+        return lattice_batch(table, offsets, *args)
+
+    monkeypatch.setattr(predictor_module, "lattice_batch", counting_lattice)
+    if seed % 2:  # small blocks: both runs predict index-array rows, block by block
+        monkeypatch.setattr(search_module, "_BLOCK_MIN", 16)
+    unscreened = run_loop(seed, lambda config: UnscreenedGrnn(config.kernel))
+    whole = sum(predicted)
+    predicted.clear()
+    screened = run_loop(seed, lambda config: GrnnPredictor(config.kernel))
+    if seed % 4 != 3:
+        assert len(predicted) >= EPOCHS
+        assert sum(predicted) < whole
+    assert screened == unscreened

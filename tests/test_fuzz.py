@@ -143,6 +143,8 @@ def test_load_scenario_raises_only_config_error(tmp_path, data):
     if config.seed.file is None:
         assert config.seed.records >= 1
         assert math.isfinite(config.seed.nominal_rate) and config.seed.nominal_rate >= 0.0
+        assert config.seed.records <= config.to_qos_config().grid.size
+        assert not config.predictor.bounded or config.seed.records <= config.capacity
 
 
 @pytest.mark.parametrize("field", ["rate_trace", "background_trace"])

@@ -230,6 +230,15 @@ class TestScenarioFileIO:
          "thresholds must be finite"),
         (lambda doc: doc["thresholds"].__setitem__(10, float("inf")),
          "thresholds must be finite"),
+        (lambda doc: doc["seed_profile"].update(records=9),
+         "seed.records=9 exceeds the profile capacity 8"),
+        (lambda doc: doc["seed_profile"].update(records=1000000), r"seed.records=1000000 exceeds"),
+        (lambda doc: (doc["predictor"].update(kind="grnn_unbounded"),
+                      doc["seed_profile"].update(records=78)),
+         "seed.records=78 exceeds the 77 grid points"),
+        (lambda doc: (doc["predictor"].update(kind="knn"),
+                      doc["seed_profile"].update(records=1000000)),
+         "seed.records=1000000 exceeds the 77 grid points"),
     ], ids=["grid_without_step", "grid_not_object", "links_not_objects", "nan_capacity",
             "null_thresholds", "infinite_run_length", "services_not_objects",
             "inline_row_not_list", "nan_rate", "negative_rate", "seed_profile_not_object",
@@ -238,7 +247,8 @@ class TestScenarioFileIO:
             "capacity_fraction", "run_length_bool", "rng_seed_string", "negative_rng_seed",
             "zero_records", "nan_nominal_rate", "inf_nominal_rate", "minus_inf_nominal_rate",
             "negative_nominal_rate", "all_nan_thresholds", "one_nan_threshold",
-            "inf_threshold"])
+            "inf_threshold", "records_above_capacity", "million_records",
+            "unbounded_records_above_grid", "knn_records_above_grid"])
     def test_malformed_field_is_a_config_error(self, tmp_path, capsys, edit, field):
         path = tmp_path / "scenario.json"
         dump_scenario(small_scenario(), path)
@@ -443,8 +453,9 @@ class TestComparePredictors:
     def test_timing_sidecars_format(self, tmp_path):
         config = small_scenario(qos_levels=(1, 3), rates=((40.0,) * 6, (10.0,) * 6))
         run_scenario(config, out_dir=tmp_path / "run")
-        compare_predictors(config, [Variant(PredictorKind("grnn_bounded"), 6),
-                                    Variant(PredictorKind("knn", 3))], out_dir=tmp_path / "cmp")
+        results = compare_predictors(config, [Variant(PredictorKind("grnn_bounded"), 6),
+                                              Variant(PredictorKind("knn", 3))],
+                                     out_dir=tmp_path / "cmp")
         timings = [r.split(",") for r in (tmp_path / "run/timings.csv").read_text().splitlines()]
         labels = ["initial", *(f"epoch_{t}" for t in range(1, 7)), "final_median"]
         assert timings[0] == ["service", "label", "ms"]
@@ -456,6 +467,18 @@ class TestComparePredictors:
             [v, s] for v in ("grnn_bounded_S6", "knn_k3") for s in ("1", "2")]
         for ms in [float(r[2]) for r in timings[1:]] + [float(r[2]) for r in final[1:]]:
             assert math.isfinite(ms) and ms >= 0.0
+        # each service's totals per variant, service 2 in its own plot file
+        plots = [[r.split(",") for r in (tmp_path / "cmp" / name).read_text().splitlines()]
+                 for name in ("plot_compare.csv", "plot_compare_s2.csv")]
+        assert not (tmp_path / "cmp/plot_compare_s3.csv").exists()
+        for s, plot in enumerate(plots):
+            assert plot[0] == ["epoch", "source_rate_mbps", "total_grnn_bounded_S6_mbps",
+                               "total_knn_k3_mbps"]
+            logs = [result.controllers[s].log for _, result in results]
+            assert [[float(v) for v in row[1:]] for row in plot[1:]] == [
+                [grnn.source_rate, grnn.total, knn.total] for grnn, knn in zip(*logs)]
+            assert [row[0] for row in plot[1:]] == [str(t) for t in range(1, 7)]
+        assert plots[0][1:] != plots[1][1:]
 
     def test_empty_variant_list_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="at least one variant"):

@@ -14,6 +14,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qosalloc.baselines import KnnPredictor
 from qosalloc.predictor import (
@@ -64,11 +66,18 @@ def full_grid_search(grid, profile, predictor, target):
 
 
 class SpyPredictor:
-    """Wraps a predictor and keeps the grid rows of every block it was asked for."""
+    """Wraps a predictor and keeps the grid rows of every block it was asked for.
+
+    Its interval is (-inf, inf) everywhere, so the screen rules out no
+    point and the search predicts the grid in grid.blocks().
+    """
 
     def __init__(self, inner):
         self.inner = inner
         self.batches = []
+
+    def predict_bounds(self, grid, profile):
+        return np.full(grid.size, -np.inf), np.full(grid.size, np.inf)
 
     def predict_grid(self, grid, rows, profile):
         self.batches.append(np.arange(grid.size)[rows])
@@ -600,14 +609,20 @@ class TestKernelTable:
                 if trial % 3 == 0:  # every record below target: no member anywhere
                     records = [(a, min(r, 6)) for a, r in records]
                 profile = Profile(grid.link_count, 12, None, records)
-                before = len(spy.calls)
                 for target in (2, 7, 11):
+                    before = len(spy.calls)
                     result = search(grid, profile, predictor, target)
                     assert result == full_grid_search(grid, profile, predictor, target)
-                assert len(spy.calls) == before + 3
+                    # every grid here has fewer than 2 * _BLOCK_MIN points, so its
+                    # candidates are one block: one table call for them, plus one
+                    # for the no-member phase
+                    calls = spy.calls[before:]
+                    assert 1 <= len(calls) <= 1 + (not result.feasible_found)
+                    assert all(calls)
+                after = len(spy.calls)
                 knn = KnnPredictor(int(rng.integers(1, profile.size + 1)))
                 assert search(grid, profile, knn, 7) == full_grid_search(grid, profile, knn, 7)
-                assert len(spy.calls) == before + 3
+                assert len(spy.calls) == after
 
     @pytest.mark.parametrize("stray", [(1.3, 2.5), (0.0, 31.25), (51.25, 0.0)],
                              ids=["off_lattice", "outside_box", "beyond_max"])
@@ -637,12 +652,20 @@ class TestKernelTable:
                                          for r in profile.records])
         result = search(grid, negative, predictor, 9)
         assert not result.feasible_found
-        assert spy.calls == [len(rows) for rows in grid.blocks()]
+        # every response is at most 6, so no interval reaches 8.5 and no point
+        # is a candidate: the one table call is the no-member phase's, over
+        # fewer rows than the whole grid
+        assert len(spy.calls) == 1
+        assert 0 < spy.calls[0] < grid.size
         assert result == full_grid_search(grid, negative, predictor, 9)
-        spy.calls.clear()
-        result = search(grid, profile, predictor, 12)
-        assert result == full_grid_search(grid, profile, predictor, 12)
-        assert len(spy.calls) >= 1
+        for target in (2, 12):
+            spy.calls.clear()
+            result = search(grid, profile, predictor, target)
+            assert result == full_grid_search(grid, profile, predictor, target)
+            assert result.feasible_found
+            # the candidates are fewer than 2 * _BLOCK_MIN: one block, one call
+            assert len(spy.calls) == 1
+            assert 0 < spy.calls[0] < search_module._BLOCK_MIN
 
     def test_empty_profile_still_raises(self):
         with pytest.raises(EmptyProfileError):
@@ -680,3 +703,115 @@ class TestDistanceRanks:
         monkeypatch.setattr(search_module, "_TABLE_MAX", 41**2)
         assert SearchGrid(1.25, (50.0,)).distance_ranks() is not None
         assert SearchGrid(1.25, (50.0, 25.0)).distance_ranks() is None
+
+
+# most step counts per link in the screen's property tests, by link count
+SCREEN_MAX_STEPS = {1: 40, 2: 12, 3: 5, 4: 3}
+
+
+@st.composite
+def screen_cases(draw):
+    """A grid, a kernel and a profile of 1-600 records, on the lattice or off it.
+
+    Steps 0.5 and 1.25 pass the kernel table's exactness check, 0.7 does
+    not. Responses are uniform in a drawn level range or rise with the
+    record's total; a bounded profile is filled to capacity and then
+    updated past it, so its slot order is not its insertion order.
+    """
+    n = draw(st.integers(1, 4))
+    step = draw(st.sampled_from([0.5, 0.7, 1.25]))
+    steps = np.array([draw(st.integers(0, SCREEN_MAX_STEPS[n])) for _ in range(n)])
+    grid = SearchGrid(step, tuple(float(c) * step for c in steps))
+    kernel = KernelParams(10.0 ** draw(st.floats(-6.0, 4.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = draw(st.integers(1, 600))
+    allocs = rng.integers(0, steps + 1, size=(p, n)) * step
+    placement = draw(st.sampled_from(["lattice", "off_lattice", "mixed"]))
+    if placement != "lattice":
+        stray = rng.uniform(0.0, 1.2, size=(p, n)) * (steps + 1) * step
+        keep = rng.random(p) < 0.8 if placement == "mixed" else np.zeros(p, dtype=bool)
+        allocs = np.where(keep[:, None], allocs, stray)
+    if draw(st.booleans()):
+        low = draw(st.integers(1, 12))
+        responses = rng.integers(low, draw(st.integers(low, 12)) + 1, size=p)
+    else:
+        scale = max(1.0, float(steps.sum()) * step)
+        responses = np.clip(np.rint(allocs.sum(axis=1) / scale * 11) + 1, 1, 12)
+    records = [(tuple(a), int(r)) for a, r in zip(allocs.tolist(), responses.tolist())]
+    if draw(st.booleans()):  # bounded
+        extra = draw(st.integers(0, min(8, p - 1)))
+        profile = Profile(n, 12, p - extra, records[:p - extra])
+        for alloc, response in records[p - extra:]:
+            profile.update(alloc, response, target=7)
+    else:
+        profile = Profile(n, 12, None, records)
+    return grid, kernel, profile
+
+
+SCREEN_SETTINGS = settings(max_examples=120, deadline=None,
+                           suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestScreen:
+    @SCREEN_SETTINGS
+    @given(screen_cases())
+    def test_interval_holds_the_exact_y_star(self, case):
+        grid, kernel, profile = case
+        predictor = GrnnPredictor(kernel)
+        lo, hi = predictor.predict_bounds(grid, profile)
+        assert lo.shape == hi.shape == (grid.size,)
+        y_star, kernel_sum = predictor.predict_grid(grid, slice(None), profile)
+        assert np.all((lo <= y_star) & (y_star <= hi))
+        finite = np.isfinite(lo)
+        assert np.array_equal(finite, np.isfinite(hi))
+        # the interval is infinite wherever the exact kernel sum underflows
+        assert np.all(kernel_sum[finite] > 0.0)
+        tol = predictor_module._SCREEN_TOL * profile.level_count
+        # the screened y* sits far inside the interval: the error bound has a
+        # margin of 1000x below tol
+        middle = (lo[finite] + hi[finite]) / 2
+        assert np.all(np.abs(middle - y_star[finite]) < 1e-3 * tol)
+        knn_lo, knn_hi = KnnPredictor(1).predict_bounds(grid, profile)
+        responses = profile.response_vector()
+        assert np.all(knn_lo == responses.min()) and np.all(knn_hi == responses.max())
+
+    @SCREEN_SETTINGS
+    @given(screen_cases(), st.integers(1, 600))
+    def test_screened_search_equals_whole_grid(self, case, k):
+        grid, kernel, profile = case
+        knn = KnnPredictor(min(k, profile.size))
+        for predictor in (GrnnPredictor(kernel), knn):
+            for target in (2, 7, 11):
+                expected = full_grid_search(grid, profile, predictor, target)
+                assert search(grid, profile, predictor, target) == expected
+
+    def test_interval_is_infinite_only_where_the_kernel_sum_is_tiny(self):
+        grid = SearchGrid(1.25, (50.0, 30.0))
+        records = [((10.0, 5.0), 3), ((40.0, 25.0), 9)]
+        profile = Profile(2, 12, None, records)
+        # at sigma2 = 1e-6 a record's weight one step away is exp(-1.5625e6) = 0
+        lo, hi = GrnnPredictor(KernelParams(1e-6)).predict_bounds(grid, profile)
+        finite = np.flatnonzero(np.isfinite(lo))
+        on_records = np.flatnonzero((grid.points() == (10.0, 5.0)).all(axis=1)
+                                    | (grid.points() == (40.0, 25.0)).all(axis=1))
+        np.testing.assert_array_equal(finite, on_records)
+        assert np.all(lo[~np.isfinite(lo)] == -np.inf) and np.all(hi[~np.isfinite(hi)] == np.inf)
+        # at sigma2 = 200 every point keeps weight, and y* lies between the levels
+        lo, hi = GrnnPredictor(KernelParams(200.0)).predict_bounds(grid, profile)
+        assert np.all(np.isfinite(lo)) and np.all(lo > 2.9) and np.all(hi < 9.1)
+
+    @pytest.mark.parametrize("predictor", [GrnnPredictor(), KnnPredictor(1)], ids=["grnn", "knn"])
+    def test_bounds_reject_an_empty_profile(self, predictor):
+        with pytest.raises(EmptyProfileError):
+            predictor.predict_bounds(SearchGrid(1.25, (5.0, 5.0)), Profile(2, 12, None))
+
+    def test_grnn_bounds_reject_another_link_count(self):
+        profile = Profile(1, 12, None, [((0.0,), 3)])
+        with pytest.raises(ValueError, match="grid has 2 links but records have 1"):
+            GrnnPredictor().predict_bounds(SearchGrid(1.25, (5.0, 5.0)), profile)
+
+    def test_totals_cached_read_only(self):
+        grid = SearchGrid(1.25, (50.0, 30.0))
+        totals = grid.totals()
+        assert totals is grid.totals() and not totals.flags.writeable
+        np.testing.assert_array_equal(totals, grid.counts().sum(axis=1))
