@@ -65,12 +65,13 @@ def cmd_compare(args) -> int:
     config = _load(args)
     variants = [parse_variant(tok) for tok in args.variants.split(",") if tok]
     results = compare_predictors(config, variants, out_dir=args.out)
-    width = max(len(label) for label, _ in results)
-    for label, result in results:
-        rep = result.reports[0]
+    rows = [(label, rep) for label, result in results for rep in result.reports]
+    width = max(len(label) for label, _ in rows)
+    for label, rep in rows:
         print(
-            f"{label:<{width}}  avg RAB {rep.avg_rab:6.2f}  avg DLR {rep.avg_dlr:6.2f}  "
-            f"BW var {rep.avg_bw_variation:6.2f}  search {rep.final_search_time_ms:8.3f} ms"
+            f"{label:<{width}}  service {rep.service}  avg RAB {rep.avg_rab:6.2f}  "
+            f"avg DLR {rep.avg_dlr:6.2f}  BW var {rep.avg_bw_variation:6.2f}  "
+            f"search {rep.final_search_time_ms:8.3f} ms"
         )
     print(f"outputs written to {args.out}")
     return 0

@@ -21,9 +21,9 @@ Reported metrics, averaged over all epochs of a run:
                      re-measured as a median over repeated evaluations of
                      that same final-state search so single-shot timer
                      jitter cannot invert comparisons. The repetitions are
-                     interleaved across every controller being compared,
-                     so a slow or fast spell of the machine shifts all of
-                     their samples alike.
+                     interleaved across the controllers being compared
+                     that share a predictor type, so a slow or fast spell
+                     of the machine shifts all of their samples alike.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from .baselines import GRNN_BOUNDED, KNN, KnnPredictor, PredictorKind
-from .controller import ConfigError, QosConfig, QosController, quantize
+from .controller import ConfigError, QosConfig, QosController
 from .netsim import LinkSpec, ServiceSpec, Simulator
 from .predictor import DEFAULT_SIGMA2, GrnnPredictor, KernelParams
 from .profile import Profile
@@ -475,7 +475,9 @@ def seed_profile_generate(
     one allocation is sampled per stratum, so records are distinct and
     cover the whole range. Each record's response is what quantization
     would yield for that allocation under the nominal source rate on
-    uncontended links.
+    uncontended links. All strata are drawn in one rng.integers call with
+    array bounds, which draws the same values as one call per stratum
+    (numpy 2.4).
     """
     if n_records < 1:
         raise ValueError(f"n_records must be >= 1, got {n_records}")
@@ -487,18 +489,16 @@ def seed_profile_generate(
         if isinstance(rng_seed, np.random.Generator)
         else np.random.default_rng(rng_seed)
     )
-    counts = grid.counts()
-    order = grid.by_total_order()
-    profile = Profile(grid.link_count, qos_config.level_count, capacity)
     size = grid.size
-    for k in range(n_records):
-        lo = (k * size) // n_records
-        hi = ((k + 1) * size) // n_records
-        pick = order[int(rng.integers(lo, hi))]
-        allocation = tuple(float(v) for v in counts[pick] * grid.step)
-        erab = float(sum(allocation)) - nominal_rate
-        profile.append(allocation, quantize(erab, qos_config))
-    return profile
+    strata = np.arange(n_records + 1) * size // n_records
+    picks = grid.by_total_order()[rng.integers(strata[:-1], strata[1:])]
+    allocs = grid.counts()[picks] * grid.step
+    # each total added link by link, as sum() over the allocation adds it
+    erab = np.add.accumulate(allocs, axis=1)[:, -1] - nominal_rate
+    responses = np.searchsorted(qos_config.thresholds, erab, side="left") + 1
+    # grid points with levels in [1, L]: valid records by construction
+    return Profile._from_arrays(grid.link_count, qos_config.level_count, capacity,
+                                allocs, responses)
 
 
 # ---------------------------------------------------------------------------
@@ -545,16 +545,26 @@ def _measure_final_search_ms(
 ) -> list[float]:
     """Median wall-clock of each controller's final-state search.
 
-    Each round times every controller once, in order, so the controllers'
-    samples are taken side by side rather than one block after another.
+    Controllers are timed in groups of one predictor type, one group after
+    another. Within a group each round times every controller once, in
+    order, so their samples are taken side by side rather than one block
+    after another. The kinds are not interleaved because a kNN search
+    slows the kernel-regression searches after it for up to about a
+    millisecond: three identical kernel-regression controllers timed in
+    rounds with a kNN one read 5-35 us apart by their place in the round,
+    and 2-5 us apart without it (2-vCPU Xeon).
     """
     times: list[list[float]] = [[] for _ in ctrls]
-    for _ in range(reps + 1):
-        for ctrl, samples in zip(ctrls, times):
-            t0 = time.perf_counter()
-            search(ctrl.config.grid, ctrl.profile, ctrl.predictor, ctrl.target)
-            samples.append((time.perf_counter() - t0) * 1e3)
-    # the first round is the warm-up
+    groups: dict[type, list] = {}
+    for ctrl, samples in zip(ctrls, times):
+        groups.setdefault(type(ctrl.predictor), []).append((ctrl, samples))
+    for group in groups.values():
+        for _ in range(reps + 1):
+            for ctrl, samples in group:
+                t0 = time.perf_counter()
+                search(ctrl.config.grid, ctrl.profile, ctrl.predictor, ctrl.target)
+                samples.append((time.perf_counter() - t0) * 1e3)
+    # each group's first round is the warm-up
     return [float(np.median(samples[1:])) for samples in times]
 
 
@@ -751,7 +761,8 @@ def compare_predictors(
     """Run each variant on the same traces and seed; one report row each.
 
     The final search times of all variants are measured together, after
-    the runs, with their repetitions interleaved.
+    the runs, with the repetitions of variants of one predictor type
+    interleaved.
     """
     if not variants:
         raise ConfigError("need at least one variant to compare")

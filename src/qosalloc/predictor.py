@@ -19,11 +19,16 @@ predict_batch evaluates link-major and record-chunked: the candidates are
 transposed once into contiguous per-link columns, and the records are taken
 k at a time, so one chunk's (k, m) distances and weights cost a few
 whole-array ufunc calls instead of a few calls per record. The weights are
-then added to the running sums row by row, which keeps the left-to-right
-record order above; a reduction over the chunk's rows would not (numpy
-sums such a reduction pairwise when m is 1). Nearest-record bookkeeping,
-needed only where every weight underflows, runs lazily over just those
-rows.
+then added to the running sums in record order, which keeps the
+left-to-right order above; np.add.reduce over the chunk's rows would not
+(numpy sums such a reduction pairwise when m is 1). For up to
+_ACCUMULATE_MAX candidates one np.add.accumulate per chunk makes those
+additions, out[i] = out[i - 1] + in[i], down a buffer whose row 0 carries
+the sums so far; wider batches add the chunk's rows one at a time, where
+a strided accumulation would cost more than the per-row calls. Both make
+the same additions in the same order, so a row's bits do not depend on
+its batch. Nearest-record bookkeeping, needed only where every weight
+underflows, runs lazily over just those rows.
 
 lattice_batch runs the same accumulation loop, but reads each chunk's
 weights from a precomputed table (one np.take per chunk) instead of
@@ -154,8 +159,10 @@ def predict_batch(
     chunks of k = max(1, min(p, _CHUNK // m)); each chunk's (k, m) squared
     distances are summed link by link, link 0 first (the order a row-wise
     sum over links uses), and turned into weights by whole-chunk ufunc
-    calls. The chunk's rows are then added one at a time, because a
-    reduction over axis 0 may sum pairwise and so change the low bits. If
+    calls. The chunk's rows are then added in record order, by one
+    np.add.accumulate (m <= _ACCUMULATE_MAX) or one row at a time, never
+    by a reduction over axis 0, which may sum pairwise and so change the
+    low bits. If
     every weight underflows to zero at some row, y* falls back to the
     response of the nearest record (ties to the lowest record index) and
     the kernel sum reports 0.0; the nearest record is searched for those
@@ -210,6 +217,13 @@ def lattice_batch(
 _CHUNK = 2**15
 
 
+#: Widest batch whose sums run as one np.add.accumulate per chunk. Down the
+#: record axis the accumulation is strided, about 3.7 ns per weight, against
+#: about 0.8 us per row for the row loop (2 vCPU, numpy 2.4.6), so the two
+#: cross near m = 160-200 whatever the chunk length.
+_ACCUMULATE_MAX = 128
+
+
 def _chunk_records(p: int, m: int) -> int:
     """Records per chunk for m candidates: k = max(1, min(p, _CHUNK // m))."""
     return max(1, min(p, _CHUNK // m))
@@ -223,34 +237,58 @@ def _weighted_mean(profile: "Profile", m: int, operands: np.ndarray, weigh,
     of records, weigh(out, spare, chunk) writes their (count, m) weights
     into out (spare is scratch of the same shape), where chunk is the
     chunk's operands as (..., count, 1) views, or the record's operands as
-    Python numbers when k == 1. The rows are then added one record at a
-    time. columns(rows) gives the fallback rows' candidate columns.
+    Python numbers when k == 1. Each sum then adds the chunk's rows in
+    record order, starting from the previous chunk's sum: for m up to
+    _ACCUMULATE_MAX by one np.add.accumulate over the chunk below a carry
+    row, for wider batches one row at a time. Both make the same float
+    additions in the same order. columns(rows) gives the fallback rows'
+    candidate columns.
     """
     responses = profile.response_vector()
-    num = np.zeros(m)
-    den = np.zeros(m)
-    k = _chunk_records(profile.size, m)
-    if k > 1:
-        # one block for both buffers: as two blocks, the allocator gave their
-        # pages back to the OS after each call and page-faulted them in again
-        w, spare = np.empty((2, k, m))
+    p = profile.size
+    k = _chunk_records(p, m)
+    chunks = zip(_chunked(operands, k), _chunked(responses.astype(float), k))
+    if m <= _ACCUMULATE_MAX:
+        # sums[0] holds weights and sums[1] r * weight below row 0, which
+        # carries each running sum (den, num) into the next chunk
+        sums = np.zeros((2, k + 1, m))
+        spare = np.empty((k, m))
+        for lo, (chunk, rate) in zip(range(0, p, k), chunks):
+            count = min(k, p - lo)
+            block = sums[:, :count + 1]
+            weights = block[0, 1:]
+            weigh(weights, spare[:count], chunk)
+            np.multiply(weights, rate, out=block[1, 1:])
+            # out[i] = out[i - 1] + in[i]: the row loop's additions, in order
+            np.add.accumulate(block, axis=1, out=block)
+            sums[:, 0] = block[:, count]
+        den, num = sums[0, 0].copy(), sums[1, 0]
     else:
-        # whole 1-D buffers: a slice per record costs more, and rows of one
-        # block ran about 5% slower at m=25,625
-        w, spare = np.empty(m), np.empty(m)
-    for chunk, rate in zip(_chunked(operands, k), _chunked(responses.astype(float), k)):
-        # w holds the weights, then r * weight
-        wc, sc = (w[:len(rate)], spare[:len(rate)]) if k > 1 else (w, spare)
-        weigh(wc, sc, chunk)
-        rows = wc if k > 1 else (wc,)
-        for row in rows:
-            den += row
-        wc *= rate
-        for row in rows:
-            num += row
-    y_star = num / np.where(den > 0.0, den, 1.0)
-    fallback = np.flatnonzero(~(den > 0.0))
-    if fallback.size:
+        num = np.zeros(m)
+        den = np.zeros(m)
+        if k > 1:
+            # one block for both buffers: as two blocks, the allocator gave
+            # their pages back to the OS after each call and page-faulted
+            # them in again
+            w, spare = np.empty((2, k, m))
+        else:
+            # whole 1-D buffers: a slice per record costs more, and rows of
+            # one block ran about 5% slower at m=25,625
+            w, spare = np.empty(m), np.empty(m)
+        for chunk, rate in chunks:
+            # w holds the weights, then r * weight
+            wc, sc = (w[:len(rate)], spare[:len(rate)]) if k > 1 else (w, spare)
+            weigh(wc, sc, chunk)
+            rows = wc if k > 1 else (wc,)
+            for row in rows:
+                den += row
+            wc *= rate
+            for row in rows:
+                num += row
+    positive = den > 0.0
+    y_star = num / np.where(positive, den, 1.0)
+    if not positive.all():
+        fallback = np.flatnonzero(~positive)
         y_star[fallback] = _nearest_response(columns(fallback), profile.allocation_matrix(),
                                              responses)
     return y_star, den
@@ -369,10 +407,11 @@ class GrnnPredictor:
         """An interval [lo, hi] per grid point that holds predict_grid's y* there.
 
         Both arrays have shape (grid.size,), row-major. The screen builds
-        each link's factor K_j[c, i] = exp((c * step - a_ij)**2 / -sigma2),
+        each link's factor K_j[c, i] = exp((c * step - a_ij)**2 / -sigma2)
+        (all links in one stacked array, over grid.link_values()),
         multiplies the factors of links 1..n-1 into one (M, S) factor F
         with M = prod_{j>=1} (C_j + 1) (625 on the 3-link stress grid), and
-        makes one matrix product, vstack([K_0, K_0 * r]) @ F.T, whose two
+        makes one matrix product, [K_0; K_0 * r] @ F.T (rows stacked), whose two
         halves are the kernel sum and the weighted response sum at every
         grid point, row-major. Their ratio y is the screened y*, and the
         interval is y +- tol with tol = _SCREEN_TOL * L; where the screened
@@ -432,26 +471,29 @@ class GrnnPredictor:
             raise ValueError(
                 f"grid has {grid.link_count} links but records have {allocs.shape[1]}"
             )
-        factors = []
-        for j, c in enumerate(grid.steps_per_link):
-            k_j = np.subtract.outer(np.arange(c + 1) * grid.step, allocs[:, j])
-            np.square(k_j, out=k_j)
-            np.divide(k_j, -self.kernel.sigma2, out=k_j)
-            np.exp(k_j, out=k_j)
-            factors.append(k_j)
+        # all links' factors stacked, in four calls: row r is values[r] on link links[r]
+        values, links = grid.link_values()
+        k = np.subtract(values[:, None], allocs.T[links])
+        np.square(k, out=k)
+        np.divide(k, -self.kernel.sigma2, out=k)
+        np.exp(k, out=k)
+        factors, start = [], 0
+        for c in grid.steps_per_link:
+            factors.append(k[start:start + c + 1])
+            start += c + 1
         k_0 = factors[0]
         # F[(c_1, ..., c_{n-1}), i] = prod_{j>=1} K_j[c_j, i], rows row-major
         f = factors[1] if len(factors) > 1 else np.ones((1, profile.size))
         for k_j in factors[2:]:
             f = (f[:, None, :] * k_j[None, :, :]).reshape(-1, profile.size)
-        out = np.vstack([k_0, k_0 * profile.response_vector()]) @ f.T
+        out = np.concatenate((k_0, k_0 * profile.response_vector())) @ f.T
         den, y = out[:len(k_0)].reshape(-1), out[len(k_0):].reshape(-1)
-        lost = ~(den >= _SCREEN_MIN_SUM)
-        np.divide(y, den, out=y, where=~lost)
+        kept = den >= _SCREEN_MIN_SUM
+        np.divide(y, den, out=y, where=kept)
         tol = _SCREEN_TOL * profile.level_count
         lo = np.subtract(y, tol, out=den)
         hi = np.add(y, tol, out=y)
-        lo[lost] = -np.inf
-        hi[lost] = np.inf
+        np.copyto(lo, -np.inf, where=~kept)
+        np.copyto(hi, np.inf, where=~kept)
         return lo, hi
 

@@ -68,7 +68,10 @@ rearranged form, C1 + C2 >= C3, that groups kernel weights by response
 level. It exists as an independent cross-check of the membership math: each
 term is a sum of non-negative contributions, which is what makes the
 membership set grow when positive records arrive and shrink when negative
-ones do.
+ones do. It computes its own weights and adds each term's contributions
+from 0.0 in one np.add.accumulate, level by level and by record index
+within a level (one stable argsort of the responses), sharing nothing with
+predict_batch.
 """
 
 from __future__ import annotations
@@ -128,16 +131,13 @@ class SearchGrid:
     def link_count(self) -> int:
         return len(self.max_per_link)
 
-    @property
+    @functools.cached_property
     def steps_per_link(self) -> tuple[int, ...]:
         return tuple(int(math.floor(b / self.step + _GRID_EPS)) for b in self.max_per_link)
 
-    @property
+    @functools.cached_property
     def size(self) -> int:
-        n = 1
-        for c in self.steps_per_link:
-            n *= c + 1
-        return n
+        return math.prod(c + 1 for c in self.steps_per_link)
 
     def counts(self) -> np.ndarray:
         """Integer step counts of every grid point, shape (size, n), row-major.
@@ -161,6 +161,14 @@ class SearchGrid:
         order. Built on first use and returned read-only.
         """
         return self._by_total
+
+    def link_values(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every link's grid values c * step, c = 0..C_j, stacked link by link.
+
+        Returns (values, links) with sum_j (C_j + 1) entries each: links[r]
+        is the link that values[r] belongs to. Built once, read-only.
+        """
+        return self._link_values
 
     def blocks(self) -> tuple[np.ndarray | slice, ...]:
         """The grid split into evaluation blocks, as row indices per block.
@@ -241,14 +249,11 @@ class SearchGrid:
             raise ValueError(
                 f"grid has {self.link_count} links but records have {allocs.shape[1]}"
             )
-        steps = np.asarray(self.steps_per_link)
+        steps = self._max_counts
         counts = np.rint(allocs / self.step)
-        if not ((counts >= 0) & (counts <= steps)).all():
+        if not ((counts * self.step == allocs) & (counts >= 0) & (counts <= steps)).all():
             return None
-        counts = counts.astype(np.intp)
-        if not np.array_equal(counts * self.step, allocs):
-            return None
-        return (steps - counts) @ self._table_strides
+        return (steps - counts.astype(np.intp)) @ self._table_strides
 
     @functools.cached_property
     def _counts(self) -> np.ndarray:
@@ -257,6 +262,14 @@ class SearchGrid:
         counts = np.stack(mesh, axis=-1).reshape(-1, self.link_count)
         counts.flags.writeable = False
         return counts
+
+    @functools.cached_property
+    def _link_values(self) -> tuple[np.ndarray, np.ndarray]:
+        values = np.concatenate([np.arange(c + 1) * self.step for c in self.steps_per_link])
+        links = np.repeat(np.arange(self.link_count), [c + 1 for c in self.steps_per_link])
+        values.flags.writeable = False
+        links.flags.writeable = False
+        return values, links
 
     @functools.cached_property
     def _points(self) -> np.ndarray:
@@ -281,6 +294,11 @@ class SearchGrid:
         order = self.by_total_order()
         blocks = _layer_blocks(order, self._totals[order])
         return (slice(None),) if len(blocks) == 1 else blocks
+
+    @functools.cached_property
+    def _max_counts(self) -> np.ndarray:
+        """steps_per_link as an array."""
+        return np.array(self.steps_per_link, dtype=np.intp)
 
     @functools.cached_property
     def _table_strides(self) -> np.ndarray:
@@ -376,19 +394,19 @@ def membership_c_form(
         raise ValueError(f"allocation must have {profile.link_count} links, got {xv.shape}")
     d2 = ((allocs - xv) ** 2).sum(axis=1)
     weights = np.exp(-d2 / kernel.sigma2)
-    c1 = 0.0
-    for u in range(target, profile.level_count + 1):
-        for i in np.flatnonzero(responses == u):
-            c1 += (u - target) * float(weights[i])
-    c2 = 0.0
-    for i in range(profile.size):
-        c2 += float(weights[i])
-    c2 *= 0.5
-    c3 = 0.0
-    for u in range(1, target):
-        for i in np.flatnonzero(responses == u):
-            c3 += (target - u) * float(weights[i])
+    # records by level, then by index: the order C1 and C3 add them in
+    order = np.argsort(responses, kind="stable")
+    split = int(np.searchsorted(responses[order], target))
+    below, above = order[:split], order[split:]
+    c1 = _sum_in_order((responses[above] - target) * weights[above])
+    c2 = _sum_in_order(weights) * 0.5
+    c3 = _sum_in_order((target - responses[below]) * weights[below])
     return c1, c2, c3, bool(c1 + c2 >= c3)
+
+
+def _sum_in_order(values: np.ndarray) -> float:
+    """0.0 + values[0] + values[1] + ..., added left to right."""
+    return float(np.add.accumulate(np.concatenate(([0.0], values)))[-1])
 
 
 def _layer_blocks(rows: np.ndarray, totals: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -481,7 +499,7 @@ def search(grid: SearchGrid, profile: Profile, predictor, target: int) -> Alloca
     point = grid.counts()[block[k]] * grid.step
     ys = float(y_star[k])
     return AllocationResult(
-        allocation=tuple(float(v) for v in point),
+        allocation=tuple(point.tolist()),
         total=float(point.sum()),
         prediction=Prediction(y_star=ys, y_hat=round_response(ys, profile.level_count),
                               kernel_sum=float(kernel_sum[k])),

@@ -3,6 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +43,20 @@ def test_run_seed_override_changes_outputs(scenario_file, tmp_path):
     assert main(["run", "--config", str(scenario_file), "--out", str(out_b),
                  "--seed", "424242"]) == 0
     assert (out_a / "profile_s1.csv").read_bytes() != (out_b / "profile_s1.csv").read_bytes()
+
+
+def test_compare_prints_every_service(tmp_path, capsys):
+    base = tracking_scenario(qos_level=2, run_length=8)
+    config = replace(base, qos_levels=(2, 3), rates=(base.rates[0], (20.0,) * 8))
+    path = tmp_path / "two_services.json"
+    dump_scenario(config, path, rate_trace_name="rates.csv")
+    code = main(["compare", "--config", str(path), "--out", str(tmp_path / "cmp"),
+                 "--variants", "grnn_bounded@16,knn"])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = [line.split()[:3] for line in lines if "avg RAB" in line]
+    assert rows == [[label, "service", s] for label in ("grnn_bounded_S16", "knn_k5")
+                    for s in ("1", "2")]
 
 
 def test_compare_writes_table(scenario_file, tmp_path, capsys):
@@ -124,3 +143,13 @@ def test_config_errors_are_reported(tmp_path, capsys):
     code = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_module_entry_point_runs_verify():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "qosalloc", "verify", "--scale", "0.01"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "6/6 suites passed" in proc.stdout

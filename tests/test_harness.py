@@ -102,6 +102,28 @@ class TestSeedProfileGenerate:
             assert rec.response == quantize(sum(rec.allocation) - 40.0, qos)
 
 
+    @pytest.mark.parametrize("maxima, records", [
+        ((50.0, 30.0), 16), ((50.0, 30.0, 30.0), 128), ((50.0, 30.0), 1025), ((7.5,), 4),
+    ])
+    def test_matches_one_draw_per_stratum(self, maxima, records):
+        from qosalloc.controller import quantize
+        from qosalloc.profile import Profile
+
+        qos = self.config()
+        grid = SearchGrid(1.25, maxima)
+        for seed in (1, 2, 20240408):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            profile = seed_profile_generate(grid, qos, records, 40.0, rng, capacity=records)
+            # one checked append per stratum, each with its own draw
+            ref = Profile(grid.link_count, qos.level_count, records)
+            for k in range(records):
+                lo, hi = k * grid.size // records, (k + 1) * grid.size // records
+                pick = grid.by_total_order()[int(ref_rng.integers(lo, hi))]
+                allocation = tuple(float(v) for v in grid.counts()[pick] * grid.step)
+                ref.append(allocation, quantize(float(sum(allocation)) - 40.0, qos))
+            assert profile.to_bytes() == ref.to_bytes()
+            assert rng.integers(2**62) == ref_rng.integers(2**62)  # same stream left
+
 class TestTraceCsv:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "rates.csv"

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from qosalloc import predictor as predictor_module
@@ -271,6 +271,62 @@ class TestChunkBoundaries:
         ref_y, ref_sum = row_major_reference(xs, profile, k)
         assert np.array_equal(y_star, ref_y)
         assert np.array_equal(ksum, ref_sum)
+
+
+class TestRowIndependence:
+    """A row's y* and kernel sum do not depend on the batch it is predicted in.
+
+    Batches of up to _ACCUMULATE_MAX rows add each chunk with one
+    np.add.accumulate below a carry row, wider ones row by row; both must
+    give every row the bits it gets alone (a one-row batch) and inside a
+    batch wide enough for the row loop.
+    """
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        n=st.integers(1, 3),
+        p=st.integers(1, 700),
+        m=st.integers(1, 2 * predictor_module._ACCUMULATE_MAX),
+        chunk=st.sampled_from([None, 64, 700]),
+        sigma2=st.sampled_from([1e-6, 0.5, 30.0, 300.0]),
+        on_grid=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # p = 1; several chunks at the real _CHUNK; every weight underflows off the records
+    @example(n=2, p=1, m=5, chunk=None, sigma2=30.0, on_grid=True, seed=1)
+    @example(n=1, p=700, m=120, chunk=None, sigma2=300.0, on_grid=False, seed=2)
+    @example(n=3, p=300, m=128, chunk=None, sigma2=30.0, on_grid=True, seed=3)
+    @example(n=2, p=40, m=16, chunk=None, sigma2=1e-6, on_grid=False, seed=4)
+    def test_rows_match_alone_and_in_a_wide_batch(self, n, p, m, chunk, sigma2, on_grid,
+                                                   seed):
+        rng = np.random.default_rng(seed)
+        grid = SearchGrid(1.25, (10.0, 7.5, 5.0)[:n])
+        counts = np.stack([rng.integers(0, c + 1, p) for c in grid.steps_per_link], axis=1)
+        allocs = counts * grid.step
+        if not on_grid:  # the computed path
+            allocs = allocs + rng.uniform(0.0, 1.25, (p, n))
+        profile = make_profile(
+            [(tuple(a), int(r)) for a, r in zip(allocs, rng.integers(1, 13, p))], link_count=n)
+        predictor = GrnnPredictor(KernelParams(sigma2))
+        rows = rng.integers(0, grid.size, m)
+        width = predictor_module._ACCUMULATE_MAX + 1 + int(rng.integers(0, 64))
+        wide = np.concatenate([rows, rng.integers(0, grid.size, max(m, width) - m)])
+        with pytest.MonkeyPatch.context() as patch:
+            if chunk is not None:
+                patch.setattr(predictor_module, "_CHUNK", chunk)
+            y_star, ksum = predictor.predict_grid(grid, rows, profile)
+            wide_y, wide_sum = predictor.predict_grid(grid, wide, profile)
+            alone = [predictor.predict_grid(grid, rows[i:i + 1], profile) for i in range(m)]
+        assert np.array_equal(y_star, wide_y[:m])
+        assert np.array_equal(ksum, wide_sum[:m])
+        assert np.array_equal(y_star, [y[0] for y, _ in alone])
+        assert np.array_equal(ksum, [s[0] for _, s in alone])
+
+    def test_examples_span_several_chunks(self):
+        # the examples above at the real _CHUNK: 700 records in chunks of
+        # 273, 300 in chunks of 256
+        assert predictor_module._chunk_records(700, 120) == 273
+        assert predictor_module._chunk_records(300, predictor_module._ACCUMULATE_MAX) == 256
 
 
 class TestLatticeBatch:

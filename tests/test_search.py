@@ -191,6 +191,53 @@ class TestMembershipCForm:
             membership_c_form((1.0,), Profile(1, 3, None), KernelParams(), 2)
 
 
+def membership_c_form_reference(x, profile, kernel, target):
+    """membership_c_form as one Python addition per record, level by level."""
+    xv = np.asarray(x, dtype=float)
+    allocs = profile.allocation_matrix()
+    responses = profile.response_vector()
+    d2 = ((allocs - xv) ** 2).sum(axis=1)
+    weights = np.exp(-d2 / kernel.sigma2)
+    c1 = 0.0
+    for u in range(target, profile.level_count + 1):
+        for i in np.flatnonzero(responses == u):
+            c1 += (u - target) * float(weights[i])
+    c2 = 0.0
+    for i in range(profile.size):
+        c2 += float(weights[i])
+    c2 *= 0.5
+    c3 = 0.0
+    for u in range(1, target):
+        for i in np.flatnonzero(responses == u):
+            c3 += (target - u) * float(weights[i])
+    return c1, c2, c3, bool(c1 + c2 >= c3)
+
+
+class TestMembershipCFormReference:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 3),
+        p=st.integers(1, 200),
+        level_count=st.integers(2, 12),
+        sigma2=st.sampled_from([1e-6, 0.5]) | st.floats(1.0, 5000.0),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_matches_the_per_record_loop(self, n, p, level_count, sigma2, seed, data):
+        rng = np.random.default_rng(seed)
+        allocs = rng.uniform(0.0, 60.0, (p, n))
+        responses = rng.integers(1, level_count + 1, p)
+        profile = Profile(n, level_count, None,
+                          [(tuple(a), int(r)) for a, r in zip(allocs, responses)])
+        target = data.draw(st.integers(1, level_count))
+        k = KernelParams(sigma2)
+        for x in (allocs[0], rng.uniform(0.0, 60.0, n)):
+            got = membership_c_form(tuple(x), profile, k, target)
+            want = membership_c_form_reference(tuple(x), profile, k, target)
+            assert got == want
+            assert all(type(v) is float for v in got[:3])
+
+
 class TestSearch:
     def test_one_dimensional_brute_force_case(self):
         grid = SearchGrid(10.0, (30.0,))
