@@ -14,16 +14,17 @@ two predictors holds or is tested.
 KnnPredictor.predict_batch is the definition: squared distances to every
 record, a stable argsort per candidate (so distance ties go to the lowest
 record index), and the mean response of the first k. predict_grid gets the
-same bits faster when every record is a grid point and the grid passes the
-kernel table's exactness check. Then the distance between point c and
-record r is one entry of the grid's distance-rank table
-(SearchGrid.distance_ranks), and each (point, record) pair gets the integer
-key rank * p + r. Ranks keep the order and the equality of the float
-distances, and the record index breaks ties toward the lowest index as the
-stable sort does, so the k smallest keys, found by np.partition instead of
-a full sort, name exactly the records the sort would take. Their responses
-are small integers, so summing them in any order is exact, and the sum
-divided by k is the mean. Every other case calls predict_batch.
+same bits faster when every record is a grid point and the grid has
+distance ranks (SearchGrid.distance_ranks). Then the distance between point
+c and record r is one entry of the ranks, and each (point, record) pair
+gets the integer key rank * p + r. Ranks keep the order and the equality of
+the float distances, and the record index breaks ties toward the lowest
+index as the stable sort does, so the k smallest keys, found by an in-place
+partition instead of a full sort, name exactly the records the sort would
+take. Their responses are small integers, so summing them in any order is
+exact, and the sum divided by k is the mean. The rows are taken a chunk of
+at most _KNN_KEYS keys at a time, so the keys never need an (m, p) array.
+Every other case calls predict_batch.
 
 KnnPredictor.predict_bounds is the profile's constant [min, max] response
 interval, so a kNN search predicts as many points as an unscreened search
@@ -44,6 +45,9 @@ from .profile import Profile
 
 if TYPE_CHECKING:  # pragma: no cover
     from .search import SearchGrid
+
+#: Most (point, record) keys one chunk of KnnPredictor.predict_grid holds.
+_KNN_KEYS = 2**14
 
 GRNN_BOUNDED = "grnn_bounded"
 GRNN_UNBOUNDED = "grnn_unbounded"
@@ -153,10 +157,25 @@ class KnnPredictor:
             return self.predict_batch(grid.points()[rows], profile)
         ranks, offsets = lattice
         p, k = profile.size, self.k_neighbors
-        # scaled in place, so the keys cost one (m, p) array
-        key = ranks[offsets[rows, None] + bases]
-        key *= p
-        key += np.arange(p)
-        nearest = np.partition(key, k - 1, axis=1)[:, :k] % p
-        y_star = profile.response_vector().astype(float)[nearest].sum(axis=1) / k
-        return y_star, np.full(len(y_star), float(k))
+        point_offsets = offsets[rows]
+        rates = profile.response_vector().astype(float)
+        m = len(point_offsets)
+        y_star = np.empty(m)
+        # rows in chunks of at most _KNN_KEYS keys, through one block for
+        # the indices and the keys: with (m, p) arrays per call, or a block
+        # per buffer, the allocator could fault their pages in anew
+        step = max(1, _KNN_KEYS // p)
+        index, key = np.empty((2, min(step, m), p), dtype=np.int64)
+        records = np.arange(p)
+        for lo in range(0, m, step):
+            count = min(step, m - lo)
+            np.add(point_offsets[lo:lo + count, None], bases, out=index[:count])
+            chunk = key[:count]
+            # mode="clip" gathers straight into chunk; every index is in range
+            np.take(ranks, index[:count], out=chunk, mode="clip")
+            chunk *= p
+            chunk += records
+            chunk.partition(k - 1, axis=1)
+            y_star[lo:lo + count] = rates[chunk[:, :k] % p].sum(axis=1)
+        y_star /= k
+        return y_star, np.full(m, float(k))

@@ -30,23 +30,12 @@ the same additions in the same order, so a row's bits do not depend on
 its batch. Nearest-record bookkeeping, needed only where every weight
 underflows, runs lazily over just those rows.
 
-lattice_batch runs the same accumulation loop, but reads each chunk's
-weights from a precomputed table (one np.take per chunk) instead of
-computing distances, division and exp. It serves grid points against
-records that are grid points too, where each weight depends only on the
-step-count offset between them; SearchGrid.kernel_table builds the table
-with this module's float operations in this module's order, so its entries
-equal the computed weights bit for bit. The underflow fallback is the same
-in both.
-
 Every predictor the search accepts has three methods: predict_batch(xs,
 profile) for arbitrary candidates; predict_grid(grid, rows, profile), which
 predicts grid.points()[rows]; and predict_bounds(grid, profile), which
 gives an interval [lo, hi] per grid point that holds the y* predict_grid
-would give there. GrnnPredictor.predict_grid is where the choice between
-the table and the computed path is made, so the search never needs to know
-which predictor it holds. The single-point form is the module-level
-predict().
+would give there, so the search never needs to know which predictor it
+holds. The single-point form is the module-level predict().
 
 GrnnPredictor.predict_bounds screens the whole grid at once. The Gaussian
 kernel factors over links, exp(-sum_j d_j / sigma2) = prod_j exp(-d_j /
@@ -64,7 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -150,7 +139,7 @@ def predict_batch(
 
     Returns
     -------
-    (y_star, kernel_sum) : two ndarrays of shape (m,)
+    (y_star, kernel_sum) : two ndarrays of shape (m,); m may be 0
 
     Notes
     -----
@@ -175,41 +164,67 @@ def predict_batch(
         raise ValueError(
             f"candidate array must have shape (m, {profile.link_count}), got {xs.shape}"
         )
+    m, p = xs.shape[0], profile.size
+    if m == 0:
+        return np.empty(0), np.empty(0)
     cols = np.ascontiguousarray(xs.T)
+    allocs = profile.allocation_matrix()
+    responses = profile.response_vector()
+    links = allocs.T[:, :, None]  # (n, p, 1): a chunk's (count, 1) columns broadcast
     neg_sigma2 = -kernel.sigma2
-
-    def weigh(out, spare, links):
-        _squared_distances_into(out, spare, cols, links)
-        # (d2 / -s) == (-d2 / s) bit for bit: IEEE division is sign-symmetric
-        np.divide(out, neg_sigma2, out=out)
-        np.exp(out, out=out)
-
-    return _weighted_mean(profile, xs.shape[0], profile.allocation_matrix().T, weigh,
-                          lambda rows: cols[:, rows])
-
-
-def lattice_batch(
-    table: np.ndarray, offsets: np.ndarray, bases: np.ndarray, profile: "Profile",
-    columns: Callable[[np.ndarray], np.ndarray],
-) -> tuple[np.ndarray, np.ndarray]:
-    """predict_batch with every kernel weight read from a table.
-
-    The weight of record i at candidate c is table[offsets[c] + bases[i]];
-    the caller guarantees that this entry equals, bit for bit, the weight
-    predict_batch computes, and that every index lies in the table (see
-    SearchGrid's kernel table). columns(rows) returns the (n, len(rows))
-    coordinates of candidates rows, needed only for the underflow fallback.
-    Accumulation and fallback are predict_batch's own, so the results are
-    identical to predict_batch on the same candidates.
-    """
-
-    def weigh(out, spare, base):
-        index = spare.view(np.int64)  # same item size as the float buffer
-        np.add(offsets, base, out=index)
-        # mode="clip" gathers straight into out; the default mode buffers it
-        np.take(table, index, out=out, mode="clip")
-
-    return _weighted_mean(profile, len(offsets), bases, weigh, columns)
+    k = _chunk_records(p, m)
+    if m <= _ACCUMULATE_MAX:
+        # sums[0] holds weights and sums[1] r * weight below row 0, which
+        # carries each running sum (den, num) into the next chunk
+        sums = np.zeros((2, k + 1, m))
+        spare = np.empty((k, m))
+        for lo in range(0, p, k):
+            if lo:  # carry the previous chunk's sums
+                sums[:, 0] = block[:, count]
+            count = min(k, p - lo)
+            block = sums[:, :count + 1]
+            weights = block[0, 1:]
+            _weights_into(weights, spare[:count], cols, links[:, lo:lo + count], neg_sigma2)
+            np.multiply(weights, responses[lo:lo + count, None], out=block[1, 1:])
+            # out[i] = out[i - 1] + in[i]: the row loop's additions, in order
+            np.add.accumulate(block, axis=1, out=block)
+        den, num = block[0, count].copy(), block[1, count]
+    else:
+        num = np.zeros(m)
+        den = np.zeros(m)
+        if k > 1:
+            # one block for both buffers: as two blocks, the allocator gave
+            # their pages back to the OS after each call and page-faulted
+            # them in again
+            w, spare = np.empty((2, k, m))
+            for lo in range(0, p, k):
+                count = min(k, p - lo)
+                # wc holds the weights, then r * weight
+                wc = w[:count]
+                _weights_into(wc, spare[:count], cols, links[:, lo:lo + count], neg_sigma2)
+                for row in wc:
+                    den += row
+                wc *= responses[lo:lo + count, None]
+                for row in wc:
+                    num += row
+        else:
+            # whole 1-D buffers, and each record's values as Python numbers:
+            # a slice per record costs more, rows of one block ran about 5%
+            # slower at m=25,625, and numpy broadcasts a Python float faster
+            # than a (1, 1) array
+            w, spare = np.empty(m), np.empty(m)
+            for a, r in zip(allocs.tolist(), responses.tolist()):
+                _weights_into(w, spare, cols, a, neg_sigma2)
+                den += w
+                w *= r
+                num += w
+    if np.minimum.reduce(den) > 0.0:
+        return num / den, den
+    positive = den > 0.0
+    y_star = num / np.where(positive, den, 1.0)
+    fallback = np.flatnonzero(~positive)
+    y_star[fallback] = _nearest_response(cols[:, fallback], allocs, responses)
+    return y_star, den
 
 
 #: Target element count of one (k, m) chunk buffer: two buffers of 2^15
@@ -229,81 +244,13 @@ def _chunk_records(p: int, m: int) -> int:
     return max(1, min(p, _CHUNK // m))
 
 
-def _weighted_mean(profile: "Profile", m: int, operands: np.ndarray, weigh,
-                   columns) -> tuple[np.ndarray, np.ndarray]:
-    """y* and the kernel sum of m candidates, records taken k at a time.
-
-    operands holds one entry per record along its last axis; for each chunk
-    of records, weigh(out, spare, chunk) writes their (count, m) weights
-    into out (spare is scratch of the same shape), where chunk is the
-    chunk's operands as (..., count, 1) views, or the record's operands as
-    Python numbers when k == 1. Each sum then adds the chunk's rows in
-    record order, starting from the previous chunk's sum: for m up to
-    _ACCUMULATE_MAX by one np.add.accumulate over the chunk below a carry
-    row, for wider batches one row at a time. Both make the same float
-    additions in the same order. columns(rows) gives the fallback rows'
-    candidate columns.
-    """
-    responses = profile.response_vector()
-    p = profile.size
-    k = _chunk_records(p, m)
-    chunks = zip(_chunked(operands, k), _chunked(responses.astype(float), k))
-    if m <= _ACCUMULATE_MAX:
-        # sums[0] holds weights and sums[1] r * weight below row 0, which
-        # carries each running sum (den, num) into the next chunk
-        sums = np.zeros((2, k + 1, m))
-        spare = np.empty((k, m))
-        for lo, (chunk, rate) in zip(range(0, p, k), chunks):
-            count = min(k, p - lo)
-            block = sums[:, :count + 1]
-            weights = block[0, 1:]
-            weigh(weights, spare[:count], chunk)
-            np.multiply(weights, rate, out=block[1, 1:])
-            # out[i] = out[i - 1] + in[i]: the row loop's additions, in order
-            np.add.accumulate(block, axis=1, out=block)
-            sums[:, 0] = block[:, count]
-        den, num = sums[0, 0].copy(), sums[1, 0]
-    else:
-        num = np.zeros(m)
-        den = np.zeros(m)
-        if k > 1:
-            # one block for both buffers: as two blocks, the allocator gave
-            # their pages back to the OS after each call and page-faulted
-            # them in again
-            w, spare = np.empty((2, k, m))
-        else:
-            # whole 1-D buffers: a slice per record costs more, and rows of
-            # one block ran about 5% slower at m=25,625
-            w, spare = np.empty(m), np.empty(m)
-        for chunk, rate in chunks:
-            # w holds the weights, then r * weight
-            wc, sc = (w[:len(rate)], spare[:len(rate)]) if k > 1 else (w, spare)
-            weigh(wc, sc, chunk)
-            rows = wc if k > 1 else (wc,)
-            for row in rows:
-                den += row
-            wc *= rate
-            for row in rows:
-                num += row
-    positive = den > 0.0
-    y_star = num / np.where(positive, den, 1.0)
-    if not positive.all():
-        fallback = np.flatnonzero(~positive)
-        y_star[fallback] = _nearest_response(columns(fallback), profile.allocation_matrix(),
-                                             responses)
-    return y_star, den
-
-
-def _chunked(values: np.ndarray, k: int):
-    """values split along its last (record) axis into chunks of k records.
-
-    Chunks are (..., count, 1) views, or when k == 1 each record's values
-    as Python numbers: numpy broadcasts a Python float faster than a (1, 1)
-    array.
-    """
-    if k == 1:
-        return values.T.tolist()
-    return (values[..., lo:lo + k, None] for lo in range(0, values.shape[-1], k))
+def _weights_into(out: np.ndarray, spare: np.ndarray, cols: np.ndarray, links: Sequence,
+                  neg_sigma2: float) -> None:
+    """out = exp(sum_j (cols[j] - links[j])**2 / neg_sigma2); spare is scratch like out."""
+    _squared_distances_into(out, spare, cols, links)
+    # (d2 / -s) == (-d2 / s) bit for bit: IEEE division is sign-symmetric
+    np.divide(out, neg_sigma2, out=out)
+    np.exp(out, out=out)
 
 
 def _squared_distances_into(out: np.ndarray, diff: np.ndarray, cols: np.ndarray,
@@ -385,22 +332,12 @@ class GrnnPredictor:
 
     def predict_grid(self, grid: "SearchGrid", rows, profile: "Profile"
                      ) -> tuple[np.ndarray, np.ndarray]:
-        """predict_batch on grid.points()[rows], from the grid's kernel table when it can.
-
-        rows is a slice or an index array into the row-major grid. The table
-        serves when every record is a grid point (grid.record_bases) and the
-        grid passes its exactness check (grid.kernel_table); the results
-        are then bit-identical to predict_batch, which every other case
-        calls. grid.points() is built only where needed: the table path
-        leaves it unbuilt unless some weight sum underflows.
-        """
-        bases = grid.record_bases(profile.allocation_matrix()) if profile.size else None
-        lattice = None if bases is None else grid.kernel_table(self.kernel.sigma2)
-        if lattice is None:
-            return predict_batch(grid.points()[rows], profile, self.kernel)
-        table, offsets = lattice
-        return lattice_batch(table, offsets[rows], bases, profile,
-                             lambda fallback: grid.points()[rows][fallback].T)
+        """predict_batch on grid.points()[rows]; rows is a slice or an index array."""
+        if profile.link_count != grid.link_count:
+            raise ValueError(
+                f"grid has {grid.link_count} links but records have {profile.link_count}"
+            )
+        return predict_batch(grid.points()[rows], profile, self.kernel)
 
     def predict_bounds(self, grid: "SearchGrid", profile: "Profile"
                        ) -> tuple[np.ndarray, np.ndarray]:
@@ -424,12 +361,12 @@ class GrnnPredictor:
         np.exp is within 4 ulps: a relative 8u on normal results, 2^-1072
         absolute on subnormal ones.
         - Each path computes every weight from the same grid coordinates
-          and records. predict_batch (and the kernel table, which equals it)
-          rounds the argument of exp by a relative gamma_{n+3} (subtraction,
-          square, n - 1 link additions, division); the screen rounds each
-          link's argument by gamma_4, so the sum of its argument errors is
-          at most gamma_4 * t_i. Only weights with t_i <= 746 survive
-          underflow, so each computed weight is w_i (1 + rho_i) + eta_i with
+          and records. predict_batch rounds the argument of exp by a
+          relative gamma_{n+3} (subtraction, square, n - 1 link additions,
+          division); the screen rounds each link's argument by gamma_4, so
+          the sum of its argument errors is at most gamma_4 * t_i. Only
+          weights with t_i <= 746 survive underflow, so each computed
+          weight is w_i (1 + rho_i) + eta_i with
           |rho_i| <= exp(746 gamma_{n+3}) - 1 + 9u (exact path; the extra u
           is the product with r_i) or exp(746 gamma_4) - 1 + (9n + 1) u
           (screen: n exps, n - 1 link products, one product with r_i, one
@@ -471,9 +408,23 @@ class GrnnPredictor:
             raise ValueError(
                 f"grid has {grid.link_count} links but records have {allocs.shape[1]}"
             )
-        # all links' factors stacked, in four calls: row r is values[r] on link links[r]
         values, links = grid.link_values()
-        k = np.subtract(values[:, None], allocs.T[links])
+        s, c_0, n = profile.size, grid.steps_per_link[0] + 1, grid.link_count
+        m = grid.size // c_0
+        # every array of the screen in one block, F only from 3 links on: as
+        # separate blocks of similar size, the allocator handed their pages
+        # back to the OS after each search and page-faulted them in again
+        # (about 290 faults per search on the 3-link grid at S = 128)
+        k_end = len(values) * s
+        left_end = k_end + 2 * c_0 * s
+        f_end = left_end + (m * s if n > 2 else 0)
+        block = np.empty(f_end + 2 * c_0 * m)
+        k = block[:k_end].reshape(-1, s)
+        left = block[k_end:left_end].reshape(2 * c_0, s)
+        out = block[f_end:].reshape(2 * c_0, m)
+        # all links' factors stacked: row r is values[r] on link links[r]
+        np.take(allocs.T, links, axis=0, out=k, mode="clip")  # clip: no buffered copy
+        np.subtract(values[:, None], k, out=k)
         np.square(k, out=k)
         np.divide(k, -self.kernel.sigma2, out=k)
         np.exp(k, out=k)
@@ -482,15 +433,24 @@ class GrnnPredictor:
             factors.append(k[start:start + c + 1])
             start += c + 1
         k_0 = factors[0]
+        np.copyto(left[:c_0], k_0)
+        np.multiply(k_0, profile.response_vector(), out=left[c_0:])
         # F[(c_1, ..., c_{n-1}), i] = prod_{j>=1} K_j[c_j, i], rows row-major
-        f = factors[1] if len(factors) > 1 else np.ones((1, profile.size))
-        for k_j in factors[2:]:
-            f = (f[:, None, :] * k_j[None, :, :]).reshape(-1, profile.size)
-        out = np.concatenate((k_0, k_0 * profile.response_vector())) @ f.T
-        den, y = out[:len(k_0)].reshape(-1), out[len(k_0):].reshape(-1)
+        f = factors[1] if n > 1 else np.ones((1, s))
+        for k_j in factors[2:-1]:
+            f = (f[:, None, :] * k_j[None, :, :]).reshape(-1, s)
+        if n > 2:
+            k_j = factors[-1]
+            f = np.multiply(f[:, None, :], k_j[None, :, :],
+                            out=block[left_end:f_end].reshape(len(f), len(k_j), s)).reshape(m, s)
+        np.matmul(left, f.T, out=out)
+        den, y = out[:c_0].reshape(-1), out[c_0:].reshape(-1)
+        tol = _SCREEN_TOL * profile.level_count
+        if np.minimum.reduce(den) >= _SCREEN_MIN_SUM:  # every interval is finite
+            np.divide(y, den, out=y)
+            return np.subtract(y, tol, out=den), np.add(y, tol, out=y)
         kept = den >= _SCREEN_MIN_SUM
         np.divide(y, den, out=y, where=kept)
-        tol = _SCREEN_TOL * profile.level_count
         lo = np.subtract(y, tol, out=den)
         hi = np.add(y, tol, out=y)
         np.copyto(lo, -np.inf, where=~kept)

@@ -39,29 +39,20 @@ since only those can hold the highest y*.
 
 The search knows a predictor only through predict_bounds(grid, profile)
 and predict_grid(grid, rows, profile), which predicts grid.points()[rows]
-for one block; see the predictor module for the protocol. The
-kernel-regression predictor usually reads a block's kernel weights from a
-table instead of computing them. When every profile record is a grid
-point, the weight between grid point c and record r depends only on the
-step-count offset c - r, so one table per (grid, sigma2) of
-prod_j (2 C_j + 1) entries holds them all: 3,969 entries (31 KB) on the
-2-link reference grid, 194,481 (1.56 MB) on the 3-link 25,625-point grid. SearchGrid.kernel_table builds it with predict_batch's
-float operations in predict_batch's order and caches it on the grid, and
-the shared accumulation loop in the predictor gathers from it, so every
-output bit is the one predict_batch gives. The table needs a grid that
-passes its exactness check ((c * step - r * step)**2 depends on c - r
-alone, as computed; true of steps such as 0.5, 1.25 or 2.5, not of 0.7)
-within _TABLE_MAX, and records that all equal grid points.
+for one block; see the predictor module for the protocol.
 
-The kNN predictor reads the same lattice a second way: the grid's
-distance_ranks hold, per offset, the rank of the squared distance
-sum_j D_j[c_j - r_j] among the distinct values of that sum. They are laid
-out like the kernel table and built from the same sum (one flat array,
-added link 0 first), so ranks compare exactly as the float distances do.
-They are built only when a kNN predictor searches a grid whose records all
-sit on it, and need the same exactness check and limits as the kernel
-table, plus fewer than 8 links: numpy sums longer rows pairwise, and the
-kNN distances would then follow that order instead of link order.
+The kNN predictor reads the grid as a lattice. When every profile record
+is a grid point, the squared distance between grid point c and record r
+depends only on the step-count offset c - r, so the grid's distance_ranks
+hold, per offset, the rank of the squared distance sum_j D_j[c_j - r_j]
+among the distinct values of that sum: prod_j (2 C_j + 1) entries, 3,969
+(31 KB) on the 2-link reference grid. They are built from one flat array
+of that sum, added link 0 first, so ranks compare exactly as the float
+distances do. They need a grid that passes the exactness check ((c * step
+- r * step)**2 depends on c - r alone, as computed; true of steps such as
+0.5, 1.25 or 2.5, not of 0.7) within _TABLE_MAX, records that all equal
+grid points, and fewer than 8 links: numpy sums longer rows pairwise, and
+the kNN distances would then follow that order instead of link order.
 
 membership_c_form() evaluates the same predicate in an algebraically
 rearranged form, C1 + C2 >= C3, that groups kernel weights by response
@@ -94,8 +85,8 @@ _GRID_EPS = 1e-9
 # Fewest grid points in one evaluation block; see the module docstring.
 _BLOCK_MIN = 4096
 
-# Most entries in a grid's kernel table, and most (c, r) pairs in its
-# exactness check; a grid over either limit is searched without the table.
+# Most entries in a grid's distance ranks, and most (c, r) pairs in its
+# exactness check; a grid over either limit has no ranks.
 _TABLE_MAX = 2**18
 
 # Fewest values numpy sums pairwise when it reduces a row; shorter rows are
@@ -183,66 +174,41 @@ class SearchGrid:
         """
         return self._blocks
 
-    def kernel_table(self, sigma2: float) -> tuple[np.ndarray, np.ndarray] | None:
-        """The grid's kernel table for sigma2, and each point's offset into it.
-
-        On the lattice, the kernel weight between grid points at step
-        counts c and r depends only on the offset c - r. The table holds
-        it for every offset, exp(sum_j D_j[c_j - r_j] / -sigma2), flattened
-        row-major over offsets shifted into [0, 2 C_j], where D_j[c - r]
-        is (c * step - r * step)**2 as numpy computes it. The entry for
-        point c and a record at r (see record_bases) is
-        table[offsets[c] + base[r]]. The table is built with predict_batch's
-        float operations in its order: link 0 first, then division by
-        -sigma2, then exp in place on a contiguous array, so each entry
-        equals predict_batch's weight bit for bit.
-
-        Returns None when the grid fails its exactness check (some pair c,
-        r with (c * step - r * step)**2 != D_j[c - r]; steps such as 0.5,
-        1.25 or 2.5 pass, 0.7 does not) or when the table or the check
-        would exceed _TABLE_MAX entries. The table for the last sigma2
-        asked for is cached on the grid and returned read-only.
-        """
-        if not self._lattice_exact:
-            return None
-        tables = self._tables
-        if sigma2 not in tables:
-            table = self._offset_distances()
-            np.divide(table, -sigma2, out=table)
-            np.exp(table, out=table)
-            table.flags.writeable = False
-            tables.clear()
-            tables[sigma2] = table
-        return tables[sigma2], self._table_offsets
-
     def distance_ranks(self) -> tuple[np.ndarray, np.ndarray] | None:
         """Rank of every offset's squared distance, and each point's offset.
 
-        Laid out like kernel_table: the entry for point c and a record at r
-        is ranks[offsets[c] + base[r]]. Each entry is the int64 rank of
-        sum_j D_j[c_j - r_j], added link 0 first, among the distinct values
-        of that sum over all offsets, so two entries compare as the float
-        distances do, equality included. On the grid those distances are
-        bit for bit the ones the kNN predictor computes for a point and a
-        record, so ranks order neighbors as its sort does. On the 2-link
-        reference grid the ranks are 3,969 int64 entries (31 KB).
+        On the lattice, the squared distance between grid points at step
+        counts c and r depends only on the offset c - r. The ranks hold it
+        for every offset, flattened row-major over offsets shifted into
+        [0, 2 C_j]; the entry for point c and a record at r (see
+        record_bases) is ranks[offsets[c] + base[r]]. Each entry is the
+        int64 rank of sum_j D_j[c_j - r_j], added link 0 first, where
+        D_j[c - r] is (c * step - r * step)**2 as numpy computes it, among
+        the distinct values of that sum over all offsets, so two entries
+        compare as the float distances do, equality included. On the grid
+        those distances are bit for bit the ones the kNN predictor computes
+        for a point and a record, so ranks order neighbors as its sort
+        does. On the 2-link reference grid the ranks are 3,969 int64
+        entries (31 KB).
 
-        Returns None when kernel_table would, or when the grid has
-        _PAIRWISE_LINKS links or more: numpy sums a row of that many
-        values pairwise, not left to right, so its distances may round
-        differently. Built on first use, cached apart from the kernel
-        table's one-sigma2 cache, and returned read-only.
+        Returns None when the grid fails its exactness check (some pair c,
+        r with (c * step - r * step)**2 != D_j[c - r]; steps such as 0.5,
+        1.25 or 2.5 pass, 0.7 does not), when the ranks or the check would
+        exceed _TABLE_MAX entries, or when the grid has _PAIRWISE_LINKS
+        links or more: numpy sums a row of that many values pairwise, not
+        left to right, so its distances may round differently. Built on
+        first use, cached on the grid and returned read-only.
         """
         ranks = self._ranks
         return None if ranks is None else (ranks, self._table_offsets)
 
     def record_bases(self, allocs: np.ndarray) -> np.ndarray | None:
-        """Each record's base offset into the kernel table and the distance ranks, or None.
+        """Each record's base offset into the distance ranks, or None.
 
         allocs is a (p, n) array of record allocations. A record has a base
         only if it is a grid point: on every link its allocation equals
         r * step for a step count 0 <= r <= C_j. If any record is not,
-        the result is None and the table cannot serve the profile. Records
+        the result is None and the ranks cannot serve the profile. Records
         with another link count than the grid's raise ValueError.
         """
         if allocs.shape[1] != self.link_count:
@@ -290,9 +256,14 @@ class SearchGrid:
         return order
 
     @functools.cached_property
+    def _layer_ends(self) -> np.ndarray:
+        """Entry t is the number of grid points with total step count <= t."""
+        return np.cumsum(np.bincount(self._totals))
+
+    @functools.cached_property
     def _blocks(self) -> tuple[np.ndarray | slice, ...]:
         order = self.by_total_order()
-        blocks = _layer_blocks(order, self._totals[order])
+        blocks = _layer_blocks(order, self._totals)
         return (slice(None),) if len(blocks) == 1 else blocks
 
     @functools.cached_property
@@ -302,7 +273,7 @@ class SearchGrid:
 
     @functools.cached_property
     def _table_strides(self) -> np.ndarray:
-        """Row-major strides of the table, whose axis j has 2 C_j + 1 offsets."""
+        """Row-major strides of the ranks, whose axis j has 2 C_j + 1 offsets."""
         dims = [2 * c + 1 for c in self.steps_per_link]
         return np.array([math.prod(dims[j + 1:]) for j in range(len(dims))], dtype=np.intp)
 
@@ -313,13 +284,13 @@ class SearchGrid:
         return offsets
 
     def _offset_distances(self) -> np.ndarray:
-        """A new flat array of sum_j D_j[c_j - r_j] for every table offset, link 0 first."""
+        """A new flat array of sum_j D_j[c_j - r_j] for every offset, link 0 first."""
         c_max = max(self.steps_per_link)
-        table = None
+        sums = None
         for c in self.steps_per_link:
             d = self._offset_squares[c_max - c:c_max + c + 1]
-            table = d.copy() if table is None else np.add.outer(table, d)
-        return table.reshape(-1)
+            sums = d.copy() if sums is None else np.add.outer(sums, d)
+        return sums.reshape(-1)
 
     @functools.cached_property
     def _ranks(self) -> np.ndarray | None:
@@ -337,7 +308,7 @@ class SearchGrid:
 
     @functools.cached_property
     def _lattice_exact(self) -> bool:
-        """The exactness check behind kernel_table, within the size limits.
+        """The exactness check behind distance_ranks, within the size limits.
 
         Every link shares the step, so link j's D_j is the middle of D and
         its (c, r) pairs are a corner of the one check over the largest
@@ -352,10 +323,6 @@ class SearchGrid:
         # [r, c]: D[c - r + C], row r being the window of D that starts at C - r
         expected = np.lib.stride_tricks.sliding_window_view(self._offset_squares, c_max + 1)
         return bool(np.array_equal(actual, expected[::-1]))
-
-    @functools.cached_property
-    def _tables(self) -> dict:
-        return {}
 
 
 @dataclass(frozen=True)
@@ -410,7 +377,7 @@ def _sum_in_order(values: np.ndarray) -> float:
 
 
 def _layer_blocks(rows: np.ndarray, totals: np.ndarray) -> tuple[np.ndarray, ...]:
-    """rows, sorted by total, split into blocks of whole layers; totals are theirs.
+    """rows, sorted by total, split into blocks of whole layers; totals is the grid's.
 
     Each block holds at least _BLOCK_MIN rows and every block but the last
     at least as many as all earlier blocks together, so fewer than
@@ -421,7 +388,7 @@ def _layer_blocks(rows: np.ndarray, totals: np.ndarray) -> tuple[np.ndarray, ...
     if size < 2 * _BLOCK_MIN:
         return (rows,) if size else ()
     bounds = [0]
-    for end in (np.flatnonzero(np.diff(totals)) + 1).tolist():
+    for end in (np.flatnonzero(np.diff(totals[rows])) + 1).tolist():
         lo = bounds[-1]
         if end - lo >= max(_BLOCK_MIN, lo) and size - end >= _BLOCK_MIN:
             bounds.append(end)
@@ -469,13 +436,12 @@ def search(grid: SearchGrid, profile: Profile, predictor, target: int) -> Alloca
     threshold = target - 0.5
     lo, hi = predictor.predict_bounds(grid, profile)
     totals = grid.totals()
-    order = grid.by_total_order()
-    sure = totals[lo >= threshold]
-    candidate = hi >= threshold
-    if sure.size:
-        candidate &= totals <= sure.min()
-    rows = order[candidate[order]]
-    blocks = grid.blocks() if len(rows) == len(totals) else _layer_blocks(rows, totals[rows])
+    layer_ends = grid._layer_ends
+    # T_sure, or the largest total when no point is a sure member
+    t_sure = np.minimum.reduce(totals, where=lo >= threshold, initial=len(layer_ends) - 1)
+    cheap = grid.by_total_order()[:layer_ends[t_sure]]  # every point with total <= T_sure
+    rows = cheap[hi[cheap] >= threshold]
+    blocks = grid.blocks() if len(rows) == len(totals) else _layer_blocks(rows, totals)
     predicted = []  # (rows, y*, kernel sums) of every predicted block
     for block in blocks:
         y_star, kernel_sum = predictor.predict_grid(grid, block, profile)
@@ -484,19 +450,23 @@ def search(grid: SearchGrid, profile: Profile, predictor, target: int) -> Alloca
         members = y_star >= threshold
         if members.any():
             block_totals = totals[block]
-            best = members & (block_totals == block_totals[members].min())
-            best &= y_star == y_star[best].max()
+            layer = block_totals == block_totals[members].min()
+            # a layer's members out-predict its other points, and its rows
+            # ascend: the first highest y* in it is the lowest tied member
+            k = int(np.where(layer, y_star, -np.inf).argmax())
             feasible = True
             break
     else:
-        extra = np.flatnonzero((hi >= lo.max()) & ~candidate)
+        reach = hi >= lo.max()  # only these can hold the highest y*
+        reach[rows] = False  # predicted already
+        extra = np.flatnonzero(reach)
         if extra.size:
             predicted.append((extra, *predictor.predict_grid(grid, extra, profile)))
         block, y_star, kernel_sum = (np.concatenate(parts) for parts in zip(*predicted))
         best = y_star == y_star.max()
+        k = np.flatnonzero(best)[np.argmin(block[best])]  # ties: the lowest row
         feasible = False
-    k = np.flatnonzero(best)[np.argmin(block[best])]  # ties: the lowest row
-    point = grid.counts()[block[k]] * grid.step
+    point = grid.points()[block[k]]
     ys = float(y_star[k])
     return AllocationResult(
         allocation=tuple(point.tolist()),

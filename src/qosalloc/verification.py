@@ -138,10 +138,11 @@ def random_instance(rng: np.random.Generator, level_count: int = 12):
     sigma2 = float(rng.uniform(50.0, 2000.0))
     target = int(rng.integers(2, level_count + 1))
     p = int(rng.integers(2, 41))
-    profile = Profile(n, level_count, None)
-    for _ in range(p):
-        alloc = tuple(float(rng.integers(0, c + 1) * step) for c in cells)
-        profile.append(alloc, int(rng.integers(1, level_count + 1)))
+    # every record's step counts, then its response, record by record, in
+    # one call: the same values and generator state as one call per value
+    draws = rng.integers(np.tile([0] * n + [1], p),
+                         np.tile([c + 1 for c in cells] + [level_count + 1], p)).reshape(p, n + 1)
+    profile = Profile._from_arrays(n, level_count, None, draws[:, :n] * step, draws[:, n])
     return grid, profile, KernelParams(sigma2), target
 
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qosalloc import baselines as baselines_module
 from qosalloc.baselines import KnnPredictor, PredictorKind
 from qosalloc.controller import QosConfig, QosController
 from qosalloc.predictor import (
@@ -190,6 +191,21 @@ class TestKnnOnTheLattice:
             assert np.array_equal(y_star, expected[0])
             assert np.array_equal(kernel_sum, expected[1])
         assert spy.calls == 0
+
+    @pytest.mark.parametrize("keys", [1, 39, 41, 2**14])
+    def test_row_chunks_equal_stable_argsort(self, keys, monkeypatch):
+        # 40 records: one row per chunk, one or two rows per chunk, and the
+        # real chunk of 409 rows, which leaves a partial last chunk
+        monkeypatch.setattr(baselines_module, "_KNN_KEYS", keys)
+        grid = SearchGrid(1.25, (50.0, 30.0))
+        profile = lattice_profile(grid, 40, seed=11)
+        rows = np.random.default_rng(keys).choice(grid.size, 300)
+        for k in (1, 7, 40):
+            for block in (slice(None), rows):
+                got = KnnPredictor(k).predict_grid(grid, block, profile)
+                expected = knn_reference(grid.points()[block], profile, k)
+                assert np.array_equal(got[0], expected[0])
+                assert np.array_equal(got[1], expected[1])
 
     @pytest.mark.parametrize("records, k, error", [
         ([], 1, EmptyProfileError), ([((0.0,), 2), ((1.25,), 3)], 3, ValueError),

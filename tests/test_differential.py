@@ -1,14 +1,14 @@
-"""Closed-loop differential test: the grid-table paths against the computed paths.
+"""Closed-loop differential tests: fast search paths against plain ones.
 
-GrnnPredictor.predict_grid serves a search block from the grid's kernel
-table when it can, and KnnPredictor.predict_grid from the grid's distance
-ranks; ComputedGrnn and ComputedKnn always call predict_batch, and their
-runs search each grid as one block. Whole seeded closed loops, with ERAB
-noise, background traces and shared links, must make the same decisions
-bit for bit and leave byte-identical profiles whether a table, small blocks
-or both serve the search. UnscreenedGrnn's interval rules out no grid point,
-so its searches predict the whole grid block by block, as a search did
-before the screen; the screened GrnnPredictor must make the same loops.
+KnnPredictor.predict_grid serves a search block from the grid's distance
+ranks when it can; ComputedKnn always calls predict_batch. GrnnPredictor
+predicts only a block's rows; WholeGridGrnn predicts the whole grid for
+every block and keeps the block's rows. UnscreenedGrnn's interval rules out
+no grid point, so its searches predict the whole grid block by block, as a
+search did before the screen. Whole seeded closed loops, with ERAB noise,
+background traces and shared links, must make the same decisions bit for
+bit and leave byte-identical profiles whichever path, and whichever block
+size, serves the search.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from qosalloc.baselines import KnnPredictor
 from qosalloc.controller import QosConfig, QosController
 from qosalloc.harness import seed_profile_generate
 from qosalloc.netsim import LinkSpec, ServiceSpec, Simulator
-from qosalloc.predictor import GrnnPredictor, KernelParams, lattice_batch, predict_batch
+from qosalloc.predictor import GrnnPredictor, KernelParams, predict_batch
 from qosalloc.search import SearchGrid
 
 search_module = importlib.import_module("qosalloc.search")
@@ -32,11 +32,12 @@ THRESHOLDS = (-11.25, -8.75, -6.25, -3.75, -1.25, 1.25, 3.75, 6.25, 8.75, 11.25,
 EPOCHS = 30
 
 
-class ComputedGrnn(GrnnPredictor):
-    """GrnnPredictor whose predict_grid never reads the kernel table."""
+class WholeGridGrnn(GrnnPredictor):
+    """GrnnPredictor whose predict_grid predicts the whole grid and keeps the rows asked for."""
 
     def predict_grid(self, grid, rows, profile):
-        return predict_batch(grid.points()[rows], profile, self.kernel)
+        y_star, kernel_sum = predict_batch(grid.points(), profile, self.kernel)
+        return y_star[rows], kernel_sum[rows]
 
 
 class UnscreenedGrnn(GrnnPredictor):
@@ -74,7 +75,7 @@ def run_loop(seed, make_predictor):
         records = min(config.capacity, config.grid.size)
         seed_profile = seed_profile_generate(config.grid, config, records, nominal, rng,
                                              capacity=config.capacity)
-        if seed % 4 == 3:  # an off-lattice record keeps the table out until it is evicted
+        if seed % 4 == 3:  # an off-lattice record keeps the ranks out until it is evicted
             seed_profile.update(tuple(b / 3 for b in maxima), 12, target=7)
         ctrls.append(QosController(config, seed_profile, int(rng.integers(1, 4)),
                                    predictor=make_predictor(config)))
@@ -94,24 +95,29 @@ def run_loop(seed, make_predictor):
     return repr((decisions, log)).encode(), [c.profile.to_bytes() for c in ctrls]
 
 
+def counting_rows(monkeypatch) -> list:
+    """Rows of every call that reaches the predictor module's predict_batch."""
+    rows = []
+
+    def counting_batch(xs, *args):
+        rows.append(len(xs))
+        return predict_batch(xs, *args)
+
+    monkeypatch.setattr(predictor_module, "predict_batch", counting_batch)
+    return rows
+
+
 @pytest.mark.parametrize("seed", range(8))
-def test_table_and_computed_paths_run_identical_loops(seed, monkeypatch):
-    table_rows = []
-
-    def counting_lattice(table, offsets, *args):
-        table_rows.append(len(offsets))
-        return lattice_batch(table, offsets, *args)
-
-    monkeypatch.setattr(predictor_module, "lattice_batch", counting_lattice)
+def test_whole_grid_and_block_predictions_run_identical_loops(seed, monkeypatch):
+    predicted = counting_rows(monkeypatch)
     # every grid here is one block by default
-    computed = run_loop(seed, lambda config: ComputedGrnn(config.kernel))
-    assert table_rows == []
+    whole = run_loop(seed, lambda config: WholeGridGrnn(config.kernel))
+    assert predicted == []
     if seed % 2:  # small blocks: the search predicts index-array rows, block by block
         monkeypatch.setattr(search_module, "_BLOCK_MIN", 16)
-    tabled = run_loop(seed, lambda config: GrnnPredictor(config.kernel))
-    if seed % 4 != 3:
-        assert len(table_rows) >= EPOCHS
-    assert tabled == computed
+    blocks = run_loop(seed, lambda config: GrnnPredictor(config.kernel))
+    assert len(predicted) >= EPOCHS
+    assert blocks == whole
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -138,20 +144,13 @@ def test_knn_ranks_and_computed_paths_run_identical_loops(seed, monkeypatch):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_screened_and_unscreened_searches_run_identical_loops(seed, monkeypatch):
-    predicted = []
-
-    def counting_lattice(table, offsets, *args):
-        predicted.append(len(offsets))
-        return lattice_batch(table, offsets, *args)
-
-    monkeypatch.setattr(predictor_module, "lattice_batch", counting_lattice)
+    predicted = counting_rows(monkeypatch)
     if seed % 2:  # small blocks: both runs predict index-array rows, block by block
         monkeypatch.setattr(search_module, "_BLOCK_MIN", 16)
     unscreened = run_loop(seed, lambda config: UnscreenedGrnn(config.kernel))
     whole = sum(predicted)
     predicted.clear()
     screened = run_loop(seed, lambda config: GrnnPredictor(config.kernel))
-    if seed % 4 != 3:
-        assert len(predicted) >= EPOCHS
-        assert sum(predicted) < whole
+    assert len(predicted) >= EPOCHS
+    assert sum(predicted) < whole
     assert screened == unscreened

@@ -15,11 +15,11 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from qosalloc import predictor as predictor_module
+from qosalloc.baselines import KnnPredictor
 from qosalloc.predictor import (
     EmptyProfileError,
     GrnnPredictor,
     KernelParams,
-    lattice_batch,
     predict,
     predict_batch,
     round_response,
@@ -329,8 +329,8 @@ class TestRowIndependence:
         assert predictor_module._chunk_records(300, predictor_module._ACCUMULATE_MAX) == 256
 
 
-class TestLatticeBatch:
-    """lattice_batch on a grid's kernel table against predict_batch, bit for bit."""
+class TestGridPredictions:
+    """predict_grid on lattice records against the row-major reference, bit for bit."""
 
     @staticmethod
     def check(grid, rows, p, seed, sigma2):
@@ -340,12 +340,8 @@ class TestLatticeBatch:
             [(tuple(row * grid.step), int(rng.integers(1, 13))) for row in counts],
             link_count=grid.link_count,
         )
-        table, offsets = grid.kernel_table(sigma2)
-        bases = grid.record_bases(profile.allocation_matrix())
-        pts = grid.points()[rows]
-        y_star, ksum = lattice_batch(table, offsets[rows], bases, profile,
-                                     lambda fallback: pts[fallback].T)
-        ref_y, ref_sum = predict_batch(pts, profile, KernelParams(sigma2))
+        y_star, ksum = GrnnPredictor(KernelParams(sigma2)).predict_grid(grid, rows, profile)
+        ref_y, ref_sum = row_major_reference(grid.points()[rows], profile, KernelParams(sigma2))
         assert np.array_equal(y_star, ref_y)
         assert np.array_equal(ksum, ref_sum)
         return ksum
@@ -493,17 +489,16 @@ def test_predictor_wrapper_matches_functions():
     assert (y_star[0], kernel_sum[0]) == (expected.y_star, expected.kernel_sum)
 
 
-@pytest.mark.parametrize("stray, table_calls", [((5.0, 7.5), 2), ((5.1, 7.5), 0)],
-                         ids=["on_lattice", "off_lattice"])
-def test_predict_grid_is_predict_batch_on_its_rows(stray, table_calls, monkeypatch):
-    """GrnnPredictor.predict_grid takes the table only when every record is a grid point."""
+@pytest.mark.parametrize("stray", [(5.0, 7.5), (5.1, 7.5)], ids=["on_lattice", "off_lattice"])
+def test_predict_grid_is_predict_batch_on_its_rows(stray, monkeypatch):
+    """GrnnPredictor.predict_grid is one predict_batch call on its rows, on the lattice or off it."""
     calls = []
 
-    def counting_lattice(*args):
-        calls.append(args[1].size)
-        return lattice_batch(*args)
+    def counting_batch(xs, *args):
+        calls.append(len(xs))
+        return predict_batch(xs, *args)
 
-    monkeypatch.setattr(predictor_module, "lattice_batch", counting_lattice)
+    monkeypatch.setattr(predictor_module, "predict_batch", counting_batch)
     grid = SearchGrid(2.5, (10.0, 7.5))
     profile = make_profile([((0.0, 2.5), 1), (stray, 9), ((10.0, 0.0), 4)])
     wrapper = GrnnPredictor(KernelParams(30.0))
@@ -512,4 +507,14 @@ def test_predict_grid_is_predict_batch_on_its_rows(stray, table_calls, monkeypat
         ref_y, ref_sum = predict_batch(grid.points()[rows], profile, wrapper.kernel)
         assert np.array_equal(y_star, ref_y)
         assert np.array_equal(kernel_sum, ref_sum)
-    assert len(calls) == table_calls
+    assert calls == [grid.size, 4]
+
+
+@pytest.mark.parametrize("predictor", [GrnnPredictor(), KnnPredictor(2)], ids=["grnn", "knn"])
+def test_zero_candidates_give_two_empty_arrays(predictor):
+    grid = SearchGrid(2.5, (10.0, 7.5))
+    profile = make_profile([((0.0, 2.5), 1), ((5.0, 7.5), 9), ((10.0, 0.0), 4)])
+    for y_star, kernel_sum in (predictor.predict_batch(np.empty((0, 2)), profile),
+                               predictor.predict_grid(grid, np.array([], np.intp), profile)):
+        assert y_star.shape == kernel_sum.shape == (0,)
+        assert y_star.dtype == kernel_sum.dtype == np.float64

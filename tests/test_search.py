@@ -23,7 +23,6 @@ from qosalloc.predictor import (
     GrnnPredictor,
     KernelParams,
     Prediction,
-    lattice_batch,
     predict,
     predict_batch,
     round_response,
@@ -554,15 +553,15 @@ def lattice_records(rng, grid, p, level_count=12):
             for row in counts]
 
 
-class CountingLattice:
-    """Stands in for the predictor module's lattice_batch and records the rows it serves."""
+class CountingBatch:
+    """Stands in for the predictor module's predict_batch and records the rows it serves."""
 
     def __init__(self):
         self.calls = []
 
-    def __call__(self, table, offsets, bases, profile, columns):
-        self.calls.append(len(offsets))
-        return lattice_batch(table, offsets, bases, profile, columns)
+    def __call__(self, xs, profile, kernel):
+        self.calls.append(len(xs))
+        return predict_batch(xs, profile, kernel)
 
 
 # grids whose steps pass the exactness check, on 1, 2 and 3 links
@@ -572,59 +571,29 @@ EXACT_GRIDS = [
 ]
 
 
-class TestKernelTable:
-    @pytest.mark.parametrize("grid", EXACT_GRIDS, ids=repr)
-    def test_entries_equal_predict_batch_weights(self, grid):
-        rng = np.random.default_rng(grid.size)
-        sigma2 = 7.3
-        table, offsets = grid.kernel_table(sigma2)
-        assert table.size == math.prod(2 * c + 1 for c in grid.steps_per_link)
-        assert not table.flags.writeable and not offsets.flags.writeable
-        records = lattice_records(rng, grid, 12)
-        profile = Profile(grid.link_count, 12, None, records)
-        bases = grid.record_bases(profile.allocation_matrix())
-        for i, (alloc, _) in enumerate(records):
-            one = Profile(grid.link_count, 12, None, [(alloc, 1)])
-            _, weights = predict_batch(grid.points(), one, KernelParams(sigma2))
-            assert np.array_equal(table[offsets + bases[i]], weights)
-
-    def test_cached_per_sigma2_on_the_grid(self):
-        grid = SearchGrid(1.25, (50.0, 30.0))
-        table, offsets = grid.kernel_table(200.0)
-        assert table.size == 81 * 49
-        assert grid.kernel_table(200.0)[0] is table
-        assert grid.kernel_table(200.0)[1] is offsets
-        other, _ = grid.kernel_table(300.0)
-        assert other is not table and not np.array_equal(other, table)
-        assert grid.kernel_table(300.0)[0] is other
-        # the cache is not a field: equality and hashing are unchanged
-        assert grid == SearchGrid(1.25, (50.0, 30.0))
-        assert hash(grid) == hash(SearchGrid(1.25, (50.0, 30.0)))
-
+class TestLatticeSearch:
     @pytest.mark.parametrize("grid", [
         SearchGrid(0.7, (7.0,)), SearchGrid(0.7, (7.0, 4.2)), SearchGrid(0.1, (0.3,)),
     ], ids=repr)
-    def test_inexact_step_has_no_table(self, grid, monkeypatch):
-        assert grid.kernel_table(200.0) is None
+    def test_inexact_step_has_no_ranks(self, grid):
+        assert grid.distance_ranks() is None
         values = np.arange(max(grid.steps_per_link) + 1) * grid.step
         squares = np.square(values[None, :] - values[:, None])
         deltas = np.subtract.outer(np.arange(len(values)), np.arange(len(values)))
         # some pair (c, r) misses the value its offset c - r has elsewhere
         assert any(len(set(squares[deltas == d].tolist())) > 1 for d in range(len(values)))
-        spy = CountingLattice()
-        monkeypatch.setattr(predictor_module, "lattice_batch", spy)
         rng = np.random.default_rng(7)
         profile = Profile(grid.link_count, 12, None, lattice_records(rng, grid, 6))
-        predictor = GrnnPredictor(KernelParams(3.0))
-        assert search(grid, profile, predictor, 7) == full_grid_search(grid, profile, predictor, 7)
-        assert spy.calls == []
+        for predictor in (GrnnPredictor(KernelParams(3.0)), KnnPredictor(3)):
+            assert search(grid, profile, predictor, 7) == full_grid_search(
+                grid, profile, predictor, 7)
 
     def test_size_limit(self, monkeypatch):
         monkeypatch.setattr(search_module, "_TABLE_MAX", 41**2)
-        # (c, r) pairs in the check, then table entries
-        assert SearchGrid(1.25, (50.0,)).kernel_table(1.0) is not None  # 41**2, 81
-        assert SearchGrid(1.25, (51.25,)).kernel_table(1.0) is None  # 42**2, 83
-        assert SearchGrid(1.25, (50.0, 25.0)).kernel_table(1.0) is None  # 41**2, 81 * 41
+        # (c, r) pairs in the check, then rank entries
+        assert SearchGrid(1.25, (50.0,)).distance_ranks() is not None  # 41**2, 81
+        assert SearchGrid(1.25, (51.25,)).distance_ranks() is None  # 42**2, 83
+        assert SearchGrid(1.25, (50.0, 25.0)).distance_ranks() is None  # 41**2, 81 * 41
 
     def test_record_bases(self):
         grid = SearchGrid(1.25, (50.0, 30.0))
@@ -645,9 +614,9 @@ class TestKernelTable:
             predictor.predict_grid(grid, slice(None), profile)
 
     @pytest.mark.parametrize("sigma2", [300.0, 7.3, 0.5, 1e-6])
-    def test_search_takes_the_table_and_matches_whole_grid(self, sigma2, monkeypatch):
-        spy = CountingLattice()
-        monkeypatch.setattr(predictor_module, "lattice_batch", spy)
+    def test_search_predicts_one_block_and_matches_whole_grid(self, sigma2, monkeypatch):
+        spy = CountingBatch()
+        monkeypatch.setattr(predictor_module, "predict_batch", spy)
         rng = np.random.default_rng(int(sigma2 * 1e6) % 2**32)
         predictor = GrnnPredictor(KernelParams(sigma2))
         for grid in EXACT_GRIDS:
@@ -657,40 +626,47 @@ class TestKernelTable:
                     records = [(a, min(r, 6)) for a, r in records]
                 profile = Profile(grid.link_count, 12, None, records)
                 for target in (2, 7, 11):
-                    before = len(spy.calls)
+                    spy.calls.clear()
                     result = search(grid, profile, predictor, target)
-                    assert result == full_grid_search(grid, profile, predictor, target)
                     # every grid here has fewer than 2 * _BLOCK_MIN points, so its
-                    # candidates are one block: one table call for them, plus one
+                    # candidates are one block: one call for them, plus one
                     # for the no-member phase
-                    calls = spy.calls[before:]
+                    calls = list(spy.calls)
                     assert 1 <= len(calls) <= 1 + (not result.feasible_found)
-                    assert all(calls)
-                after = len(spy.calls)
+                    assert all(calls) and sum(calls) <= grid.size
+                    assert result == full_grid_search(grid, profile, predictor, target)
                 knn = KnnPredictor(int(rng.integers(1, profile.size + 1)))
+                spy.calls.clear()
                 assert search(grid, profile, knn, 7) == full_grid_search(grid, profile, knn, 7)
-                assert len(spy.calls) == after
+                assert spy.calls == []
 
     @pytest.mark.parametrize("stray", [(1.3, 2.5), (0.0, 31.25), (51.25, 0.0)],
                              ids=["off_lattice", "outside_box", "beyond_max"])
     def test_stray_record_falls_back(self, stray, monkeypatch):
-        spy = CountingLattice()
-        monkeypatch.setattr(predictor_module, "lattice_batch", spy)
+        served = []
+        distance_ranks = SearchGrid.distance_ranks
+
+        def counting_ranks(grid):
+            served.append(grid)
+            return distance_ranks(grid)
+
+        monkeypatch.setattr(SearchGrid, "distance_ranks", counting_ranks)
         grid = SearchGrid(1.25, (50.0, 30.0))
         rng = np.random.default_rng(3)
-        predictor = GrnnPredictor(KernelParams(2.0))
         for level in (1, 12):
             records = lattice_records(rng, grid, 10)
             records.insert(int(rng.integers(0, 10)), (stray, level))
             profile = Profile(2, 12, None, records)
-            for target in (2, 7, 11):
-                assert search(grid, profile, predictor, target) == full_grid_search(
-                    grid, profile, predictor, target)
-        assert spy.calls == []
+            for predictor in (GrnnPredictor(KernelParams(2.0)), KnnPredictor(3)):
+                for target in (2, 7, 11):
+                    assert search(grid, profile, predictor, target) == full_grid_search(
+                        grid, profile, predictor, target)
+        # the kNN search never reads the ranks for a profile off the lattice
+        assert served == []
 
-    def test_large_grid_searches_block_by_block_on_the_table(self, monkeypatch):
-        spy = CountingLattice()
-        monkeypatch.setattr(predictor_module, "lattice_batch", spy)
+    def test_large_grid_searches_block_by_block(self, monkeypatch):
+        spy = CountingBatch()
+        monkeypatch.setattr(predictor_module, "predict_batch", spy)
         grid = large_grid()
         predictor = GrnnPredictor(KernelParams(200.0))
         rng = np.random.default_rng(8)
@@ -700,19 +676,19 @@ class TestKernelTable:
         result = search(grid, negative, predictor, 9)
         assert not result.feasible_found
         # every response is at most 6, so no interval reaches 8.5 and no point
-        # is a candidate: the one table call is the no-member phase's, over
-        # fewer rows than the whole grid
+        # is a candidate: the one call is the no-member phase's, over fewer
+        # rows than the whole grid
         assert len(spy.calls) == 1
         assert 0 < spy.calls[0] < grid.size
         assert result == full_grid_search(grid, negative, predictor, 9)
         for target in (2, 12):
             spy.calls.clear()
             result = search(grid, profile, predictor, target)
-            assert result == full_grid_search(grid, profile, predictor, target)
             assert result.feasible_found
             # the candidates are fewer than 2 * _BLOCK_MIN: one block, one call
             assert len(spy.calls) == 1
             assert 0 < spy.calls[0] < search_module._BLOCK_MIN
+            assert result == full_grid_search(grid, profile, predictor, target)
 
     def test_empty_profile_still_raises(self):
         with pytest.raises(EmptyProfileError):
@@ -734,16 +710,18 @@ class TestDistanceRanks:
         assert np.array_equal(np.unique(got, return_inverse=True)[1],
                               np.unique(d2, return_inverse=True)[1])
 
-    def test_reference_grid_ranks_are_cached_beside_the_kernel_table(self):
+    def test_reference_grid_ranks_are_cached(self):
         grid = SearchGrid(1.25, (50.0, 30.0))
-        table, table_offsets = grid.kernel_table(200.0)
         ranks, offsets = grid.distance_ranks()
         assert ranks.size == 3969 and ranks.nbytes == 31_752
-        assert offsets is table_offsets
+        assert offsets.shape == (grid.size,) and not offsets.flags.writeable
         assert grid.distance_ranks()[0] is ranks
-        assert grid.kernel_table(200.0)[0] is table  # building the ranks kept the table
+        assert grid.distance_ranks()[1] is offsets
+        # the cache is not a field: equality and hashing are unchanged
+        assert grid == SearchGrid(1.25, (50.0, 30.0))
+        assert hash(grid) == hash(SearchGrid(1.25, (50.0, 30.0)))
 
-    def test_no_ranks_where_no_table(self, monkeypatch):
+    def test_no_ranks_off_the_exact_lattice(self, monkeypatch):
         assert SearchGrid(0.7, (7.0, 4.2)).distance_ranks() is None
         assert SearchGrid(0.3, (0.3,) * 8).distance_ranks() is None  # numpy sums pairwise
         assert SearchGrid(0.3, (0.3,) * 7).distance_ranks() is not None
@@ -760,7 +738,7 @@ SCREEN_MAX_STEPS = {1: 40, 2: 12, 3: 5, 4: 3}
 def screen_cases(draw):
     """A grid, a kernel and a profile of 1-600 records, on the lattice or off it.
 
-    Steps 0.5 and 1.25 pass the kernel table's exactness check, 0.7 does
+    Steps 0.5 and 1.25 pass the distance ranks' exactness check, 0.7 does
     not. Responses are uniform in a drawn level range or rise with the
     record's total; a bounded profile is filled to capacity and then
     updated past it, so its slot order is not its insertion order.
@@ -846,6 +824,27 @@ class TestScreen:
         # at sigma2 = 200 every point keeps weight, and y* lies between the levels
         lo, hi = GrnnPredictor(KernelParams(200.0)).predict_bounds(grid, profile)
         assert np.all(np.isfinite(lo)) and np.all(lo > 2.9) and np.all(hi < 9.1)
+
+    @pytest.mark.parametrize("grid", [
+        SearchGrid(1.25, (50.0,)), SearchGrid(1.25, (50.0, 30.0)), SearchGrid(2.5, (20.0, 10.0, 12.5)),
+    ], ids=repr)
+    def test_all_finite_intervals_equal_the_masked_ones(self, grid, monkeypatch):
+        # every screened sum reaches tau here, so the screen skips its masks;
+        # a tau inside the range of the sums forces the masked path, which
+        # must give the same bits wherever its interval stays finite
+        rng = np.random.default_rng(grid.size)
+        profile = Profile(grid.link_count, 12, None, lattice_records(rng, grid, 9))
+        predictor = GrnnPredictor(KernelParams(30.0))
+        lo, hi = predictor.predict_bounds(grid, profile)
+        assert np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))
+        _, kernel_sum = predictor.predict_grid(grid, slice(None), profile)
+        monkeypatch.setattr(predictor_module, "_SCREEN_MIN_SUM", float(np.median(kernel_sum)))
+        masked_lo, masked_hi = predictor.predict_bounds(grid, profile)
+        finite = np.isfinite(masked_lo)
+        assert 0 < np.count_nonzero(finite) < grid.size
+        assert np.array_equal(masked_lo[finite], lo[finite])
+        assert np.array_equal(masked_hi[finite], hi[finite])
+        assert np.all(masked_lo[~finite] == -np.inf) and np.all(masked_hi[~finite] == np.inf)
 
     @pytest.mark.parametrize("predictor", [GrnnPredictor(), KnnPredictor(1)], ids=["grnn", "knn"])
     def test_bounds_reject_an_empty_profile(self, predictor):
