@@ -15,16 +15,32 @@ KnnPredictor.predict_batch is the definition: squared distances to every
 record, a stable argsort per candidate (so distance ties go to the lowest
 record index), and the mean response of the first k. predict_grid gets the
 same bits faster when every record is a grid point and the grid has
-distance ranks (SearchGrid.distance_ranks). Then the distance between point
-c and record r is one entry of the ranks, and each (point, record) pair
-gets the integer key rank * p + r. Ranks keep the order and the equality of
-the float distances, and the record index breaks ties toward the lowest
-index as the stable sort does, so the k smallest keys, found by an in-place
-partition instead of a full sort, name exactly the records the sort would
-take. Their responses are small integers, so summing them in any order is
-exact, and the sum divided by k is the mean. The rows are taken a chunk of
-at most _KNN_KEYS keys at a time, so the keys never need an (m, p) array.
-Every other case calls predict_batch.
+distance ranks, reading the grid as a lattice. The squared distance
+between grid point c and record r then depends only on the step-count
+offset c - r, so the ranks hold, per offset, the rank of the squared
+distance sum_j D_j[c_j - r_j] among the distinct values of that sum:
+prod_j (2 C_j + 1) entries, 3,969 (31 KB) on the 2-link reference grid.
+They are built from one flat array of that sum, added link 0 first, so
+ranks compare exactly as the float distances do. A grid has them when it
+passes the exactness check ((c * step - r * step)**2 depends on c - r
+alone, as computed; true of steps such as 0.5, 1.25 or 2.5, not of 0.7)
+within _TABLE_MAX and has fewer than _PAIRWISE_LINKS links: numpy sums
+longer rows pairwise, and the distances would then follow that order
+instead of link order. The ranks, each grid point's offset into them and
+their strides are built once per grid, on the first call whose records
+they can serve, and kept for the grid's lifetime; the records' bases are
+computed per call.
+
+The entry for point c and record r is ranks[offsets[c] + bases[r]], and
+each (point, record) pair gets the integer key rank * p + r. Ranks keep
+the order and the equality of the float distances, and the record index
+breaks ties toward the lowest index as the stable sort does, so the k
+smallest keys, found by an in-place partition instead of a full sort, name
+exactly the records the sort would take. Their responses are small
+integers, so summing them in any order is exact, and the sum divided by k
+is the mean. The rows are taken a chunk of at most _KNN_KEYS keys at a
+time, so the keys never need an (m, p) array. Every other case calls
+predict_batch.
 
 KnnPredictor.predict_bounds is the profile's constant [min, max] response
 interval, so a kNN search predicts as many points as an unscreened search
@@ -34,7 +50,9 @@ point is a member, and only the origin is predicted.
 
 from __future__ import annotations
 
+import math
 import operator
+import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -48,6 +66,18 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Most (point, record) keys one chunk of KnnPredictor.predict_grid holds.
 _KNN_KEYS = 2**14
+
+#: Most entries in a grid's distance ranks, and most (c, r) pairs in its
+#: exactness check; a grid over either limit has no ranks.
+_TABLE_MAX = 2**18
+
+#: Fewest values numpy sums pairwise when it reduces a row; shorter rows are
+#: added left to right, in link order.
+_PAIRWISE_LINKS = 8
+
+#: Each grid's (ranks, offsets, strides), or None where it has no ranks;
+#: an entry lives as long as its grid, and equal grids share one.
+_LATTICES: "weakref.WeakKeyDictionary[SearchGrid, tuple | None]" = weakref.WeakKeyDictionary()
 
 GRNN_BOUNDED = "grnn_bounded"
 GRNN_UNBOUNDED = "grnn_unbounded"
@@ -110,6 +140,74 @@ def _knn_batch(xs: np.ndarray, profile: Profile, k: int) -> tuple[np.ndarray, np
     return y_star, np.full(xs.shape[0], float(k))
 
 
+def _lattice_keys(grid: "SearchGrid", allocs: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """(ranks, offsets, bases) that serve the (p, n) records allocs, or None.
+
+    The rank of the squared distance between grid point c and record r is
+    ranks[offsets[c] + bases[r]]. None when some record is not a grid
+    point (on every link its allocation equals r * step for a step count
+    0 <= r <= C_j) or the grid has no ranks; the ranks are built only
+    once every record is a grid point. Records with another link count
+    than the grid's raise ValueError.
+    """
+    if allocs.shape[1] != grid.link_count:
+        raise ValueError(f"grid has {grid.link_count} links but records have {allocs.shape[1]}")
+    steps = np.array(grid.steps_per_link, dtype=np.intp)
+    counts = np.rint(allocs / grid.step)
+    if not ((counts * grid.step == allocs) & (counts >= 0) & (counts <= steps)).all():
+        return None
+    try:
+        lattice = _LATTICES[grid]
+    except KeyError:
+        lattice = _LATTICES[grid] = _lattice(grid)
+    if lattice is None:
+        return None
+    ranks, offsets, strides = lattice
+    return ranks, offsets, (steps - counts.astype(np.intp)) @ strides
+
+
+def _lattice(grid: "SearchGrid") -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The grid's distance ranks, every point's offset into them, and their strides.
+
+    The ranks are flattened row-major over the offsets c - r shifted into
+    [0, 2 C_j], so axis j has 2 C_j + 1 entries; each is the int64 rank of
+    sum_j D_j[c_j - r_j], added link 0 first, where D_j[c - r] is
+    (c * step - r * step)**2 as numpy computes it, among the distinct
+    values of that sum. On the grid those distances are bit for bit the
+    ones predict_batch computes for a point and a record. None when the
+    grid has _PAIRWISE_LINKS links or more, when the check or the ranks
+    would exceed _TABLE_MAX entries, or when some pair (c, r) has
+    (c * step - r * step)**2 != D_j[c - r]. Every link shares the step, so
+    link j's D_j is the middle of one D over the largest count C, and its
+    (c, r) pairs are a corner of the one check over C.
+    """
+    steps = grid.steps_per_link
+    c_max = max(steps)
+    dims = [2 * c + 1 for c in steps]
+    if (grid.link_count >= _PAIRWISE_LINKS or (c_max + 1) ** 2 > _TABLE_MAX
+            or math.prod(dims) > _TABLE_MAX):
+        return None
+    # D[delta + C] = (delta * step)**2 for delta in [-C, C]
+    squares = np.square(np.arange(-c_max, c_max + 1, dtype=float) * grid.step)
+    v = np.arange(c_max + 1, dtype=float) * grid.step
+    actual = np.square(v[None, :] - v[:, None])  # [r, c]: (c * step - r * step)**2
+    # [r, c]: D[c - r + C], row r being the window of D that starts at C - r
+    expected = np.lib.stride_tricks.sliding_window_view(squares, c_max + 1)[::-1]
+    if not np.array_equal(actual, expected):
+        return None
+    sums = None
+    for c in steps:
+        d = squares[c_max - c:c_max + c + 1]
+        sums = d.copy() if sums is None else np.add.outer(sums, d)
+    ranks = np.unique(sums.reshape(-1), return_inverse=True)[1]
+    strides = np.array([math.prod(dims[j + 1:]) for j in range(len(dims))], dtype=np.intp)
+    offsets = grid.counts() @ strides
+    ranks.flags.writeable = False
+    offsets.flags.writeable = False
+    return ranks, offsets, strides
+
+
 class KnnPredictor:
     """k-nearest-neighbor predictor with the search-facing predict_bounds / predict_grid."""
 
@@ -146,16 +244,15 @@ class KnnPredictor:
         """predict_batch on grid.points()[rows], from the grid's distance ranks when it can.
 
         rows is a slice or an index array into the row-major grid. The ranks
-        serve when every record is a grid point (grid.record_bases) and the
-        grid has them (grid.distance_ranks); the results are then
-        bit-identical to predict_batch, which every other case calls.
+        serve when every record is a grid point and the grid has them (see
+        the module docstring); the results are then bit-identical to
+        predict_batch, which every other case calls.
         """
         self._check(profile)
-        bases = grid.record_bases(profile.allocation_matrix())
-        lattice = None if bases is None else grid.distance_ranks()
+        lattice = _lattice_keys(grid, profile.allocation_matrix())
         if lattice is None:
             return self.predict_batch(grid.points()[rows], profile)
-        ranks, offsets = lattice
+        ranks, offsets, bases = lattice
         p, k = profile.size, self.k_neighbors
         point_offsets = offsets[rows]
         rates = profile.response_vector().astype(float)

@@ -192,32 +192,20 @@ def predict_batch(
     else:
         num = np.zeros(m)
         den = np.zeros(m)
-        if k > 1:
-            # one block for both buffers: as two blocks, the allocator gave
-            # their pages back to the OS after each call and page-faulted
-            # them in again
-            w, spare = np.empty((2, k, m))
-            for lo in range(0, p, k):
-                count = min(k, p - lo)
-                # wc holds the weights, then r * weight
-                wc = w[:count]
-                _weights_into(wc, spare[:count], cols, links[:, lo:lo + count], neg_sigma2)
-                for row in wc:
-                    den += row
-                wc *= responses[lo:lo + count, None]
-                for row in wc:
-                    num += row
-        else:
-            # whole 1-D buffers, and each record's values as Python numbers:
-            # a slice per record costs more, rows of one block ran about 5%
-            # slower at m=25,625, and numpy broadcasts a Python float faster
-            # than a (1, 1) array
-            w, spare = np.empty(m), np.empty(m)
-            for a, r in zip(allocs.tolist(), responses.tolist()):
-                _weights_into(w, spare, cols, a, neg_sigma2)
-                den += w
-                w *= r
-                num += w
+        # one block for both buffers: as two blocks, the allocator gave
+        # their pages back to the OS after each call and page-faulted them
+        # in again
+        w, spare = np.empty((2, k, m))
+        for lo in range(0, p, k):
+            count = min(k, p - lo)
+            # wc holds the weights, then r * weight
+            wc = w[:count]
+            _weights_into(wc, spare[:count], cols, links[:, lo:lo + count], neg_sigma2)
+            for row in wc:
+                den += row
+            wc *= responses[lo:lo + count, None]
+            for row in wc:
+                num += row
     if np.minimum.reduce(den) > 0.0:
         return num / den, den
     positive = den > 0.0

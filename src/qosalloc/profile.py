@@ -274,7 +274,10 @@ class Profile:
             raise ProfileFormatError("empty profile data: missing header")
         header = lines[0].strip()
         try:
-            parts = dict(item.split("=", 1) for item in header.split(","))
+            items = [item.split("=", 1) for item in header.split(",")]
+            parts = dict(items)
+            if len(items) != 3 or parts.keys() != {"n", "L", "S"}:
+                raise ValueError("need the keys n, L and S, once each")
             link_count = int(parts["n"])
             level_count = int(parts["L"])
             capacity = None if parts["S"] == "unbounded" else int(parts["S"])

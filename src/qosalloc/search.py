@@ -25,34 +25,21 @@ average, where it predicted about half the grid before.
 The candidates are evaluated in blocks of whole total-bandwidth layers,
 in increasing total, and the search stops after the first block that
 holds a member: that block contains every candidate of the cheapest member
-layer, so the tie-breaks see every member of it, and points in later
-blocks are never predicted. Each block holds at least _BLOCK_MIN points,
-and every block but the last at least as many as all earlier blocks
-together, so block sizes roughly double and fewer than 2 * _BLOCK_MIN
-candidates are one block, evaluated in a single predictor call. The
-minimum sits above the point where a predictor call's fixed per-record
-cost stops dominating its per-point cost. grid.blocks() is the same rule
-over the whole grid, which is what a search evaluates when the interval
-rules out no point. When no candidate is a member, the search predicts,
-in one more call, every remaining point whose hi reaches the largest lo,
-since only those can hold the highest y*.
+layer, so the tie-breaks see every member of it, and candidates in later
+blocks are never predicted. The search cuts each block from the sorted
+candidates as it goes: a block holds at least _BLOCK_MIN candidates and at
+least as many as all earlier blocks together, ending where the layer that
+reaches that count ends, and it runs to the last candidate when fewer than
+_BLOCK_MIN would be left. Block sizes so roughly double, and fewer than
+2 * _BLOCK_MIN candidates are one block, evaluated in a single predictor
+call. The minimum sits above the point where a predictor call's fixed
+per-record cost stops dominating its per-point cost. When no candidate is
+a member, the search predicts, in one more call, every remaining point
+whose hi reaches the largest lo, since only those can hold the highest y*.
 
 The search knows a predictor only through predict_bounds(grid, profile)
 and predict_grid(grid, rows, profile), which predicts grid.points()[rows]
 for one block; see the predictor module for the protocol.
-
-The kNN predictor reads the grid as a lattice. When every profile record
-is a grid point, the squared distance between grid point c and record r
-depends only on the step-count offset c - r, so the grid's distance_ranks
-hold, per offset, the rank of the squared distance sum_j D_j[c_j - r_j]
-among the distinct values of that sum: prod_j (2 C_j + 1) entries, 3,969
-(31 KB) on the 2-link reference grid. They are built from one flat array
-of that sum, added link 0 first, so ranks compare exactly as the float
-distances do. They need a grid that passes the exactness check ((c * step
-- r * step)**2 depends on c - r alone, as computed; true of steps such as
-0.5, 1.25 or 2.5, not of 0.7) within _TABLE_MAX, records that all equal
-grid points, and fewer than 8 links: numpy sums longer rows pairwise, and
-the kNN distances would then follow that order instead of link order.
 
 membership_c_form() evaluates the same predicate in an algebraically
 rearranged form, C1 + C2 >= C3, that groups kernel weights by response
@@ -85,18 +72,15 @@ _GRID_EPS = 1e-9
 # Fewest grid points in one evaluation block; see the module docstring.
 _BLOCK_MIN = 4096
 
-# Most entries in a grid's distance ranks, and most (c, r) pairs in its
-# exactness check; a grid over either limit has no ranks.
-_TABLE_MAX = 2**18
-
-# Fewest values numpy sums pairwise when it reduces a row; shorter rows are
-# added left to right, in link order.
-_PAIRWISE_LINKS = 8
+# Most points a grid may hold: about 41 times the 3-link stress grid, and
+# about 100 MB of grid arrays at 3 links. A larger grid raises ValueError
+# before any of its arrays is built.
+_MAX_POINTS = 2**20
 
 
 @dataclass(frozen=True)
 class SearchGrid:
-    """Discrete allocation search space.
+    """Discrete allocation search space of at most _MAX_POINTS points.
 
     Attributes
     ----------
@@ -117,6 +101,10 @@ class SearchGrid:
             raise ValueError("grid needs at least one link")
         if any(b < 0.0 or not math.isfinite(b) for b in self.max_per_link):
             raise ValueError(f"per-link maxima must be finite and >= 0: {self.max_per_link}")
+        # the ratio first: a huge one would overflow steps_per_link's floor
+        if any(b / self.step > _MAX_POINTS for b in self.max_per_link) or self.size > _MAX_POINTS:
+            raise ValueError(f"grid of step {self.step} over maxima {self.max_per_link} "
+                             f"has more than {_MAX_POINTS} points")
 
     @property
     def link_count(self) -> int:
@@ -161,66 +149,6 @@ class SearchGrid:
         """
         return self._link_values
 
-    def blocks(self) -> tuple[np.ndarray | slice, ...]:
-        """The grid split into evaluation blocks, as row indices per block.
-
-        These are the blocks a search predicts when every point is a
-        candidate. Blocks hold whole total-step layers and come in
-        increasing total; each indexes the row-major grid. Each block holds
-        at least _BLOCK_MIN points and every block but the last at least as
-        many as all earlier blocks together. A grid that forms one block
-        yields (slice(None),). Built on first use; the arrays are read-only
-        views of by_total_order().
-        """
-        return self._blocks
-
-    def distance_ranks(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """Rank of every offset's squared distance, and each point's offset.
-
-        On the lattice, the squared distance between grid points at step
-        counts c and r depends only on the offset c - r. The ranks hold it
-        for every offset, flattened row-major over offsets shifted into
-        [0, 2 C_j]; the entry for point c and a record at r (see
-        record_bases) is ranks[offsets[c] + base[r]]. Each entry is the
-        int64 rank of sum_j D_j[c_j - r_j], added link 0 first, where
-        D_j[c - r] is (c * step - r * step)**2 as numpy computes it, among
-        the distinct values of that sum over all offsets, so two entries
-        compare as the float distances do, equality included. On the grid
-        those distances are bit for bit the ones the kNN predictor computes
-        for a point and a record, so ranks order neighbors as its sort
-        does. On the 2-link reference grid the ranks are 3,969 int64
-        entries (31 KB).
-
-        Returns None when the grid fails its exactness check (some pair c,
-        r with (c * step - r * step)**2 != D_j[c - r]; steps such as 0.5,
-        1.25 or 2.5 pass, 0.7 does not), when the ranks or the check would
-        exceed _TABLE_MAX entries, or when the grid has _PAIRWISE_LINKS
-        links or more: numpy sums a row of that many values pairwise, not
-        left to right, so its distances may round differently. Built on
-        first use, cached on the grid and returned read-only.
-        """
-        ranks = self._ranks
-        return None if ranks is None else (ranks, self._table_offsets)
-
-    def record_bases(self, allocs: np.ndarray) -> np.ndarray | None:
-        """Each record's base offset into the distance ranks, or None.
-
-        allocs is a (p, n) array of record allocations. A record has a base
-        only if it is a grid point: on every link its allocation equals
-        r * step for a step count 0 <= r <= C_j. If any record is not,
-        the result is None and the ranks cannot serve the profile. Records
-        with another link count than the grid's raise ValueError.
-        """
-        if allocs.shape[1] != self.link_count:
-            raise ValueError(
-                f"grid has {self.link_count} links but records have {allocs.shape[1]}"
-            )
-        steps = self._max_counts
-        counts = np.rint(allocs / self.step)
-        if not ((counts * self.step == allocs) & (counts >= 0) & (counts <= steps)).all():
-            return None
-        return (steps - counts.astype(np.intp)) @ self._table_strides
-
     @functools.cached_property
     def _counts(self) -> np.ndarray:
         axes = [np.arange(c + 1) for c in self.steps_per_link]
@@ -259,70 +187,6 @@ class SearchGrid:
     def _layer_ends(self) -> np.ndarray:
         """Entry t is the number of grid points with total step count <= t."""
         return np.cumsum(np.bincount(self._totals))
-
-    @functools.cached_property
-    def _blocks(self) -> tuple[np.ndarray | slice, ...]:
-        order = self.by_total_order()
-        blocks = _layer_blocks(order, self._totals)
-        return (slice(None),) if len(blocks) == 1 else blocks
-
-    @functools.cached_property
-    def _max_counts(self) -> np.ndarray:
-        """steps_per_link as an array."""
-        return np.array(self.steps_per_link, dtype=np.intp)
-
-    @functools.cached_property
-    def _table_strides(self) -> np.ndarray:
-        """Row-major strides of the ranks, whose axis j has 2 C_j + 1 offsets."""
-        dims = [2 * c + 1 for c in self.steps_per_link]
-        return np.array([math.prod(dims[j + 1:]) for j in range(len(dims))], dtype=np.intp)
-
-    @functools.cached_property
-    def _table_offsets(self) -> np.ndarray:
-        offsets = self._counts @ self._table_strides
-        offsets.flags.writeable = False
-        return offsets
-
-    def _offset_distances(self) -> np.ndarray:
-        """A new flat array of sum_j D_j[c_j - r_j] for every offset, link 0 first."""
-        c_max = max(self.steps_per_link)
-        sums = None
-        for c in self.steps_per_link:
-            d = self._offset_squares[c_max - c:c_max + c + 1]
-            sums = d.copy() if sums is None else np.add.outer(sums, d)
-        return sums.reshape(-1)
-
-    @functools.cached_property
-    def _ranks(self) -> np.ndarray | None:
-        if not self._lattice_exact or self.link_count >= _PAIRWISE_LINKS:
-            return None
-        ranks = np.unique(self._offset_distances(), return_inverse=True)[1]
-        ranks.flags.writeable = False
-        return ranks
-
-    @functools.cached_property
-    def _offset_squares(self) -> np.ndarray:
-        """D[delta + C] = (delta * step)**2 for delta in [-C, C], C the largest count."""
-        c_max = max(self.steps_per_link)
-        return np.square(np.arange(-c_max, c_max + 1, dtype=float) * self.step)
-
-    @functools.cached_property
-    def _lattice_exact(self) -> bool:
-        """The exactness check behind distance_ranks, within the size limits.
-
-        Every link shares the step, so link j's D_j is the middle of D and
-        its (c, r) pairs are a corner of the one check over the largest
-        count C.
-        """
-        steps = self.steps_per_link
-        c_max = max(steps)
-        if (c_max + 1) ** 2 > _TABLE_MAX or math.prod(2 * c + 1 for c in steps) > _TABLE_MAX:
-            return False
-        v = np.arange(c_max + 1, dtype=float) * self.step
-        actual = np.square(v[None, :] - v[:, None])  # [r, c]: (c * step - r * step)**2
-        # [r, c]: D[c - r + C], row r being the window of D that starts at C - r
-        expected = np.lib.stride_tricks.sliding_window_view(self._offset_squares, c_max + 1)
-        return bool(np.array_equal(actual, expected[::-1]))
 
 
 @dataclass(frozen=True)
@@ -376,26 +240,6 @@ def _sum_in_order(values: np.ndarray) -> float:
     return float(np.add.accumulate(np.concatenate(([0.0], values)))[-1])
 
 
-def _layer_blocks(rows: np.ndarray, totals: np.ndarray) -> tuple[np.ndarray, ...]:
-    """rows, sorted by total, split into blocks of whole layers; totals is the grid's.
-
-    Each block holds at least _BLOCK_MIN rows and every block but the last
-    at least as many as all earlier blocks together, so fewer than
-    2 * _BLOCK_MIN rows are one block, and no rows are no block. Blocks
-    are views of rows.
-    """
-    size = len(rows)
-    if size < 2 * _BLOCK_MIN:
-        return (rows,) if size else ()
-    bounds = [0]
-    for end in (np.flatnonzero(np.diff(totals[rows])) + 1).tolist():
-        lo = bounds[-1]
-        if end - lo >= max(_BLOCK_MIN, lo) and size - end >= _BLOCK_MIN:
-            bounds.append(end)
-    bounds.append(size)
-    return tuple(rows[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]))
-
-
 def search(grid: SearchGrid, profile: Profile, predictor, target: int) -> AllocationResult:
     """Search the grid for the cheapest allocation meeting target.
 
@@ -415,11 +259,10 @@ def search(grid: SearchGrid, profile: Profile, predictor, target: int) -> Alloca
     candidates are the points with hi >= threshold and total <= T_sure:
     every member of the cheapest member layer is among them, since that
     layer's total is at most T_sure and a member has y* >= threshold. The
-    candidates are predicted in whole-layer blocks of increasing total
-    (the grid.blocks() rule applied to the candidate rows; all of
-    grid.blocks() when every point is a candidate), and the search stops
-    after the first block holding a member, which holds every member of
-    its cheapest layer for the tie-breaks. With no member among the
+    candidates are predicted in whole-layer blocks of increasing total,
+    cut as the module docstring says, and the search stops after the
+    first block holding a member, which holds every member of its
+    cheapest layer for the tie-breaks. With no member among the
     candidates there is none on the grid; the search then also predicts
     every point not yet predicted with hi >= max(lo), since no other point
     can reach the highest y*, and takes the highest y*. Every value a
@@ -441,11 +284,23 @@ def search(grid: SearchGrid, profile: Profile, predictor, target: int) -> Alloca
     t_sure = np.minimum.reduce(totals, where=lo >= threshold, initial=len(layer_ends) - 1)
     cheap = grid.by_total_order()[:layer_ends[t_sure]]  # every point with total <= T_sure
     rows = cheap[hi[cheap] >= threshold]
-    blocks = grid.blocks() if len(rows) == len(totals) else _layer_blocks(rows, totals)
+    size = len(rows)
+    # the candidates' totals, which only a cut into two or more blocks reads
+    row_totals = totals[rows] if size >= 2 * _BLOCK_MIN else None
     predicted = []  # (rows, y*, kernel sums) of every predicted block
-    for block in blocks:
+    start = 0
+    while start < size:
+        # the block ends with the layer of its want-th candidate, or with
+        # the last candidate when fewer than _BLOCK_MIN would be left
+        want = start + max(_BLOCK_MIN, start)
+        end = size
+        if size - want >= _BLOCK_MIN:
+            layer_end = int(np.searchsorted(row_totals, row_totals[want - 1], side="right"))
+            if size - layer_end >= _BLOCK_MIN:
+                end = layer_end
+        block = rows[start:end]
+        start = end
         y_star, kernel_sum = predictor.predict_grid(grid, block, profile)
-        block = np.arange(len(totals))[block] if isinstance(block, slice) else block
         predicted.append((block, y_star, kernel_sum))
         members = y_star >= threshold
         if members.any():

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import gc
+import math
 import re
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -18,7 +21,7 @@ from qosalloc.predictor import (
 )
 from qosalloc.profile import APPENDED, Profile, UpdateResult
 from qosalloc.search import SearchGrid, search
-from test_search import lattice_records
+from test_search import EXACT_GRIDS, full_grid_search, lattice_records
 
 
 class TestPredictorKind:
@@ -173,8 +176,7 @@ class TestKnnOnTheLattice:
     def test_predict_grid_equals_stable_argsort(self, case):
         grid, profile, k, rows = case
         predictor = KnnPredictor(k)
-        assert grid.record_bases(profile.allocation_matrix()) is not None
-        assert grid.distance_ranks() is not None
+        assert baselines_module._lattice_keys(grid, profile.allocation_matrix()) is not None
         for block in (slice(None), rows):
             expected = knn_reference(grid.points()[block], profile, k)
             got = predictor.predict_grid(grid, block, profile)
@@ -219,8 +221,9 @@ class TestKnnOnTheLattice:
         def no_table(*args):
             raise AssertionError("read a grid table before checking the profile")
 
-        for name in ("record_bases", "distance_ranks", "points"):
-            monkeypatch.setattr(SearchGrid, name, no_table)
+        for name in ("_lattice_keys", "_lattice"):
+            monkeypatch.setattr(baselines_module, name, no_table)
+        monkeypatch.setattr(SearchGrid, "points", no_table)
         with pytest.raises(error) as from_grid:
             predictor.predict_grid(SearchGrid(1.25, (5.0,)), slice(None), profile)
         assert str(from_grid.value) == str(from_batch.value)
@@ -230,6 +233,7 @@ class TestKnnOnTheLattice:
         (SearchGrid(0.7, (7.0, 4.2)), None),
     ], ids=["off_lattice_record", "inexact_step"])
     def test_falls_back_to_predict_batch(self, grid, stray, monkeypatch):
+        monkeypatch.setattr(baselines_module, "_LATTICES", weakref.WeakKeyDictionary())
         profile = lattice_profile(grid, 12, seed=9)
         if stray is not None:
             profile.update(stray, 12, target=7)
@@ -241,9 +245,9 @@ class TestKnnOnTheLattice:
             assert np.array_equal(got[0], expected[0])
         assert spy.calls == 2
         if stray is None:
-            assert grid.distance_ranks() is None
+            assert baselines_module._lattice(grid) is None
         else:  # the ranks are built only for a profile they can serve
-            assert "_ranks" not in vars(grid)
+            assert grid not in baselines_module._LATTICES
 
     @pytest.mark.parametrize("k", [1, 100, 170, 256])
     def test_eight_links_fall_back(self, k):
@@ -251,11 +255,94 @@ class TestKnnOnTheLattice:
         # distances hold ties that link-order sums do not, and ranks built
         # from those sums would pick other records for k in 164..218
         grid = SearchGrid(0.3, (0.3,) * 8)
-        assert grid.distance_ranks() is None
+        assert baselines_module._lattice(grid) is None
         profile = Profile(8, 12, None,
                           [(tuple(x), 1 + i % 12) for i, x in enumerate(grid.points())])
         got = KnnPredictor(k).predict_grid(grid, slice(None), profile)
         assert np.array_equal(got[0], knn_reference(grid.points(), profile, k)[0])
+
+
+class TestDistanceRanks:
+    @pytest.mark.parametrize("grid", EXACT_GRIDS, ids=repr)
+    def test_ranks_order_and_tie_as_the_distances_do(self, grid):
+        rng = np.random.default_rng(grid.size)
+        allocs = np.array([a for a, _ in lattice_records(rng, grid, 12)])
+        ranks, offsets, bases = baselines_module._lattice_keys(grid, allocs)
+        assert ranks.dtype == np.int64
+        assert ranks.size == math.prod(2 * c + 1 for c in grid.steps_per_link)
+        assert not ranks.flags.writeable
+        got = ranks[offsets[:, None] + bases[None, :]]
+        d2 = ((grid.points()[:, None, :] - allocs[None, :, :]) ** 2).sum(axis=2)
+        # equal dense rankings: every order and every tie is kept
+        assert np.array_equal(np.unique(got, return_inverse=True)[1],
+                              np.unique(d2, return_inverse=True)[1])
+
+    def test_reference_grid_ranks_are_cached(self, monkeypatch):
+        monkeypatch.setattr(baselines_module, "_LATTICES", weakref.WeakKeyDictionary())
+        grid = SearchGrid(1.25, (50.0, 30.0))
+        on_lattice = np.array([[0.0, 0.0], [50.0, 30.0]])
+        # built lazily, and only for records the ranks can serve
+        assert baselines_module._lattice_keys(grid, np.array([[1.3, 0.0]])) is None
+        assert grid not in baselines_module._LATTICES
+        ranks, offsets, _ = baselines_module._lattice_keys(grid, on_lattice)
+        assert ranks.size == 3969 and ranks.nbytes == 31_752
+        assert offsets.shape == (grid.size,) and not offsets.flags.writeable
+        # the same arrays for the grid's lifetime, whatever the records
+        again = baselines_module._lattice_keys(grid, on_lattice[::-1])
+        assert again[0] is ranks and again[1] is offsets
+        # the cache is not a field: equality and hashing are unchanged
+        assert grid == SearchGrid(1.25, (50.0, 30.0))
+        assert hash(grid) == hash(SearchGrid(1.25, (50.0, 30.0)))
+        # and it goes with the grid
+        del grid, ranks, offsets, again
+        gc.collect()
+        assert len(baselines_module._LATTICES) == 0
+
+    def test_record_bases(self):
+        grid = SearchGrid(1.25, (50.0, 30.0))
+
+        def bases(allocs):
+            keys = baselines_module._lattice_keys(grid, np.array(allocs))
+            return None if keys is None else keys[2]
+
+        np.testing.assert_array_equal(
+            bases([[0.0, 0.0], [50.0, 30.0], [1.25, 2.5], [-0.0, 30.0]]),
+            [40 * 49 + 24, 0, 39 * 49 + 22, 40 * 49])
+        assert bases([[1.3, 0.0]]) is None  # off the lattice
+        assert bases([[0.0, 31.25]]) is None  # outside the box
+        assert bases([[0.0, 1.25 + 1e-15]]) is None
+
+    @pytest.mark.parametrize("grid", [
+        SearchGrid(0.7, (7.0,)), SearchGrid(0.7, (7.0, 4.2)), SearchGrid(0.1, (0.3,)),
+    ], ids=repr)
+    def test_inexact_step_has_no_ranks(self, grid):
+        assert baselines_module._lattice(grid) is None
+        values = np.arange(max(grid.steps_per_link) + 1) * grid.step
+        squares = np.square(values[None, :] - values[:, None])
+        deltas = np.subtract.outer(np.arange(len(values)), np.arange(len(values)))
+        # some pair (c, r) misses the value its offset c - r has elsewhere
+        assert any(len(set(squares[deltas == d].tolist())) > 1 for d in range(len(values)))
+        rng = np.random.default_rng(7)
+        profile = Profile(grid.link_count, 12, None, lattice_records(rng, grid, 6))
+        for predictor in (GrnnPredictor(KernelParams(3.0)), KnnPredictor(3)):
+            assert search(grid, profile, predictor, 7) == full_grid_search(
+                grid, profile, predictor, 7)
+
+    def test_size_limit(self, monkeypatch):
+        monkeypatch.setattr(baselines_module, "_TABLE_MAX", 41**2)
+        # (c, r) pairs in the check, then rank entries
+        assert baselines_module._lattice(SearchGrid(1.25, (50.0,))) is not None  # 41**2, 81
+        assert baselines_module._lattice(SearchGrid(1.25, (51.25,))) is None  # 42**2, 83
+        assert baselines_module._lattice(SearchGrid(1.25, (50.0, 25.0))) is None  # 41**2, 81 * 41
+
+    def test_no_ranks_off_the_exact_lattice(self, monkeypatch):
+        lattice = baselines_module._lattice
+        assert lattice(SearchGrid(0.7, (7.0, 4.2))) is None
+        assert lattice(SearchGrid(0.3, (0.3,) * 8)) is None  # numpy sums pairwise
+        assert lattice(SearchGrid(0.3, (0.3,) * 7)) is not None
+        monkeypatch.setattr(baselines_module, "_TABLE_MAX", 41**2)
+        assert lattice(SearchGrid(1.25, (50.0,))) is not None
+        assert lattice(SearchGrid(1.25, (50.0, 25.0))) is None
 
 
 class TestUnboundedGrowth:

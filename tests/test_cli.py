@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -143,6 +144,24 @@ def test_config_errors_are_reported(tmp_path, capsys):
     code = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_oversized_grid_is_an_error_not_an_allocation(scenario_file, tmp_path, capsys):
+    # 100,000,001 points per link: the grid arrays alone would need 71.1 PiB
+    config = json.loads(scenario_file.read_text())
+    config["grid"] = {"step": 0.001, "max_per_link": [100000, 100000]}
+    huge = tmp_path / "huge_grid.json"
+    huge.write_text(json.dumps(config))
+    tracemalloc.start()
+    try:
+        code = main(["run", "--config", str(huge), "--out", str(tmp_path / "o")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert peak < 2**20  # nothing of the grid's size was allocated
+    assert not (tmp_path / "o").exists()
 
 
 def test_module_entry_point_runs_verify():

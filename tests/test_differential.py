@@ -18,6 +18,7 @@ import importlib
 import numpy as np
 import pytest
 
+from qosalloc import baselines as baselines_module
 from qosalloc.baselines import KnnPredictor
 from qosalloc.controller import QosConfig, QosController
 from qosalloc.harness import seed_profile_generate
@@ -123,14 +124,14 @@ def test_whole_grid_and_block_predictions_run_identical_loops(seed, monkeypatch)
 @pytest.mark.parametrize("seed", range(8))
 def test_knn_ranks_and_computed_paths_run_identical_loops(seed, monkeypatch):
     served = []
-    distance_ranks = SearchGrid.distance_ranks
+    lattice_keys = baselines_module._lattice_keys
 
-    def counting_ranks(grid):
-        ranks = distance_ranks(grid)
-        served.append(ranks is not None)
-        return ranks
+    def counting_keys(grid, allocs):
+        keys = lattice_keys(grid, allocs)
+        served.append(keys is not None)
+        return keys
 
-    monkeypatch.setattr(SearchGrid, "distance_ranks", counting_ranks)
+    monkeypatch.setattr(baselines_module, "_lattice_keys", counting_keys)
     k = 1 + seed % 5  # every seed profile holds at least 5 records
     computed = run_loop(seed, lambda config: ComputedKnn(k))
     assert served == []

@@ -27,6 +27,7 @@ from qosalloc.predictor import (
 )
 from qosalloc.profile import Profile
 from qosalloc.search import SearchGrid
+from test_search import search_blocks
 
 
 def make_profile(records, link_count=None, level_count=12):
@@ -372,7 +373,7 @@ class TestGridPredictions:
         rows = grid.by_total_order()[:predictor_module._CHUNK // 4]
         assert predictor_module._chunk_records(13, len(rows)) == 4
         self.check(grid, rows, 13, seed=2, sigma2=sigma2)
-        for rows in grid.blocks():
+        for rows in search_blocks(grid):
             self.check(grid, rows, 9, seed=len(rows), sigma2=sigma2)
 
 

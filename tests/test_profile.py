@@ -180,8 +180,12 @@ class TestPersistence:
         (b"n=1,L=12,S=0\n", "header"),
         (b"n=1,L=12,S=-3\n", "header"),
         (b"n=" + b"9" * 40 + b",L=12,S=4\n", "header"),
+        (b"n=1,L=12,S=unbounded,X=1\n", "header"),
+        (b"n=1,L=12,S=4,S=unbounded\n", "header"),
+        (b"n=1,S=4\n", "header"),
     ], ids=["undecodable", "undecodable_record", "no_links", "no_levels", "zero_capacity",
-            "negative_capacity", "huge_link_count"])
+            "negative_capacity", "huge_link_count", "unknown_key", "repeated_key",
+            "missing_key"])
     def test_every_failure_is_a_format_error(self, data, match):
         with pytest.raises(ProfileFormatError, match=match):
             Profile.from_bytes(data)

@@ -9,14 +9,15 @@ module and the acceptance suite.
 from __future__ import annotations
 
 import importlib
-import math
 import time
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from qosalloc import baselines as baselines_module
 from qosalloc.baselines import KnnPredictor
 from qosalloc.predictor import (
     EmptyProfileError,
@@ -68,7 +69,7 @@ class SpyPredictor:
     """Wraps a predictor and keeps the grid rows of every block it was asked for.
 
     Its interval is (-inf, inf) everywhere, so the screen rules out no
-    point and the search predicts the grid in grid.blocks().
+    point and every grid point is a candidate.
     """
 
     def __init__(self, inner):
@@ -83,12 +84,20 @@ class SpyPredictor:
         return self.inner.predict_grid(grid, rows, profile)
 
 
-def large_grid():
-    """41 x 25 x 25 = 25,625 points: four blocks at the default block minimum.
+def search_blocks(grid):
+    """The blocks a search predicts when every grid point is a candidate.
 
-    A fresh instance each time, so no test sees blocks cached under a
-    patched block minimum.
+    One record at level 1 and target 12: no point is a member, so the
+    search predicts every block.
     """
+    spy = SpyPredictor(GrnnPredictor())
+    profile = Profile(grid.link_count, 12, None, [((0.0,) * grid.link_count, 1)])
+    assert not search(grid, profile, spy, 12).feasible_found
+    return spy.batches
+
+
+def large_grid():
+    """41 x 25 x 25 = 25,625 points: four blocks at the default block minimum."""
     return SearchGrid(1.25, (50.0, 30.0, 30.0))
 
 
@@ -134,6 +143,17 @@ class TestSearchGrid:
             SearchGrid(1.0, ())
         with pytest.raises(ValueError):
             SearchGrid(1.0, (-5.0,))
+
+    def test_point_count_is_bounded(self):
+        limit = search_module._MAX_POINTS
+        assert SearchGrid(1.0, (limit - 1.0,)).size == limit
+        assert SearchGrid(1.0, (1023.0, 1023.0)).size == limit
+        for maxima in [(float(limit),), (1023.0, 1024.0), (100000.0, 100000.0)]:
+            with pytest.raises(ValueError, match=f"more than {limit} points"):
+                SearchGrid(1.0, maxima)
+        # a step count too large for an int still raises ValueError
+        with pytest.raises(ValueError, match="points"):
+            SearchGrid(1e-300, (1e300,))
 
 
 def is_member(x, profile, kernel, target):
@@ -383,29 +403,28 @@ def test_search_cost_scales_linearly_with_profile_size():
 
 
 def assert_block_rule(grid, block_min):
-    """grid.blocks() partitions the grid into whole layers, smallest total first."""
-    blocks = grid.blocks()
+    """A search predicts the grid in whole layers, smallest total first."""
+    rows = search_blocks(grid)
     if grid.size < 2 * block_min:
-        assert len(blocks) == 1
-    if len(blocks) == 1:
-        assert blocks == (slice(None),)
-        return
+        assert len(rows) == 1
     totals = grid.counts().sum(axis=1)
-    rows = [np.arange(grid.size)[r] for r in blocks]
     np.testing.assert_array_equal(np.sort(np.concatenate(rows)), np.arange(grid.size))
     earlier = 0
     for k, r in enumerate(rows):
-        assert not blocks[k].flags.writeable
         layer = totals[r]
         assert np.all(np.diff(layer) >= 0)
         assert np.all(np.diff(r)[np.diff(layer) == 0] > 0)  # row-major within a layer
-        assert len(r) >= block_min
-        if k + 1 < len(blocks):
+        assert len(r) >= block_min or len(rows) == 1
+        need = max(block_min, earlier)
+        if k + 1 < len(rows):
             assert layer.max() < totals[rows[k + 1]].min()  # no layer spans two blocks
-            need = max(block_min, earlier)
             assert len(r) >= need
             # the shortest run of whole layers that reaches the minimum
             assert np.count_nonzero(layer < layer.max()) < need
+        elif len(r) >= need:
+            # the last block: a cut after the layer that reaches the minimum
+            # would leave fewer than block_min rows
+            assert np.count_nonzero(layer > layer[need - 1]) < block_min
         earlier += len(r)
 
 
@@ -440,7 +459,7 @@ class TestBlockedSearch:
     def test_blocks_follow_the_size_rule(self, monkeypatch):
         grid = large_grid()
         assert_block_rule(grid, search_module._BLOCK_MIN)
-        assert len(grid.blocks()) == 4
+        assert len(search_blocks(grid)) == 4
         assert_block_rule(SearchGrid(1.25, (50.0, 30.0)), search_module._BLOCK_MIN)
         rng = np.random.default_rng(5)
         for block_min in (2, 3, 5, 8):
@@ -455,7 +474,7 @@ class TestBlockedSearch:
         spy = SpyPredictor(GrnnPredictor(KernelParams(200.0)))
         search(grid, profile, spy, 7)
         assert len(spy.batches) == 1
-        np.testing.assert_array_equal(spy.batches[0], np.arange(grid.size))
+        np.testing.assert_array_equal(spy.batches[0], grid.by_total_order())
 
     def test_early_winner_skips_later_blocks(self):
         grid = large_grid()
@@ -470,7 +489,7 @@ class TestBlockedSearch:
         negative = Profile(3, 12, None, [((10.0, 10.0, 10.0), 3), ((40.0, 20.0, 20.0), 5)])
         result = search(grid, negative, spy, 7)
         assert not result.feasible_found
-        assert len(spy.batches) == len(grid.blocks())
+        assert len(spy.batches) == 4
         assert sum(len(b) for b in spy.batches) == grid.size
 
     def test_winner_needs_its_whole_layer(self, monkeypatch):
@@ -489,7 +508,8 @@ class TestBlockedSearch:
         assert result.allocation == (20.0, 0.0)
         assert result == full_grid_search(grid, profile, predictor, 9)
         totals = grid.counts().sum(axis=1)
-        assert [sorted(set(totals[rows])) for rows in grid.blocks()] == [[0, 1], [2], [3, 4]]
+        assert [sorted(set(totals[rows])) for rows in search_blocks(grid)] == [
+            [0, 1], [2], [3, 4]]
 
     def test_small_blocks_match_naive_oracle(self, monkeypatch):
         rng = np.random.default_rng(20)
@@ -516,7 +536,8 @@ class TestBlockedSearch:
     def test_large_grid_matches_full_grid_reference(self):
         grid = large_grid()
         block_of = np.empty(grid.size, dtype=int)
-        for k, rows in enumerate(grid.blocks()):
+        blocks = search_blocks(grid)
+        for k, rows in enumerate(blocks):
             block_of[rows] = k
         totals = grid.counts().sum(axis=1)
         predictor = GrnnPredictor(KernelParams(200.0))
@@ -542,7 +563,7 @@ class TestBlockedSearch:
                 layer = totals == totals[idx]
                 tied += np.count_nonzero(layer & (y_star == y_star[idx])) > 1
         # the cases cover a winner in every block, tied layers and no member
-        assert winner_blocks == set(range(len(grid.blocks())))
+        assert winner_blocks == set(range(len(blocks)))
         assert tied > 0 and infeasible > 0
 
 
@@ -572,38 +593,6 @@ EXACT_GRIDS = [
 
 
 class TestLatticeSearch:
-    @pytest.mark.parametrize("grid", [
-        SearchGrid(0.7, (7.0,)), SearchGrid(0.7, (7.0, 4.2)), SearchGrid(0.1, (0.3,)),
-    ], ids=repr)
-    def test_inexact_step_has_no_ranks(self, grid):
-        assert grid.distance_ranks() is None
-        values = np.arange(max(grid.steps_per_link) + 1) * grid.step
-        squares = np.square(values[None, :] - values[:, None])
-        deltas = np.subtract.outer(np.arange(len(values)), np.arange(len(values)))
-        # some pair (c, r) misses the value its offset c - r has elsewhere
-        assert any(len(set(squares[deltas == d].tolist())) > 1 for d in range(len(values)))
-        rng = np.random.default_rng(7)
-        profile = Profile(grid.link_count, 12, None, lattice_records(rng, grid, 6))
-        for predictor in (GrnnPredictor(KernelParams(3.0)), KnnPredictor(3)):
-            assert search(grid, profile, predictor, 7) == full_grid_search(
-                grid, profile, predictor, 7)
-
-    def test_size_limit(self, monkeypatch):
-        monkeypatch.setattr(search_module, "_TABLE_MAX", 41**2)
-        # (c, r) pairs in the check, then rank entries
-        assert SearchGrid(1.25, (50.0,)).distance_ranks() is not None  # 41**2, 81
-        assert SearchGrid(1.25, (51.25,)).distance_ranks() is None  # 42**2, 83
-        assert SearchGrid(1.25, (50.0, 25.0)).distance_ranks() is None  # 41**2, 81 * 41
-
-    def test_record_bases(self):
-        grid = SearchGrid(1.25, (50.0, 30.0))
-        allocs = np.array([[0.0, 0.0], [50.0, 30.0], [1.25, 2.5], [-0.0, 30.0]])
-        np.testing.assert_array_equal(
-            grid.record_bases(allocs), [40 * 49 + 24, 0, 39 * 49 + 22, 40 * 49])
-        assert grid.record_bases(np.array([[1.3, 0.0]])) is None  # off the lattice
-        assert grid.record_bases(np.array([[0.0, 31.25]])) is None  # outside the box
-        assert grid.record_bases(np.array([[0.0, 1.25 + 1e-15]])) is None
-
     @pytest.mark.parametrize("predictor", [GrnnPredictor(), KnnPredictor(1)], ids=["grnn", "knn"])
     def test_predict_grid_rejects_another_link_count(self, predictor):
         # a 1-link profile broadcast against a 2-link grid used to predict
@@ -644,13 +633,15 @@ class TestLatticeSearch:
                              ids=["off_lattice", "outside_box", "beyond_max"])
     def test_stray_record_falls_back(self, stray, monkeypatch):
         served = []
-        distance_ranks = SearchGrid.distance_ranks
+        lattice_keys = baselines_module._lattice_keys
 
-        def counting_ranks(grid):
-            served.append(grid)
-            return distance_ranks(grid)
+        def counting_keys(grid, allocs):
+            keys = lattice_keys(grid, allocs)
+            served.append(keys is not None)
+            return keys
 
-        monkeypatch.setattr(SearchGrid, "distance_ranks", counting_ranks)
+        monkeypatch.setattr(baselines_module, "_lattice_keys", counting_keys)
+        monkeypatch.setattr(baselines_module, "_LATTICES", weakref.WeakKeyDictionary())
         grid = SearchGrid(1.25, (50.0, 30.0))
         rng = np.random.default_rng(3)
         for level in (1, 12):
@@ -661,8 +652,10 @@ class TestLatticeSearch:
                 for target in (2, 7, 11):
                     assert search(grid, profile, predictor, target) == full_grid_search(
                         grid, profile, predictor, target)
-        # the kNN search never reads the ranks for a profile off the lattice
-        assert served == []
+        # the kNN search never reads the ranks for a profile off the lattice,
+        # nor builds them
+        assert served and not any(served)
+        assert len(baselines_module._LATTICES) == 0
 
     def test_large_grid_searches_block_by_block(self, monkeypatch):
         spy = CountingBatch()
@@ -693,41 +686,6 @@ class TestLatticeSearch:
     def test_empty_profile_still_raises(self):
         with pytest.raises(EmptyProfileError):
             search(SearchGrid(1.25, (50.0, 30.0)), Profile(2, 12, None), GrnnPredictor(), 7)
-
-
-class TestDistanceRanks:
-    @pytest.mark.parametrize("grid", EXACT_GRIDS, ids=repr)
-    def test_ranks_order_and_tie_as_the_distances_do(self, grid):
-        ranks, offsets = grid.distance_ranks()
-        assert ranks.dtype == np.int64
-        assert ranks.size == math.prod(2 * c + 1 for c in grid.steps_per_link)
-        assert not ranks.flags.writeable
-        rng = np.random.default_rng(grid.size)
-        allocs = np.array([a for a, _ in lattice_records(rng, grid, 12)])
-        got = ranks[offsets[:, None] + grid.record_bases(allocs)[None, :]]
-        d2 = ((grid.points()[:, None, :] - allocs[None, :, :]) ** 2).sum(axis=2)
-        # equal dense rankings: every order and every tie is kept
-        assert np.array_equal(np.unique(got, return_inverse=True)[1],
-                              np.unique(d2, return_inverse=True)[1])
-
-    def test_reference_grid_ranks_are_cached(self):
-        grid = SearchGrid(1.25, (50.0, 30.0))
-        ranks, offsets = grid.distance_ranks()
-        assert ranks.size == 3969 and ranks.nbytes == 31_752
-        assert offsets.shape == (grid.size,) and not offsets.flags.writeable
-        assert grid.distance_ranks()[0] is ranks
-        assert grid.distance_ranks()[1] is offsets
-        # the cache is not a field: equality and hashing are unchanged
-        assert grid == SearchGrid(1.25, (50.0, 30.0))
-        assert hash(grid) == hash(SearchGrid(1.25, (50.0, 30.0)))
-
-    def test_no_ranks_off_the_exact_lattice(self, monkeypatch):
-        assert SearchGrid(0.7, (7.0, 4.2)).distance_ranks() is None
-        assert SearchGrid(0.3, (0.3,) * 8).distance_ranks() is None  # numpy sums pairwise
-        assert SearchGrid(0.3, (0.3,) * 7).distance_ranks() is not None
-        monkeypatch.setattr(search_module, "_TABLE_MAX", 41**2)
-        assert SearchGrid(1.25, (50.0,)).distance_ranks() is not None
-        assert SearchGrid(1.25, (50.0, 25.0)).distance_ranks() is None
 
 
 # most step counts per link in the screen's property tests, by link count
