@@ -46,10 +46,14 @@ rearranged form, C1 + C2 >= C3, that groups kernel weights by response
 level. It exists as an independent cross-check of the membership math: each
 term is a sum of non-negative contributions, which is what makes the
 membership set grow when positive records arrive and shrink when negative
-ones do. It computes its own weights and adds each term's contributions
-from 0.0 in one np.add.accumulate, level by level and by record index
-within a level (one stable argsort of the responses), sharing nothing with
-predict_batch.
+ones do. It takes one allocation of shape (n,) or m of them as an (m, n)
+array, through one code path that runs the rows in chunks of at most
+_C_FORM_CHUNK float64 per temporary. Per row it computes its own weights
+((records - x)**2 summed over the link axis, then exp) and adds each term's
+contributions from 0.0 in one np.add.accumulate along the row: C1 and C3
+level by level and by record index within a level (one stable argsort of
+the responses), C2 by record index. A row's bits therefore do not depend on
+its batch. It shares nothing with predict_batch.
 """
 
 from __future__ import annotations
@@ -206,8 +210,8 @@ class AllocationResult:
 
 
 def membership_c_form(
-    x: Sequence[float], profile: Profile, kernel: KernelParams, target: int
-) -> tuple[float, float, float, bool]:
+    x: Sequence[float] | np.ndarray, profile: Profile, kernel: KernelParams, target: int
+) -> tuple:
     """Membership via the level-grouped form; returns (C1, C2, C3, member).
 
     C1 collects (u - target) * weight over records at levels u >= target,
@@ -215,29 +219,53 @@ def membership_c_form(
     records below the target. Membership holds iff C1 + C2 >= C3. Agrees
     with the direct test y* >= target - 1/2 (predict) up to float
     re-association at the set boundary.
+
+    x is one allocation of shape (n,), which gives three Python floats and
+    a bool, or m allocations of shape (m, n), which give four arrays of
+    shape (m,); m may be 0. Both shapes run the same code, row chunk by row
+    chunk, so every row of a batch has the bits of the one-point call.
+    Raises EmptyProfileError for an empty profile and ValueError for any
+    other shape.
     """
     if profile.size == 0:
         raise EmptyProfileError("cannot evaluate membership against an empty profile")
     xv = np.asarray(x, dtype=float)
+    n, p = profile.link_count, profile.size
+    if xv.ndim not in (1, 2) or xv.shape[-1] != n:
+        raise ValueError(f"allocations must have shape ({n},) or (m, {n}), got {xv.shape}")
+    xs = xv.reshape(-1, n)
     allocs = profile.allocation_matrix()
     responses = profile.response_vector()
-    if xv.shape != (profile.link_count,):
-        raise ValueError(f"allocation must have {profile.link_count} links, got {xv.shape}")
-    d2 = ((allocs - xv) ** 2).sum(axis=1)
-    weights = np.exp(-d2 / kernel.sigma2)
     # records by level, then by index: the order C1 and C3 add them in
     order = np.argsort(responses, kind="stable")
     split = int(np.searchsorted(responses[order], target))
     below, above = order[:split], order[split:]
-    c1 = _sum_in_order((responses[above] - target) * weights[above])
-    c2 = _sum_in_order(weights) * 0.5
-    c3 = _sum_in_order((target - responses[below]) * weights[below])
-    return c1, c2, c3, bool(c1 + c2 >= c3)
+    gains, gaps = responses[above] - target, target - responses[below]
+    c1, c2, c3 = np.empty(len(xs)), np.empty(len(xs)), np.empty(len(xs))
+    rows = max(1, _C_FORM_CHUNK // ((p + 1) * n))
+    for start in range(0, len(xs), rows):
+        part = slice(start, start + rows)
+        d2 = ((allocs - xs[part, None, :]) ** 2).sum(axis=-1)
+        weights = np.exp(-d2 / kernel.sigma2)
+        c1[part] = _sums_in_order(gains * weights[:, above])
+        c2[part] = _sums_in_order(weights) * 0.5
+        c3[part] = _sums_in_order(gaps * weights[:, below])
+    member = c1 + c2 >= c3
+    if xv.ndim == 1:
+        return float(c1[0]), float(c2[0]), float(c3[0]), bool(member[0])
+    return c1, c2, c3, member
 
 
-def _sum_in_order(values: np.ndarray) -> float:
-    """0.0 + values[0] + values[1] + ..., added left to right."""
-    return float(np.add.accumulate(np.concatenate(([0.0], values)))[-1])
+#: Most float64 elements in any per-chunk temporary of membership_c_form
+#: (128 KB): a larger per-call array is one that malloc may map fresh, or
+#: trim away, on every call, and its pages then fault in again.
+_C_FORM_CHUNK = 2**14
+
+
+def _sums_in_order(values: np.ndarray) -> np.ndarray:
+    """Per row r: 0.0 + values[r, 0] + values[r, 1] + ..., added left to right."""
+    padded = np.concatenate((np.zeros((len(values), 1)), values), axis=1)
+    return np.add.accumulate(padded, axis=1)[:, -1]
 
 
 def search(grid: SearchGrid, profile: Profile, predictor, target: int) -> AllocationResult:

@@ -13,7 +13,9 @@ guarantees, and reports a trial/violation count:
                     re-association at set boundaries.
 * membership_forms  the direct predicate y* >= target - 1/2 agrees with
                     the level-grouped C1 + C2 >= C3 form on every grid
-                    point (1e-9 tolerance on the y* scale).
+                    point (1e-9 tolerance on the y* scale); one
+                    predict_batch and one batched membership_c_form call
+                    per instance check the whole grid.
 * variation_bound   one appended record moves y* by at most
                     (L - 1) / kernel_sum_after (+1e-9).
 * search_oracle     the vectorized search matches a deliberately naive
@@ -236,7 +238,13 @@ def monotonicity_suite(instances: int = 1000, seed: int = 20240601,
 
 def membership_forms_suite(instances: int = 100, seed: int = 20240602,
                            tol: float = 1e-9, level_count: int = 12) -> CheckResult:
-    """Direct membership vs the level-grouped form on every grid point."""
+    """Direct membership vs the level-grouped form on every grid point.
+
+    Each instance is two whole-grid calls, predict_batch and the batched
+    membership_c_form, whose rows are bit-identical to their one-point
+    calls; a point is a violation when the two tests disagree and y* lies
+    more than tol from the threshold.
+    """
     rng = np.random.default_rng(seed)
     t0 = time.perf_counter()
     violations = 0
@@ -244,14 +252,12 @@ def membership_forms_suite(instances: int = 100, seed: int = 20240602,
     for _ in range(instances):
         grid, profile, kernel, target = random_instance(rng, level_count)
         thresh = target - 0.5
-        for x in grid.points():
-            xt = tuple(float(v) for v in x)
-            y_star = predict(xt, profile, kernel).y_star
-            direct = y_star >= thresh
-            _, _, _, grouped = membership_c_form(xt, profile, kernel, target)
-            points_checked += 1
-            if direct != grouped and abs(y_star - thresh) > tol:
-                violations += 1
+        points = grid.points()
+        y_star, _ = predict_batch(points, profile, kernel)
+        _, _, _, grouped = membership_c_form(points, profile, kernel, target)
+        disagree = (y_star >= thresh) != grouped
+        violations += int(np.count_nonzero(disagree & (np.abs(y_star - thresh) > tol)))
+        points_checked += grid.size
     return CheckResult("membership_forms", points_checked, violations,
                        time.perf_counter() - t0, f"{instances} instances")
 

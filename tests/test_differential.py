@@ -24,9 +24,10 @@ from qosalloc.controller import QosConfig, QosController
 from qosalloc.harness import seed_profile_generate
 from qosalloc.netsim import LinkSpec, ServiceSpec, Simulator
 from qosalloc.predictor import GrnnPredictor, KernelParams, predict_batch
-from qosalloc.search import SearchGrid
+from qosalloc.search import SearchGrid, search
 
 search_module = importlib.import_module("qosalloc.search")
+controller_module = importlib.import_module("qosalloc.controller")
 predictor_module = importlib.import_module("qosalloc.predictor")
 
 THRESHOLDS = (-11.25, -8.75, -6.25, -3.75, -1.25, 1.25, 3.75, 6.25, 8.75, 11.25, 13.75)
@@ -108,14 +109,37 @@ def counting_rows(monkeypatch) -> list:
     return rows
 
 
+def blocks_per_search(monkeypatch, cls) -> list:
+    """Blocks each controller search surely predicted, counted from cls.predict_grid.
+
+    A search calls predict_grid once per block; one that finds no member
+    may call it once more for points outside its candidates, so that call
+    is not counted.
+    """
+    blocks, calls = [], [0]
+    predict_grid = cls.predict_grid
+
+    def counting_grid(self, grid, rows, profile):
+        calls[0] += 1
+        return predict_grid(self, grid, rows, profile)
+
+    def counting_search(*args):
+        calls[0] = 0
+        result = search(*args)
+        blocks.append(calls[0] - (not result.feasible_found))
+        return result
+
+    monkeypatch.setattr(cls, "predict_grid", counting_grid)
+    monkeypatch.setattr(controller_module, "search", counting_search)
+    return blocks
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_whole_grid_and_block_predictions_run_identical_loops(seed, monkeypatch):
     predicted = counting_rows(monkeypatch)
     # every grid here is one block by default
     whole = run_loop(seed, lambda config: WholeGridGrnn(config.kernel))
     assert predicted == []
-    if seed % 2:  # small blocks: the search predicts index-array rows, block by block
-        monkeypatch.setattr(search_module, "_BLOCK_MIN", 16)
     blocks = run_loop(seed, lambda config: GrnnPredictor(config.kernel))
     assert len(predicted) >= EPOCHS
     assert blocks == whole
@@ -135,11 +159,14 @@ def test_knn_ranks_and_computed_paths_run_identical_loops(seed, monkeypatch):
     k = 1 + seed % 5  # every seed profile holds at least 5 records
     computed = run_loop(seed, lambda config: ComputedKnn(k))
     assert served == []
-    if seed % 2:
+    if seed % 2:  # small blocks: some searches predict two or more
         monkeypatch.setattr(search_module, "_BLOCK_MIN", 16)
+    blocks = blocks_per_search(monkeypatch, KnnPredictor)
     ranked = run_loop(seed, lambda config: KnnPredictor(k))
     if seed % 4 != 3:
         assert served.count(True) >= EPOCHS
+    if seed % 2 and seed % 3:  # a 1-link grid holds fewer than 2 * 16 points: one block
+        assert max(blocks) >= 2
     assert ranked == computed
 
 
@@ -148,7 +175,10 @@ def test_screened_and_unscreened_searches_run_identical_loops(seed, monkeypatch)
     predicted = counting_rows(monkeypatch)
     if seed % 2:  # small blocks: both runs predict index-array rows, block by block
         monkeypatch.setattr(search_module, "_BLOCK_MIN", 16)
+    blocks = blocks_per_search(monkeypatch, UnscreenedGrnn)
     unscreened = run_loop(seed, lambda config: UnscreenedGrnn(config.kernel))
+    if seed % 2 and seed % 3:  # a 1-link grid holds fewer than 2 * 16 points: one block
+        assert max(blocks) >= 2
     whole = sum(predicted)
     predicted.clear()
     screened = run_loop(seed, lambda config: GrnnPredictor(config.kernel))

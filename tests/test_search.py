@@ -14,7 +14,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from qosalloc import baselines as baselines_module
@@ -30,7 +30,7 @@ from qosalloc.predictor import (
 )
 from qosalloc.profile import Profile
 from qosalloc.search import AllocationResult, SearchGrid, membership_c_form, search
-from qosalloc.verification import naive_search, random_instance
+from qosalloc.verification import membership_forms_suite, naive_search, random_instance
 
 # the package re-exports the search function under the module's name
 search_module = importlib.import_module("qosalloc.search")
@@ -255,6 +255,66 @@ class TestMembershipCFormReference:
             want = membership_c_form_reference(tuple(x), profile, k, target)
             assert got == want
             assert all(type(v) is float for v in got[:3])
+
+
+class TestMembershipCFormBatch:
+    """An (m, n) call gives every row the bits of the one-point call.
+
+    The rows are taken in chunks of _C_FORM_CHUNK // ((p + 1) * n); the
+    patched sizes put a chunk boundary after every row or every few rows.
+    """
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        n=st.integers(1, 3),
+        p=st.integers(1, 120),
+        m=st.integers(0, 300),
+        level_count=st.integers(2, 12),
+        sigma2=st.sampled_from([1e-6, 0.5]) | st.floats(1.0, 5000.0),
+        target=st.integers(1, 12),
+        chunk=st.sampled_from([None, 1, 1000]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # no rows; seven chunks at the real _C_FORM_CHUNK
+    @example(n=2, p=5, m=0, level_count=12, sigma2=30.0, target=7, chunk=None, seed=1)
+    @example(n=3, p=120, m=300, level_count=12, sigma2=300.0, target=7, chunk=None, seed=2)
+    def test_rows_match_the_one_point_call_and_the_reference(
+            self, n, p, m, level_count, sigma2, target, chunk, seed):
+        rng = np.random.default_rng(seed)
+        allocs = rng.uniform(0.0, 60.0, (p, n))
+        responses = rng.integers(1, level_count + 1, p)
+        profile = Profile(n, level_count, None,
+                          [(tuple(a), int(r)) for a, r in zip(allocs, responses)])
+        target = min(target, level_count)
+        k = KernelParams(sigma2)
+        xs = np.concatenate([allocs, rng.uniform(0.0, 60.0, (m, n))])[:m]
+        with pytest.MonkeyPatch.context() as patch:
+            if chunk is not None:
+                patch.setattr(search_module, "_C_FORM_CHUNK", chunk)
+            got = membership_c_form(xs, profile, k, target)
+        assert [v.shape for v in got] == [(m,)] * 4
+        assert got[3].dtype == bool
+        for i, x in enumerate(xs):
+            one = membership_c_form(tuple(x), profile, k, target)
+            assert all(type(v) is float for v in one[:3]) and type(one[3]) is bool
+            row = (float(got[0][i]), float(got[1][i]), float(got[2][i]), bool(got[3][i]))
+            assert row == one == membership_c_form_reference(tuple(x), profile, k, target)
+
+    def test_bad_shapes_raise(self):
+        profile = two_point_profile()  # one link
+        k = KernelParams(100.0)
+        for bad in (np.zeros(2), np.zeros((3, 2)), np.zeros((2, 3, 1)), np.zeros((1, 1, 1)),
+                    np.float64(10.0)):
+            with pytest.raises(ValueError, match="shape"):
+                membership_c_form(bad, profile, k, 2)
+
+    def test_empty_profile(self):
+        with pytest.raises(EmptyProfileError):
+            membership_c_form(np.zeros((4, 1)), Profile(1, 3, None), KernelParams(), 2)
+
+    def test_suite_checks_every_point_at_scale_0_2(self):
+        result = membership_forms_suite(instances=20)
+        assert (result.trials, result.violations) == (2203, 0)
 
 
 class TestSearch:
