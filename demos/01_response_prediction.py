@@ -29,8 +29,9 @@ profile = Profile(
 kernel = KernelParams(sigma2=200.0)
 
 print("profile records (allocation -> response level):")
-for rec in profile.records:
-    print(f"  {rec.allocation} -> {rec.response}")
+for alloc, response in zip(profile.allocation_matrix().tolist(),
+                           profile.response_vector().tolist()):
+    print(f"  {tuple(alloc)} -> {response}")
 
 print("\npredictions along the diagonal of the allocation space:")
 print(f"{'allocation':>16}  {'y*':>7}  {'level':>5}  {'kernel sum':>10}")
@@ -41,7 +42,7 @@ for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
 
 print("\nhow much can ONE new record move y* at x = (30, 18)?")
 x = (30.0, 18.0)
-grown = Profile(2, 12, None, [(r.allocation, r.response) for r in profile.records])
+grown = Profile(2, 12, None, zip(profile.allocation_matrix(), profile.response_vector()))
 for extra in range(1, 5):
     grown.append((30.0 + extra, 18.0), 7)
     pred = predict(x, grown, kernel)

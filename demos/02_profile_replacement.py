@@ -11,7 +11,6 @@ Run:  python demos/02_profile_replacement.py
 """
 
 from qosalloc import Profile
-from qosalloc.profile import classify
 
 TARGET = 7  # responses >= 7 count as positive
 LEVELS = 12
@@ -21,9 +20,10 @@ profile = Profile(link_count=1, level_count=LEVELS, capacity=4)
 
 def show(title):
     print(title)
-    for i, rec in enumerate(profile.records):
-        cls = classify(rec.response, TARGET, LEVELS)
-        print(f"  [{i}] x={rec.allocation[0]:5.1f}  level={rec.response:2d}  {cls}")
+    for i, (x, level) in enumerate(zip(profile.allocation_matrix()[:, 0].tolist(),
+                                        profile.response_vector().tolist())):
+        cls = "positive" if level >= TARGET else "negative"
+        print(f"  [{i}] x={x:5.1f}  level={level:2d}  {cls}")
 
 
 for alloc, response in [((10.0,), 2), ((20.0,), 5), ((35.0,), 8), ((45.0,), 11)]:
@@ -47,5 +47,6 @@ print("push/pull direction guarantee does not apply to that step):")
 small = Profile(1, LEVELS, capacity=2, records=[((10.0,), 1), ((12.0,), 1)])
 result = small.update((20.0,), 1, TARGET)
 print(f"  action={result.action}, slot={result.index}")
-for i, rec in enumerate(small.records):
-    print(f"  [{i}] x={rec.allocation[0]:5.1f}  level={rec.response}")
+for i, (x, level) in enumerate(zip(small.allocation_matrix()[:, 0].tolist(),
+                                    small.response_vector().tolist())):
+    print(f"  [{i}] x={x:5.1f}  level={level}")

@@ -24,7 +24,6 @@ from .harness import (
     SeedSpec,
     Variant,
     compare_predictors,
-    dump_scenario,
     load_scenario,
     run_scenario,
     seed_profile_generate,
@@ -40,7 +39,7 @@ from .predictor import (
     predict_batch,
     variation_bound,
 )
-from .profile import Profile, ProfileFormatError, ProfileRecord, UpdateResult, classify
+from .profile import Profile, ProfileFormatError, UpdateResult
 from .search import AllocationResult, SearchGrid, membership_c_form, search
 
 __version__ = "0.1.0"
@@ -60,7 +59,6 @@ __all__ = [
     "PredictorKind",
     "Profile",
     "ProfileFormatError",
-    "ProfileRecord",
     "QosConfig",
     "QosController",
     "ScenarioConfig",
@@ -71,10 +69,8 @@ __all__ = [
     "Simulator",
     "UpdateResult",
     "Variant",
-    "classify",
     "compare_predictors",
     "compute_erab",
-    "dump_scenario",
     "load_scenario",
     "membership_c_form",
     "predict",

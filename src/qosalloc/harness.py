@@ -297,15 +297,6 @@ def read_trace_csv(path: Path, expected_columns: int, what: str) -> tuple[tuple[
     return columns
 
 
-def write_trace_csv(path: Path, columns: Sequence[Sequence[float]], prefix: str) -> None:
-    """Write a trace CSV, one column per series, header '<prefix>_<i>_mbps'."""
-    _write_csv(
-        Path(path),
-        [f"{prefix}_{i + 1}_mbps" for i in range(len(columns))],
-        (map(float, row) for row in zip(*columns)),
-    )
-
-
 def _inline_or_file_trace(value, base: Path, columns: int, what: str):
     if isinstance(value, str):
         return read_trace_csv(base / value, columns, what)
@@ -403,58 +394,6 @@ def load_scenario(path) -> ScenarioConfig:
         predictor=predictor,
         erab_noise_std=_field(raw, "erab_noise_std", where, float, 0.0),
     )
-
-
-def dump_scenario(config: ScenarioConfig, path, rate_trace_name: str | None = None) -> None:
-    """Write a scenario as JSON (+ a trace CSV next to it when named)."""
-    path = Path(path)
-    doc: dict = {
-        "rng_seed": config.rng_seed,
-        "run_length": config.run_length,
-        "levels": config.level_count,
-        "thresholds": list(config.thresholds),
-        "targets": list(config.targets),
-        "sigma2": config.sigma2,
-        "min_kernel_sum": config.min_kernel_sum,
-        "grid": {"step": config.grid_step, "max_per_link": list(config.grid_max_per_link)},
-        "capacity": config.capacity,
-        "predictor": {"kind": config.predictor.tag, "knn_k": config.predictor.knn_k},
-        "links": [
-            {
-                "capacity": link.capacity,
-                "background": link.background if isinstance(link.background, float) else 0.0,
-            }
-            for link in config.links
-        ],
-        "services": [{"qos_level": q} for q in config.qos_levels],
-        "erab_noise_std": config.erab_noise_std,
-    }
-    if any(isinstance(link.background, tuple) for link in config.links):
-        epochs = max(
-            len(link.background)
-            for link in config.links
-            if isinstance(link.background, tuple)
-        )
-        cols = []
-        for link in config.links:
-            if isinstance(link.background, tuple):
-                cols.append(list(link.background))
-            else:
-                cols.append([float(link.background)] * epochs)
-        doc["background_trace"] = {"inline": [list(row) for row in zip(*cols)]}
-    if rate_trace_name is not None:
-        write_trace_csv(path.parent / rate_trace_name, config.rates, "service")
-        doc["rate_trace"] = rate_trace_name
-    else:
-        doc["rate_trace"] = {"inline": [list(col) for col in zip(*config.rates)]}
-    if config.seed.file is not None:
-        doc["seed_profile"] = {"file": config.seed.file}
-    else:
-        doc["seed_profile"] = {
-            "records": config.seed.records,
-            "nominal_rate": config.seed.nominal_rate,
-        }
-    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8", newline="\n")
 
 
 # ---------------------------------------------------------------------------

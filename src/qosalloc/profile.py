@@ -1,8 +1,9 @@
 """Bounded store of past (allocation, response) records.
 
 Below capacity an update appends. At capacity the new record replaces the
-nearest record of the opposite response class: a negative newcomer (response
-below the QoS target) evicts the nearest positive record, a positive
+nearest record of the opposite response class for the update's QoS target:
+a record is positive when its response is >= target and negative when it is
+below. A negative newcomer evicts the nearest positive record, a positive
 newcomer evicts the nearest negative one. Replacing opposite-class records
 is what makes negative feedback push the next allocation up and positive
 feedback pull it down. When the class to evict from is empty the store falls
@@ -14,8 +15,9 @@ Replacement overwrites in place, so record order (and with it the
 fixed summation order of the predictor) stays stable across updates.
 
 Records are stored as a float64 allocation array and an int64 response
-array, so the predictor reads them without a rebuild and an eviction is one
-vectorized argmin over the opposite-class rows.
+array, read through allocation_matrix() and response_vector(); there is no
+per-record object. The predictor reads them without a rebuild, and an
+eviction is one vectorized argmin over the opposite-class rows.
 """
 
 from __future__ import annotations
@@ -27,9 +29,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-POSITIVE = "positive"
-NEGATIVE = "negative"
-
 APPENDED = "append"
 REPLACED = "replace"
 REPLACED_FALLBACK = "fallback"
@@ -37,31 +36,6 @@ REPLACED_FALLBACK = "fallback"
 
 class ProfileFormatError(ValueError):
     """A serialized profile could not be parsed or violates an invariant."""
-
-
-def classify(response: int, target: int, level_count: int) -> str:
-    """Classify a response level against a QoS target.
-
-    Positive means response >= target (levels target..L), negative means
-    response < target (levels 1..target-1). Out-of-range levels raise
-    ValueError.
-    """
-    if not 1 <= response <= level_count:
-        raise ValueError(f"response {response} outside [1, {level_count}]")
-    if not 1 <= target <= level_count:
-        raise ValueError(f"target {target} outside [1, {level_count}]")
-    return POSITIVE if response >= target else NEGATIVE
-
-
-@dataclass(frozen=True)
-class ProfileRecord:
-    """One past delivery: the allocation used and the response level seen.
-
-    The store keeps arrays; Profile.records builds these on demand.
-    """
-
-    allocation: tuple[float, ...]
-    response: int
 
 
 @dataclass(frozen=True)
@@ -94,6 +68,8 @@ class Profile:
     capacity : int or None
         Maximum record count S. None means unbounded (append-only growth,
         used by the no-eviction baseline).
+    records : iterable of (allocation, response)
+        Initial records, appended and checked in order.
     """
 
     def __init__(
@@ -142,17 +118,6 @@ class Profile:
 
     @property
     def size(self) -> int:
-        return self._size
-
-    @property
-    def records(self) -> tuple[ProfileRecord, ...]:
-        return tuple(
-            ProfileRecord(tuple(alloc), response)
-            for alloc, response in zip(self.allocation_matrix().tolist(),
-                                       self.response_vector().tolist())
-        )
-
-    def __len__(self) -> int:
         return self._size
 
     def __eq__(self, other: object) -> bool:

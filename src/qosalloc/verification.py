@@ -17,7 +17,7 @@ guarantees, and reports a trial/violation count:
                     predict_batch and one batched membership_c_form call
                     per instance check the whole grid.
 * variation_bound   one appended record moves y* by at most
-                    (L - 1) / kernel_sum_after (+1e-9).
+                    variation_bound() = (L - 1) / kernel_sum_after (+1e-9).
 * search_oracle     the vectorized search matches a deliberately naive
                     pure-Python full enumeration exactly, including
                     infeasible-fallback cases.
@@ -26,6 +26,9 @@ guarantees, and reports a trial/violation count:
                     record, and persistence round-trips identically.
 * determinism       re-running a scenario with the same config and seed
                     yields byte-identical outputs (timing sidecar aside).
+
+Every instance has L = 12 levels. Each suite's seed is a constant, so its
+trial, violation and count figures are fixed; its one parameter is its size.
 
 The naive oracle here is intentionally written in plain Python with
 math.exp and explicit loops, sharing no code with the production path.
@@ -43,11 +46,20 @@ from pathlib import Path
 import numpy as np
 
 from .harness import run_scenario
-from .predictor import GrnnPredictor, KernelParams, predict, predict_batch
+from .predictor import GrnnPredictor, KernelParams, predict, predict_batch, variation_bound
 from .profile import REPLACED_FALLBACK, Profile
 from .search import SearchGrid, membership_c_form, search
 
 MEMBERSHIP_SLACK = 1e-12
+TOLERANCE = 1e-9  # on the y* scale: membership forms and variation bound
+LEVEL_COUNT = 12
+
+MONOTONICITY_SEED = 20240601
+MEMBERSHIP_FORMS_SEED = 20240602
+VARIATION_BOUND_SEED = 20240603
+SEARCH_ORACLE_SEED = 20240604
+STORE_LAWS_SEED = 20240605
+DETERMINISM_SEED = 20240606
 
 
 @dataclass
@@ -130,7 +142,7 @@ def naive_search(step, max_per_link, records, sigma2, target, level_count):
 _STEPS_BY_DIM = {1: (3, 120), 2: (2, 20), 3: (1, 6)}
 
 
-def random_instance(rng: np.random.Generator, level_count: int = 12):
+def random_instance(rng: np.random.Generator):
     """A random (grid, profile, kernel, target) tuple; grids stay <= 500 points."""
     n = int(rng.integers(1, 4))
     lo, hi = _STEPS_BY_DIM[n]
@@ -138,13 +150,13 @@ def random_instance(rng: np.random.Generator, level_count: int = 12):
     step = float(rng.uniform(0.5, 4.0))
     grid = SearchGrid(step, tuple(c * step for c in cells))
     sigma2 = float(rng.uniform(50.0, 2000.0))
-    target = int(rng.integers(2, level_count + 1))
+    target = int(rng.integers(2, LEVEL_COUNT + 1))
     p = int(rng.integers(2, 41))
     # every record's step counts, then its response, record by record, in
     # one call: the same values and generator state as one call per value
-    draws = rng.integers(np.tile([0] * n + [1], p),
-                         np.tile([c + 1 for c in cells] + [level_count + 1], p)).reshape(p, n + 1)
-    profile = Profile._from_arrays(n, level_count, None, draws[:, :n] * step, draws[:, n])
+    draws = rng.integers([0] * n + [1], [c + 1 for c in cells] + [LEVEL_COUNT + 1],
+                         size=(p, n + 1))
+    profile = Profile._from_arrays(n, LEVEL_COUNT, None, draws[:, :n] * step, draws[:, n])
     return grid, profile, KernelParams(sigma2), target
 
 
@@ -170,15 +182,14 @@ def _clone_with(profile: Profile, extra=None, drop_index=None) -> Profile:
 # suites
 # ---------------------------------------------------------------------------
 
-def monotonicity_suite(instances: int = 1000, seed: int = 20240601,
-                       level_count: int = 12) -> CheckResult:
+def monotonicity_suite(instances: int = 1000) -> CheckResult:
     """Set-inclusion and total monotonicity for appends and removals."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(MONOTONICITY_SEED)
     t0 = time.perf_counter()
     violations = 0
     counts = {"append_pos": 0, "append_neg": 0, "remove_pos": 0, "remove_neg": 0}
     for _ in range(instances):
-        grid, profile, kernel, target = random_instance(rng, level_count)
+        grid, profile, kernel, target = random_instance(rng)
         pts = grid.points()
         total_c = grid.counts().sum(axis=1)
         thresh = target - 0.5
@@ -190,7 +201,7 @@ def monotonicity_suite(instances: int = 1000, seed: int = 20240601,
             return int(total_c[mask].min())
 
         # append positive: membership can only grow, total can only drop
-        rec = (_random_grid_point(rng, grid), int(rng.integers(target, level_count + 1)))
+        rec = (_random_grid_point(rng, grid), int(rng.integers(target, LEVEL_COUNT + 1)))
         y1, _ = predict_batch(pts, _clone_with(profile, extra=rec), kernel)
         counts["append_pos"] += 1
         if np.any(m0 & (y1 < thresh - MEMBERSHIP_SLACK)):
@@ -236,69 +247,67 @@ def monotonicity_suite(instances: int = 1000, seed: int = 20240601,
                        time.perf_counter() - t0, detail, counts=dict(counts))
 
 
-def membership_forms_suite(instances: int = 100, seed: int = 20240602,
-                           tol: float = 1e-9, level_count: int = 12) -> CheckResult:
+def membership_forms_suite(instances: int = 100) -> CheckResult:
     """Direct membership vs the level-grouped form on every grid point.
 
     Each instance is two whole-grid calls, predict_batch and the batched
     membership_c_form, whose rows are bit-identical to their one-point
     calls; a point is a violation when the two tests disagree and y* lies
-    more than tol from the threshold.
+    more than TOLERANCE from the threshold.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(MEMBERSHIP_FORMS_SEED)
     t0 = time.perf_counter()
     violations = 0
     points_checked = 0
     for _ in range(instances):
-        grid, profile, kernel, target = random_instance(rng, level_count)
+        grid, profile, kernel, target = random_instance(rng)
         thresh = target - 0.5
         points = grid.points()
         y_star, _ = predict_batch(points, profile, kernel)
         _, _, _, grouped = membership_c_form(points, profile, kernel, target)
         disagree = (y_star >= thresh) != grouped
-        violations += int(np.count_nonzero(disagree & (np.abs(y_star - thresh) > tol)))
+        violations += int(np.count_nonzero(disagree & (np.abs(y_star - thresh) > TOLERANCE)))
         points_checked += grid.size
     return CheckResult("membership_forms", points_checked, violations,
                        time.perf_counter() - t0, f"{instances} instances")
 
 
-def variation_bound_suite(events: int = 1000, seed: int = 20240603,
-                          level_count: int = 12) -> CheckResult:
-    """|y*(p+1) - y*(p)| <= (L - 1) / kernel_sum_after + 1e-9."""
-    rng = np.random.default_rng(seed)
+def variation_bound_suite(events: int = 1000) -> CheckResult:
+    """|y*(p+1) - y*(p)| <= variation_bound(p + 1, L, kernel_sum_after) + 1e-9."""
+    rng = np.random.default_rng(VARIATION_BOUND_SEED)
     t0 = time.perf_counter()
     violations = 0
     for _ in range(events):
-        grid, profile, kernel, _ = random_instance(rng, level_count)
+        grid, profile, kernel, _ = random_instance(rng)
         x = _random_grid_point(rng, grid)
         before = predict(x, profile, kernel)
-        rec = (_random_grid_point(rng, grid), int(rng.integers(1, level_count + 1)))
+        rec = (_random_grid_point(rng, grid), int(rng.integers(1, LEVEL_COUNT + 1)))
         after = predict(x, _clone_with(profile, extra=rec), kernel)
-        bound = (level_count - 1) / after.kernel_sum
-        if abs(after.y_star - before.y_star) > bound + 1e-9:
+        bound = variation_bound(profile.size + 1, LEVEL_COUNT, after.kernel_sum)
+        if abs(after.y_star - before.y_star) > bound + TOLERANCE:
             violations += 1
     return CheckResult("variation_bound", events, violations, time.perf_counter() - t0)
 
 
-def search_oracle_suite(instances: int = 100, seed: int = 20240604,
-                        level_count: int = 12) -> CheckResult:
+def search_oracle_suite(instances: int = 100) -> CheckResult:
     """Production search vs the naive oracle, exact allocation match."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SEARCH_ORACLE_SEED)
     t0 = time.perf_counter()
     violations = 0
     infeasible_seen = 0
     for k in range(instances):
-        grid, profile, kernel, target = random_instance(rng, level_count)
+        grid, profile, kernel, target = random_instance(rng)
         if k % 3 == 0:
-            # force the infeasible-fallback path: every response negative
-            records = [
-                (r.allocation, int(rng.integers(1, target))) for r in profile.records
-            ]
-            profile = Profile(profile.link_count, level_count, None, records)
+            # force the infeasible-fallback path: every response negative,
+            # one draw per record in slot order
+            negatives = [int(rng.integers(1, target)) for _ in range(profile.size)]
+            profile = Profile._from_arrays(profile.link_count, LEVEL_COUNT, None,
+                                           profile.allocation_matrix(), negatives)
         result = search(grid, profile, GrnnPredictor(kernel), target)
-        records = [(r.allocation, r.response) for r in profile.records]
+        records = list(zip(profile.allocation_matrix().tolist(),
+                           profile.response_vector().tolist()))
         expected_alloc, expected_feasible = naive_search(
-            grid.step, grid.max_per_link, records, kernel.sigma2, target, level_count
+            grid.step, grid.max_per_link, records, kernel.sigma2, target, LEVEL_COUNT
         )
         if not expected_feasible:
             infeasible_seen += 1
@@ -308,21 +317,20 @@ def search_oracle_suite(instances: int = 100, seed: int = 20240604,
                        time.perf_counter() - t0, f"{infeasible_seen} infeasible cases")
 
 
-def store_laws_suite(updates: int = 10000, seed: int = 20240605,
-                     level_count: int = 12) -> CheckResult:
+def store_laws_suite(updates: int = 10000) -> CheckResult:
     """Capacity, opposite-class eviction, and persistence round-trips."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(STORE_LAWS_SEED)
     t0 = time.perf_counter()
     violations = 0
     n = int(rng.integers(1, 4))
     capacity = int(rng.integers(5, 41))
-    profile = Profile(n, level_count, capacity)
+    profile = Profile(n, LEVEL_COUNT, capacity)
     profile.append(tuple(float(rng.uniform(0, 50)) for _ in range(n)),
-                   int(rng.integers(1, level_count + 1)))
+                   int(rng.integers(1, LEVEL_COUNT + 1)))
     for step in range(updates):
-        target = int(rng.integers(2, level_count + 1))
+        target = int(rng.integers(2, LEVEL_COUNT + 1))
         alloc = tuple(float(rng.uniform(0, 50)) for _ in range(n))
-        response = int(rng.integers(1, level_count + 1))
+        response = int(rng.integers(1, LEVEL_COUNT + 1))
         responses_before = profile.response_vector().copy()
         at_capacity = profile.size == capacity
         result = profile.update(alloc, response, target)
@@ -345,12 +353,12 @@ def store_laws_suite(updates: int = 10000, seed: int = 20240605,
                        f"capacity={capacity}")
 
 
-def determinism_suite(seed: int = 20240606) -> CheckResult:
+def determinism_suite() -> CheckResult:
     """Byte-identical outputs (minus the timing sidecar) across re-runs."""
     from .scenarios import tracking_scenario
 
     t0 = time.perf_counter()
-    config = tracking_scenario(qos_level=2, rng_seed=seed, run_length=12)
+    config = tracking_scenario(qos_level=2, rng_seed=DETERMINISM_SEED, run_length=12)
     violations = 0
     compared = 0
     with tempfile.TemporaryDirectory() as tmp:

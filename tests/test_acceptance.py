@@ -41,7 +41,7 @@ def test_criterion_1_monotonicity_suite():
 
 
 def test_criterion_2_membership_form_equivalence():
-    result = membership_forms_suite(instances=100, tol=1e-9)
+    result = membership_forms_suite(instances=100)
     _report(
         "2 membership-form equivalence",
         result.violations == 0,

@@ -4,25 +4,34 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from qosalloc.cli import main
-from qosalloc.harness import dump_scenario
 from qosalloc.profile import Profile
-from qosalloc.scenarios import tracking_scenario
+from qosalloc.scenarios import tracking_rates
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def tracking_doc(run_length: int = 8) -> dict:
+    """The committed QoS-level-2 tracking scenario, cut to run_length epochs."""
+    doc = json.loads((SCENARIO_DIR / "tracking_q2.json").read_text(encoding="utf-8"))
+    doc["run_length"] = run_length
+    return doc
 
 
 @pytest.fixture()
 def scenario_file(tmp_path):
-    config = tracking_scenario(qos_level=2, run_length=8)
+    doc = tracking_doc()
+    shutil.copy(SCENARIO_DIR / doc["rate_trace"], tmp_path)
     path = tmp_path / "scenario.json"
-    dump_scenario(config, path, rate_trace_name="rates.csv")
+    path.write_text(json.dumps(doc), encoding="utf-8")
     return path
 
 
@@ -47,10 +56,11 @@ def test_run_seed_override_changes_outputs(scenario_file, tmp_path):
 
 
 def test_compare_prints_every_service(tmp_path, capsys):
-    base = tracking_scenario(qos_level=2, run_length=8)
-    config = replace(base, qos_levels=(2, 3), rates=(base.rates[0], (20.0,) * 8))
+    doc = tracking_doc()
+    doc["services"] = [{"qos_level": 2}, {"qos_level": 3}]
+    doc["rate_trace"] = {"inline": [[rate, 20.0] for rate in tracking_rates(8)]}
     path = tmp_path / "two_services.json"
-    dump_scenario(config, path, rate_trace_name="rates.csv")
+    path.write_text(json.dumps(doc), encoding="utf-8")
     code = main(["compare", "--config", str(path), "--out", str(tmp_path / "cmp"),
                  "--variants", "grnn_bounded@16,knn"])
     assert code == 0

@@ -179,8 +179,8 @@ class TestStep:
         rec = ctrl.step(10.0)  # > 5 -> level 3
         new_alloc = ctrl.current_allocation
         assert rec.response == 3
-        assert ctrl.profile.records[-1].allocation == (20.0,)
-        assert ctrl.profile.records[-1].response == 3
+        assert ctrl.profile.allocation_matrix()[-1].tolist() == [20.0]
+        assert ctrl.profile.response_vector()[-1] == 3
         assert sum(new_alloc) <= 20.0
         assert new_alloc == (10.0,)  # frozen from the enumeration oracle
 

@@ -17,9 +17,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qosalloc.controller import ConfigError
-from qosalloc.harness import ScenarioConfig, dump_scenario, load_scenario
+from qosalloc.harness import ScenarioConfig, load_scenario
 from qosalloc.profile import Profile, ProfileFormatError
-from test_harness import small_scenario
+from test_harness import SMALL_RATES_CSV, small_doc
 
 # -- Profile.from_bytes ------------------------------------------------------------
 
@@ -113,12 +113,10 @@ def draw_field(data, doc):
 def _valid_docs(tmp_dir):
     """A valid scenario with inline traces, and one with a rate trace file."""
     (tmp_dir / "undecodable.csv").write_bytes(b"\xff\xfe,1\n")
-    docs = []
-    for name, trace in (("inline.json", None), ("file.json", "rates.csv")):
-        path = tmp_dir / name
-        dump_scenario(small_scenario(), path, rate_trace_name=trace)
-        docs.append(json.loads(path.read_text(encoding="utf-8")))
-    return docs
+    (tmp_dir / "rates.csv").write_text(SMALL_RATES_CSV, encoding="utf-8")
+    file_doc = small_doc()
+    file_doc["rate_trace"] = "rates.csv"
+    return [small_doc(), file_doc]
 
 
 @settings(max_examples=400, deadline=None,

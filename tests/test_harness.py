@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 
@@ -16,13 +17,11 @@ from qosalloc.harness import (
     Variant,
     compare_predictors,
     compute_metrics,
-    dump_scenario,
     load_scenario,
     parse_variant,
     read_trace_csv,
     run_scenario,
     seed_profile_generate,
-    write_trace_csv,
 )
 from qosalloc.baselines import PredictorKind
 from qosalloc.netsim import LinkSpec
@@ -50,6 +49,41 @@ def small_scenario(**overrides) -> ScenarioConfig:
     return ScenarioConfig(**defaults)
 
 
+#: small_scenario() as a scenario document, its rate trace inline
+SMALL_DOC = {
+    "rng_seed": 5,
+    "run_length": 6,
+    "levels": 12,
+    "thresholds": list(THRESHOLDS),
+    "targets": [7, 9, 11],
+    "sigma2": 200.0,
+    "min_kernel_sum": 0.0,
+    "grid": {"step": 5.0, "max_per_link": [50.0, 30.0]},
+    "capacity": 8,
+    "predictor": {"kind": "grnn_bounded", "knn_k": 5},
+    "links": [{"capacity": 300.0, "background": 40.0},
+              {"capacity": 300.0, "background": 40.0}],
+    "services": [{"qos_level": 2}],
+    "erab_noise_std": 0.0,
+    "rate_trace": {"inline": [[40.0], [40.0], [45.0], [45.0], [38.0], [40.0]]},
+    "seed_profile": {"records": 6, "nominal_rate": 40.0},
+}
+
+#: SMALL_DOC's rate trace as a trace CSV
+SMALL_RATES_CSV = "service_1_mbps\n40.0\n40.0\n45.0\n45.0\n38.0\n40.0\n"
+
+
+def small_doc() -> dict:
+    """A fresh copy of SMALL_DOC to edit."""
+    return copy.deepcopy(SMALL_DOC)
+
+
+def write_doc(path, doc: dict):
+    """Write a scenario document as JSON; returns the path."""
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
 class TestSeedProfileGenerate:
     def config(self):
         return small_scenario().to_qos_config()
@@ -60,14 +94,14 @@ class TestSeedProfileGenerate:
         profile = seed_profile_generate(grid, qos, 1, 0.0, rng_seed=1)
         # |x| = nominal rate, so the idealized measurement is 0 -> level 6
         assert profile.size == 1
-        assert profile.records[0].response == 6
+        assert profile.response_vector().tolist() == [6]
 
     def test_full_grid_covers_every_point(self):
         grid = SearchGrid(10.0, (20.0, 10.0))
         qos = self.config()
         profile = seed_profile_generate(grid, qos, grid.size, 40.0, rng_seed=3)
         assert profile.size == grid.size
-        seen = {r.allocation for r in profile.records}
+        seen = {tuple(alloc) for alloc in profile.allocation_matrix().tolist()}
         assert len(seen) == grid.size
 
     def test_too_many_records_rejected(self):
@@ -87,7 +121,7 @@ class TestSeedProfileGenerate:
     def test_records_are_distinct_and_span_totals(self):
         grid = SearchGrid(2.5, (50.0, 30.0))
         profile = seed_profile_generate(grid, self.config(), 16, 40.0, rng_seed=7)
-        allocations = [r.allocation for r in profile.records]
+        allocations = [tuple(alloc) for alloc in profile.allocation_matrix().tolist()]
         assert len(set(allocations)) == 16
         totals = sorted(sum(a) for a in allocations)
         assert totals[0] < 20.0 and totals[-1] > 60.0  # low-to-high coverage
@@ -98,8 +132,9 @@ class TestSeedProfileGenerate:
         qos = self.config()
         grid = SearchGrid(2.5, (50.0, 30.0))
         profile = seed_profile_generate(grid, qos, 16, 40.0, rng_seed=7)
-        for rec in profile.records:
-            assert rec.response == quantize(sum(rec.allocation) - 40.0, qos)
+        for alloc, response in zip(profile.allocation_matrix().tolist(),
+                                   profile.response_vector().tolist()):
+            assert response == quantize(sum(alloc) - 40.0, qos)
 
 
     @pytest.mark.parametrize("maxima, records", [
@@ -125,10 +160,9 @@ class TestSeedProfileGenerate:
             assert rng.integers(2**62) == ref_rng.integers(2**62)  # same stream left
 
 class TestTraceCsv:
-    def test_round_trip(self, tmp_path):
+    def test_reads_columns(self, tmp_path):
         path = tmp_path / "rates.csv"
-        columns = [(40.0, 45.0, 38.5), (10.0, 10.0, 12.25)]
-        write_trace_csv(path, columns, "service")
+        path.write_text("service_1_mbps,service_2_mbps\n40.0,10.0\n45.0,10.0\n\n38.5,12.25\n")
         assert read_trace_csv(path, 2, "rate") == ((40.0, 45.0, 38.5), (10.0, 10.0, 12.25))
 
     def test_header_mismatch(self, tmp_path):
@@ -173,47 +207,32 @@ class TestScenarioConfigValidation:
 
 
 class TestScenarioFileIO:
-    def test_dump_load_round_trip(self, tmp_path):
-        config = small_scenario()
-        path = tmp_path / "scenario.json"
-        dump_scenario(config, path, rate_trace_name="rates.csv")
-        assert load_scenario(path) == config
+    def test_load_inline_rate_trace(self, tmp_path):
+        assert load_scenario(write_doc(tmp_path / "scenario.json", SMALL_DOC)) == small_scenario()
 
-    def test_dump_load_round_trip_inline(self, tmp_path):
-        config = small_scenario()
-        path = tmp_path / "scenario.json"
-        dump_scenario(config, path)
-        assert load_scenario(path) == config
+    def test_load_csv_rate_trace(self, tmp_path):
+        (tmp_path / "rates.csv").write_text(SMALL_RATES_CSV)
+        doc = small_doc()
+        doc["rate_trace"] = "rates.csv"
+        assert load_scenario(write_doc(tmp_path / "scenario.json", doc)) == small_scenario()
 
     def test_unknown_top_key_rejected(self, tmp_path):
-        config = small_scenario()
-        path = tmp_path / "scenario.json"
-        dump_scenario(config, path)
-        doc = json.loads(path.read_text())
+        doc = small_doc()
         doc["surprise"] = 1
-        path.write_text(json.dumps(doc))
         with pytest.raises(ConfigError, match="surprise"):
-            load_scenario(path)
+            load_scenario(write_doc(tmp_path / "scenario.json", doc))
 
     def test_unknown_nested_key_rejected(self, tmp_path):
-        config = small_scenario()
-        path = tmp_path / "scenario.json"
-        dump_scenario(config, path)
-        doc = json.loads(path.read_text())
+        doc = small_doc()
         doc["grid"]["bonus"] = 2
-        path.write_text(json.dumps(doc))
         with pytest.raises(ConfigError, match="grid"):
-            load_scenario(path)
+            load_scenario(write_doc(tmp_path / "scenario.json", doc))
 
     def test_missing_key_names_field(self, tmp_path):
-        config = small_scenario()
-        path = tmp_path / "scenario.json"
-        dump_scenario(config, path)
-        doc = json.loads(path.read_text())
+        doc = small_doc()
         del doc["capacity"]
-        path.write_text(json.dumps(doc))
         with pytest.raises(ConfigError, match="capacity"):
-            load_scenario(path)
+            load_scenario(write_doc(tmp_path / "scenario.json", doc))
 
     @pytest.mark.parametrize("edit, field", [
         (lambda doc: doc["grid"].pop("step"), "step"),
@@ -272,30 +291,24 @@ class TestScenarioFileIO:
             "inf_threshold", "records_above_capacity", "million_records",
             "unbounded_records_above_grid", "knn_records_above_grid"])
     def test_malformed_field_is_a_config_error(self, tmp_path, capsys, edit, field):
-        path = tmp_path / "scenario.json"
-        dump_scenario(small_scenario(), path)
-        doc = json.loads(path.read_text())
+        doc = small_doc()
         edit(doc)
-        path.write_text(json.dumps(doc))
+        path = write_doc(tmp_path / "scenario.json", doc)
         with pytest.raises(ConfigError, match=field):
             load_scenario(path)
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_background_trace_round_trip(self, tmp_path):
-        # a time-varying background serializes as a trace and survives a
-        # dump/load cycle; the run consumes it per epoch
-        config = small_scenario(
-            links=(
-                LinkSpec(300.0, tuple([40.0] * 3 + [200.0] * 3)),
-                LinkSpec(300.0, 40.0),
-            ),
-        )
-        path = tmp_path / "scenario.json"
-        dump_scenario(config, path)
-        loaded = load_scenario(path)
-        assert loaded.links[0].background == config.links[0].background
-        assert loaded.links[1].background == (40.0,) * 6
+    def test_load_background_trace(self, tmp_path):
+        # a background trace replaces every link's fixed background, one
+        # column per link; the run consumes it per epoch
+        doc = small_doc()
+        doc["background_trace"] = {"inline": [[40.0, 40.0]] * 3 + [[200.0, 40.0]] * 3}
+        loaded = load_scenario(write_doc(tmp_path / "scenario.json", doc))
+        assert loaded == small_scenario(links=(
+            LinkSpec(300.0, (40.0,) * 3 + (200.0,) * 3),
+            LinkSpec(300.0, (40.0,) * 6),
+        ))
         result = run_scenario(loaded)
         assert result.reports[0].epochs == 6
 
@@ -304,11 +317,9 @@ class TestScenarioFileIO:
         qos = config.to_qos_config()
         profile = seed_profile_generate(qos.grid, qos, 6, 40.0, rng_seed=2)
         profile.save(tmp_path / "seed.csv")
-        dump_scenario(config, tmp_path / "scenario.json")
-        doc = json.loads((tmp_path / "scenario.json").read_text())
+        doc = small_doc()
         doc["seed_profile"] = {"file": "seed.csv"}
-        (tmp_path / "scenario.json").write_text(json.dumps(doc))
-        loaded = load_scenario(tmp_path / "scenario.json")
+        loaded = load_scenario(write_doc(tmp_path / "scenario.json", doc))
         result = run_scenario(loaded)
         assert result.reports[0].epochs == config.run_length
 
@@ -317,14 +328,13 @@ class TestScenarioFileIO:
         config = small_scenario()  # capacity 8
         qos = config.to_qos_config()
         seed_profile_generate(qos.grid, qos, 9, 40.0, rng_seed=2).save(tmp_path / "seed.csv")
-        dump_scenario(config, tmp_path / "scenario.json")
-        doc = json.loads((tmp_path / "scenario.json").read_text())
+        doc = small_doc()
         doc["seed_profile"] = {"file": "seed.csv"}
-        (tmp_path / "scenario.json").write_text(json.dumps(doc))
+        path = write_doc(tmp_path / "scenario.json", doc)
         with pytest.raises(ValueError, match="at capacity 8"):
-            run_scenario(load_scenario(tmp_path / "scenario.json"))
+            run_scenario(load_scenario(path))
         out = str(tmp_path / "o")
-        assert main(["run", "--config", str(tmp_path / "scenario.json"), "--out", out]) == 2
+        assert main(["run", "--config", str(path), "--out", out]) == 2
         assert "at capacity 8" in capsys.readouterr().err
 
 
@@ -343,11 +353,9 @@ class TestNumericFieldsAndKnnK:
 
     @pytest.mark.parametrize("field, value", BAD_VALUES, ids=IDS)
     def test_scenario_file_rejects(self, tmp_path, capsys, field, value):
-        path = tmp_path / "scenario.json"
-        dump_scenario(small_scenario(), path)
-        doc = json.loads(path.read_text())
+        doc = small_doc()
         doc[field] = value
-        path.write_text(json.dumps(doc))  # NaN and Infinity are JSON extensions
+        path = write_doc(tmp_path / "scenario.json", doc)  # NaN and Infinity are JSON extensions
         with pytest.raises(ConfigError, match=field):
             load_scenario(path)
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
@@ -360,14 +368,12 @@ class TestNumericFieldsAndKnnK:
         small_scenario(predictor=PredictorKind(knn_k=7))  # knn_k unused by grnn
 
     def test_knn_k_above_file_seed_records(self, tmp_path, capsys):
-        config = small_scenario(predictor=PredictorKind("knn", knn_k=5))
-        qos = config.to_qos_config()
+        qos = small_scenario().to_qos_config()
         seed_profile_generate(qos.grid, qos, 4, 40.0, rng_seed=2).save(tmp_path / "seed.csv")
-        path = tmp_path / "scenario.json"
-        dump_scenario(config, path)
-        doc = json.loads(path.read_text())
+        doc = small_doc()
+        doc["predictor"] = {"kind": "knn", "knn_k": 5}
         doc["seed_profile"] = {"file": "seed.csv"}
-        path.write_text(json.dumps(doc))
+        path = write_doc(tmp_path / "scenario.json", doc)
         loaded = load_scenario(path)
         with pytest.raises(ConfigError, match=r"predictor\.knn_k"):
             run_scenario(loaded)

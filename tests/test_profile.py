@@ -1,4 +1,4 @@
-"""Profile store: classification, class-aware replacement, persistence."""
+"""Profile store: class-aware replacement, persistence."""
 
 from __future__ import annotations
 
@@ -9,40 +9,18 @@ from hypothesis import strategies as st
 
 from qosalloc.profile import (
     APPENDED,
-    NEGATIVE,
-    POSITIVE,
     REPLACED,
     REPLACED_FALLBACK,
     Profile,
     ProfileFormatError,
-    ProfileRecord,
     UpdateResult,
-    classify,
 )
 
 
-class TestClassify:
-    def test_boundary_is_positive(self):
-        assert classify(7, 7, 12) == POSITIVE
-
-    def test_below_boundary_is_negative(self):
-        assert classify(6, 7, 12) == NEGATIVE
-
-    def test_top_level_at_highest_target(self):
-        assert classify(12, 11, 12) == POSITIVE
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            classify(0, 7, 12)
-        with pytest.raises(ValueError):
-            classify(13, 7, 12)
-        with pytest.raises(ValueError):
-            classify(5, 13, 12)
-
-    @given(st.integers(1, 12), st.integers(1, 12))
-    def test_partition(self, response, target):
-        cls = classify(response, target, 12)
-        assert cls == (POSITIVE if response >= target else NEGATIVE)
+def records_of(profile):
+    """The profile's (allocation tuple, response) pairs in slot order."""
+    return [(tuple(alloc), response) for alloc, response in
+            zip(profile.allocation_matrix().tolist(), profile.response_vector().tolist())]
 
 
 class TestUpdate:
@@ -51,7 +29,7 @@ class TestUpdate:
         result = profile.update((20.0, 20.0), 9, 2)
         assert result.action == APPENDED
         assert profile.size == 3
-        assert profile.records[-1] == ProfileRecord((20.0, 20.0), 9)
+        assert records_of(profile)[-1] == ((20.0, 20.0), 9)
 
     def test_positive_newcomer_evicts_nearest_negative(self):
         profile = Profile(2, 12, 2, [((10.0, 0.0), 1), ((30.0, 0.0), 3)])
@@ -60,23 +38,21 @@ class TestUpdate:
         assert result.index == 0
         assert profile.size == 2
         # in-place overwrite: the evicted slot holds the new record
-        assert profile.records[0] == ProfileRecord((25.0, 0.0), 3)
-        assert profile.records[1] == ProfileRecord((30.0, 0.0), 3)
+        assert records_of(profile) == [((25.0, 0.0), 3), ((30.0, 0.0), 3)]
 
     def test_negative_newcomer_evicts_nearest_positive(self):
         profile = Profile(1, 12, 3, [((0.0,), 1), ((30.0,), 5), ((10.0,), 8)])
         result = profile.update((12.0,), 1, 4)
         assert result.action == REPLACED
         assert result.index == 2  # (10,) is the nearest positive
-        assert profile.records[2] == ProfileRecord((12.0,), 1)
+        assert records_of(profile)[2] == ((12.0,), 1)
 
     def test_fallback_when_opposite_class_empty(self):
         profile = Profile(2, 12, 2, [((10.0, 0.0), 1), ((12.0, 0.0), 1)])
         result = profile.update((20.0, 0.0), 1, 2)
         assert result.action == REPLACED_FALLBACK
         assert result.index == 1  # nearest overall: 64 < 100
-        assert profile.records[1] == ProfileRecord((20.0, 0.0), 1)
-        assert profile.records[0] == ProfileRecord((10.0, 0.0), 1)
+        assert records_of(profile) == [((10.0, 0.0), 1), ((20.0, 0.0), 1)]
 
     def test_eviction_tie_breaks_to_lowest_index(self):
         profile = Profile(1, 12, 2, [((10.0,), 1), ((30.0,), 1)])
@@ -91,10 +67,26 @@ class TestUpdate:
 
     def test_rejects_bad_levels(self):
         profile = Profile(1, 12, 4)
-        with pytest.raises(ValueError):
-            profile.update((1.0,), 13, 6)
-        with pytest.raises(ValueError):
-            profile.update((1.0,), 5, 0)
+        for response, target in ((13, 6), (0, 6), (5, 0), (5, 13)):
+            with pytest.raises(ValueError):
+                profile.update((1.0,), response, target)
+        assert profile.size == 0
+
+    @pytest.mark.parametrize("target", range(1, 13))
+    def test_class_boundary_at_every_target(self, target):
+        # a response equal to the target is positive, one level below it
+        # negative; each newcomer lands next to a record of its own class,
+        # so only the class rule can send it to the other slot
+        profile = Profile(1, 12, 2, [((0.0,), max(target - 1, 1)), ((10.0,), target)])
+        result = profile.update((9.0,), target, target)
+        if target == 1:  # no level lies below 1: both records are positive
+            assert result == UpdateResult(REPLACED_FALLBACK, 1)
+            return
+        assert result == UpdateResult(REPLACED, 0)  # the negative record goes
+        profile = Profile(1, 12, 2, [((0.0,), target - 1), ((10.0,), target)])
+        result = profile.update((1.0,), target - 1, target)
+        assert result == UpdateResult(REPLACED, 1)  # the positive record goes
+        assert records_of(profile) == [((0.0,), target - 1), ((1.0,), target - 1)]
 
     def test_append_refuses_past_capacity(self):
         profile = Profile(1, 12, 1, [((0.0,), 1)])
@@ -110,7 +102,7 @@ class TestUpdate:
             target = data.draw(st.integers(2, 12))
             response = data.draw(st.integers(1, 12))
             alloc = (data.draw(st.floats(0, 50)),)
-            before = profile.records
+            before = profile.response_vector().copy()
             at_capacity = profile.size == capacity
             result = profile.update(alloc, response, target)
             assert profile.size <= capacity
@@ -118,8 +110,7 @@ class TestUpdate:
                 assert profile.size == capacity
                 assert result.action in (REPLACED, REPLACED_FALLBACK)
                 if result.action == REPLACED:
-                    evicted = before[result.index]
-                    assert (evicted.response >= target) != (response >= target)
+                    assert (before[result.index] >= target) != (response >= target)
             else:
                 assert result.action == APPENDED
 
@@ -272,7 +263,7 @@ class TestArrayStore:
                 expected = reference_update(model, capacity, alloc, response, target)
                 result = profile.update(alloc, response, target)
                 assert (result.action, result.index) == expected
-                assert [(r.allocation, r.response) for r in profile.records] == model
+                assert records_of(profile) == model
                 seen[result.action] += 1
         assert min(seen.values()) > 0, seen
 
@@ -283,7 +274,7 @@ class TestArrayStore:
             alloc, response = (float(i), 0.5 * i), 1 + i % 12
             assert profile.update(alloc, response, 6).index == i
             model.append((alloc, response))
-        assert [(r.allocation, r.response) for r in profile.records] == model
+        assert records_of(profile) == model
         np.testing.assert_array_equal(profile.allocation_matrix(), [a for a, _ in model])
 
     def test_arrays_are_read_only(self):
@@ -292,7 +283,7 @@ class TestArrayStore:
             profile.allocation_matrix()[0, 0] = 9.0
         with pytest.raises(ValueError):
             profile.response_vector()[0] = 9
-        assert profile.records[0] == ProfileRecord((1.0, 2.0), 3)
+        assert records_of(profile)[0] == ((1.0, 2.0), 3)
 
     def test_to_bytes_round_trips_byte_identically(self):
         rng = np.random.default_rng(9)
@@ -301,8 +292,8 @@ class TestArrayStore:
             for _ in range(40):
                 profile.update(tuple(rng.uniform(0, 50, 3)), int(rng.integers(1, 13)), 7)
             data = profile.to_bytes()
-            lines = [",".join([repr(v) for v in r.allocation] + [str(r.response)])
-                     for r in profile.records]
+            lines = [",".join([repr(v) for v in alloc] + [str(response)])
+                     for alloc, response in records_of(profile)]
             cap = "unbounded" if capacity is None else str(capacity)
             assert data == "\n".join([f"n=3,L=12,S={cap}", *lines, ""]).encode()
             clone = Profile.from_bytes(data)
@@ -325,7 +316,7 @@ class TestArrayCopy:
         copy.update((1.0, 1.0), 12, 7)
         copy.append((2.0, 2.0), 3)
         assert profile.size == 20 and copy.size == 22
-        assert profile.records == Profile.from_bytes(profile.to_bytes()).records
+        assert records_of(profile) == records_of(Profile.from_bytes(profile.to_bytes()))
 
     def test_bounded_copy_refuses_more_than_capacity(self):
         profile = Profile(1, 12, None, [((float(i),), 6) for i in range(5)])
@@ -342,11 +333,11 @@ class TestArrayCopy:
         rng = np.random.default_rng(12)
         profile = Profile(3, 12, None, [(tuple(rng.uniform(0, 50, 3)), int(rng.integers(1, 13)))
                                         for _ in range(20)])
-        records = [(r.allocation, r.response) for r in profile.records]
+        pairs = records_of(profile)
         extra = ((1.25, 2.5, 0.0), 9)
         for drop in (None, 0, 7, 19):
             for add in (None, extra):
-                expected = list(records)
+                expected = list(pairs)
                 if drop is not None:
                     expected.pop(drop)
                 if add is not None:

@@ -579,13 +579,15 @@ class TestBlockedSearch:
                 grid, profile, kernel, target = random_instance(rng)
                 if trial % 3 == 0:  # every record below target: no member anywhere
                     profile = Profile(profile.link_count, 12, None, [
-                        (r.allocation, int(rng.integers(1, target))) for r in profile.records])
+                        (alloc, int(rng.integers(1, target)))
+                        for alloc in profile.allocation_matrix()])
                 predictor = GrnnPredictor(kernel)
                 result = search(grid, profile, predictor, target)
                 assert result == full_grid_search(grid, profile, predictor, target)
                 if trial % 3 == 0:
                     assert not result.feasible_found
-                records = [(r.allocation, r.response) for r in profile.records]
+                records = list(zip(profile.allocation_matrix().tolist(),
+                                   profile.response_vector().tolist()))
                 expected = naive_search(grid.step, grid.max_per_link, records,
                                         kernel.sigma2, target, 12)
                 assert (result.allocation, result.feasible_found) == expected
@@ -604,8 +606,8 @@ class TestBlockedSearch:
         rng = np.random.default_rng(31)
         winner_blocks, tied, infeasible = set(), 0, 0
         profiles = [level_by_total_profile(rng, symmetric=k % 2 == 1) for k in range(4)]
-        profiles.append(Profile(3, 12, None, [
-            (r.allocation, min(r.response, 6)) for r in profiles[0].records]))
+        profiles.append(Profile(3, 12, None, zip(
+            profiles[0].allocation_matrix(), np.minimum(profiles[0].response_vector(), 6))))
         for profile in profiles:
             y_star, _ = predictor.predict_batch(grid.points(), profile)
             for target in (2, 5, 7, 9, 11, 12):
@@ -724,8 +726,8 @@ class TestLatticeSearch:
         predictor = GrnnPredictor(KernelParams(200.0))
         rng = np.random.default_rng(8)
         profile = level_by_total_profile(rng, symmetric=False, records=40)
-        negative = Profile(3, 12, None, [(r.allocation, min(r.response, 6))
-                                         for r in profile.records])
+        negative = Profile(3, 12, None, zip(profile.allocation_matrix(),
+                                            np.minimum(profile.response_vector(), 6)))
         result = search(grid, negative, predictor, 9)
         assert not result.feasible_found
         # every response is at most 6, so no interval reaches 8.5 and no point
