@@ -29,18 +29,41 @@ longer rows pairwise, and the distances would then follow that order
 instead of link order. The ranks, each grid point's offset into them and
 their strides are built once per grid, on the first call whose records
 they can serve, and kept for the grid's lifetime; the records' bases are
-computed per call.
+computed when their keys are formed.
 
 The entry for point c and record r is ranks[offsets[c] + bases[r]], and
-each (point, record) pair gets the integer key rank * p + r. Ranks keep
+each (point, record) pair gets the int64 key rank * 2**32 + r (ranks stay
+below _TABLE_MAX = 2**18, and no profile holds 2**32 records). Ranks keep
 the order and the equality of the float distances, and the record index
 breaks ties toward the lowest index as the stable sort does, so the k
-smallest keys, found by an in-place partition instead of a full sort, name
-exactly the records the sort would take. Their responses are small
-integers, so summing them in any order is exact, and the sum divided by k
-is the mean. The rows are taken a chunk of at most _KNN_KEYS keys at a
-time, so the keys never need an (m, p) array. Every other case calls
-predict_batch.
+smallest keys of a point, found by an in-place partition instead of a full
+sort, name exactly the records the sort would take. Their responses are
+small integers, so their int64 sum is exact, and that sum divided by k is
+the mean, bit for bit. The partition takes the rows a chunk of at most
+_KNN_KEYS keys at a time, so it never needs an (m, p) array.
+
+A KnnPredictor keeps, for each profile it serves, every grid point's k
+smallest keys (its neighbor sets), the largest of them and the sum of
+their responses, and predict_grid returns sums[rows] / k. The entry is
+keyed by the profile's identity and holds it, and its grid, only weakly:
+it goes when the profile or the predictor goes, and nothing refers back
+to the predictor. A later call merges the records the profile appended
+since, in index order, with one key comparison per point: a new record's
+index is above every kept one, so its key is never equal to one of them,
+and the k smallest keys of the larger set are the old ones with the
+largest replaced wherever the new key is smaller. The point's sum then
+moves by the integer difference of the two responses, so it stays exact.
+Every other change rebuilds the sets over the whole grid with the
+partition: the first call, another grid object or k, or any record or
+response of the earlier ones changed (the entry keeps copies of them and
+compares them on each call), as a bounded profile does at capacity. A
+grid of more than _TABLE_MAX / k points would need sets above _TABLE_MAX
+keys (2 MB); there the partition predicts just the rows asked for and
+nothing is kept. On the 2-link reference grid with k = 5 the sets hold
+5,125 keys, 41 KB, and two int64 per point beside them. The entries are
+plain state without a lock: one KnnPredictor must not serve two threads
+at once. Every case the ranks cannot serve calls predict_batch and keeps
+nothing.
 
 KnnPredictor.predict_bounds is the profile's constant [min, max] response
 interval, so a kNN search predicts as many points as an unscreened search
@@ -64,12 +87,18 @@ from .profile import Profile
 if TYPE_CHECKING:  # pragma: no cover
     from .search import SearchGrid
 
-#: Most (point, record) keys one chunk of KnnPredictor.predict_grid holds.
+#: Most (point, record) keys one chunk of the rank partition holds.
 _KNN_KEYS = 2**14
 
 #: Most entries in a grid's distance ranks, and most (c, r) pairs in its
-#: exactness check; a grid over either limit has no ranks.
+#: exactness check; a grid over either limit has no ranks. Also the most
+#: keys one profile's neighbor sets hold.
 _TABLE_MAX = 2**18
+
+#: Low bits of a neighbor key, which hold the record index; the rank is
+#: above them.
+_INDEX_BITS = 32
+_INDEX_MASK = 2**_INDEX_BITS - 1
 
 #: Fewest values numpy sums pairwise when it reduces a row; shorter rows are
 #: added left to right, in link order.
@@ -208,11 +237,112 @@ def _lattice(grid: "SearchGrid") -> tuple[np.ndarray, np.ndarray, np.ndarray] | 
     return ranks, offsets, strides
 
 
+def _nearest(ranks: np.ndarray, point_offsets: np.ndarray, bases: np.ndarray,
+             responses: np.ndarray, k: int, keys: np.ndarray | None = None) -> np.ndarray:
+    """The int64 response sum of each point's k nearest records, by the rank partition.
+
+    point_offsets are the points' offsets into ranks and bases all p
+    records' (see _lattice_keys), responses their int64 responses. When
+    keys, an (m, k) int64 array, is given, each row receives its point's k
+    smallest keys, in partition order: the largest is the last.
+    """
+    p, m = len(bases), len(point_offsets)
+    sums = np.empty(m, dtype=np.int64)
+    # rows in chunks of at most _KNN_KEYS keys, through one block for the
+    # indices and the keys: with (m, p) arrays per call, or a block per
+    # buffer, the allocator could fault their pages in anew
+    step = max(1, _KNN_KEYS // p)
+    index, key = np.empty((2, min(step, m), p), dtype=np.int64)
+    records = np.arange(p)
+    for lo in range(0, m, step):
+        count = min(step, m - lo)
+        np.add(point_offsets[lo:lo + count, None], bases, out=index[:count])
+        chunk = key[:count]
+        # mode="clip" gathers straight into chunk; every index is in range
+        np.take(ranks, index[:count], out=chunk, mode="clip")
+        chunk <<= _INDEX_BITS
+        chunk += records
+        chunk.partition(k - 1, axis=1)
+        nearest = chunk[:, :k]
+        if keys is not None:
+            keys[lo:lo + count] = nearest
+        sums[lo:lo + count] = responses[nearest & _INDEX_MASK].sum(axis=1)
+    return sums
+
+
+class _NeighborSets:
+    """One profile's neighbor sets on one grid; see the module docstring.
+
+    keys[c] holds grid point c's k smallest keys, worst[c] the largest of
+    them and sums[c] the sum of their responses, over the records that
+    allocs and responses copy. profile and grid are weak references.
+    """
+
+    __slots__ = ("profile", "grid", "k", "allocs", "responses", "keys", "worst", "sums")
+
+    def __init__(self, profile_ref: weakref.ref, grid: "SearchGrid", k: int,
+                 lattice: tuple, allocs: np.ndarray, responses: np.ndarray):
+        ranks, offsets, bases = lattice
+        self.profile, self.grid, self.k = profile_ref, weakref.ref(grid), k
+        self.keys = np.empty((grid.size, k), dtype=np.int64)
+        self.sums = _nearest(ranks, offsets, bases, responses, k, self.keys)
+        self.worst = self.keys[:, k - 1].copy()
+        self.allocs, self.responses = allocs.copy(), responses.copy()
+
+    def appended_to(self, grid: "SearchGrid", k: int, allocs: np.ndarray,
+                    responses: np.ndarray) -> bool:
+        """Whether these sets are for grid and k, and the records only grew since."""
+        size = len(self.responses)
+        return (self.grid() is grid and self.k == k and size <= len(responses)
+                and (responses[:size] == self.responses).all()
+                and (allocs[:size] == self.allocs).all())
+
+    def merge(self, ranks: np.ndarray, offsets: np.ndarray, bases: np.ndarray,
+              allocs: np.ndarray, responses: np.ndarray) -> None:
+        """Merge the appended records, whose bases are given, in index order."""
+        keys, worst, sums = self.keys, self.worst, self.sums
+        for index, base in enumerate(bases.tolist(), start=len(self.responses)):
+            new = np.take(ranks, offsets + base)
+            new <<= _INDEX_BITS
+            new += index
+            rows = np.flatnonzero(new < worst)
+            if rows.size:
+                old = worst[rows]
+                sums[rows] += responses[index] - responses[old & _INDEX_MASK]
+                kept = keys[rows]
+                # one key per row equals its worst; keys are distinct
+                kept[kept == old[:, None]] = new[rows]
+                keys[rows] = kept
+                worst[rows] = kept.max(axis=1)
+        self.allocs, self.responses = allocs.copy(), responses.copy()
+
+
+def _forget(predictor_ref: weakref.ref, key: int):
+    """A weakref callback that drops key from the predictor's sets, if it is still alive."""
+    def forget(_):
+        predictor = predictor_ref()
+        if predictor is not None:
+            predictor._sets.pop(key, None)
+    return forget
+
+
 class KnnPredictor:
-    """k-nearest-neighbor predictor with the search-facing predict_bounds / predict_grid."""
+    """k-nearest-neighbor predictor with the search-facing predict_bounds / predict_grid.
+
+    It keeps each served profile's neighbor sets (see the module
+    docstring) without a lock, so one instance must not serve two threads
+    at once.
+    """
 
     def __init__(self, k_neighbors: int = 5):
         self.k_neighbors = _neighbor_count(k_neighbors, "k_neighbors")
+        #: Each served profile's neighbor sets, by the profile's id().
+        self._sets: dict[int, _NeighborSets] = {}
+
+    def __getstate__(self) -> dict:
+        # the sets hold weak references, which do not pickle; a copy or an
+        # unpickled predictor builds its own on its first call
+        return {**self.__dict__, "_sets": {}}
 
     def _check(self, profile: Profile) -> None:
         if profile.size == 0:
@@ -241,38 +371,37 @@ class KnnPredictor:
 
     def predict_grid(self, grid: "SearchGrid", rows, profile: Profile
                      ) -> tuple[np.ndarray, np.ndarray]:
-        """predict_batch on grid.points()[rows], from the grid's distance ranks when it can.
+        """predict_batch on grid.points()[rows], from the profile's neighbor sets when it can.
 
-        rows is a slice or an index array into the row-major grid. The ranks
-        serve when every record is a grid point and the grid has them (see
-        the module docstring); the results are then bit-identical to
-        predict_batch, which every other case calls.
+        rows is a slice or an index array into the row-major grid. The sets
+        serve when every record is a grid point and the grid has distance
+        ranks; they are merged or rebuilt first as the module docstring
+        says. The results are then bit-identical to predict_batch, which
+        every other case calls.
         """
         self._check(profile)
-        lattice = _lattice_keys(grid, profile.allocation_matrix())
-        if lattice is None:
-            return self.predict_batch(grid.points()[rows], profile)
-        ranks, offsets, bases = lattice
-        p, k = profile.size, self.k_neighbors
-        point_offsets = offsets[rows]
-        rates = profile.response_vector().astype(float)
-        m = len(point_offsets)
-        y_star = np.empty(m)
-        # rows in chunks of at most _KNN_KEYS keys, through one block for
-        # the indices and the keys: with (m, p) arrays per call, or a block
-        # per buffer, the allocator could fault their pages in anew
-        step = max(1, _KNN_KEYS // p)
-        index, key = np.empty((2, min(step, m), p), dtype=np.int64)
-        records = np.arange(p)
-        for lo in range(0, m, step):
-            count = min(step, m - lo)
-            np.add(point_offsets[lo:lo + count, None], bases, out=index[:count])
-            chunk = key[:count]
-            # mode="clip" gathers straight into chunk; every index is in range
-            np.take(ranks, index[:count], out=chunk, mode="clip")
-            chunk *= p
-            chunk += records
-            chunk.partition(k - 1, axis=1)
-            y_star[lo:lo + count] = rates[chunk[:, :k] % p].sum(axis=1)
-        y_star /= k
-        return y_star, np.full(m, float(k))
+        k = self.k_neighbors
+        allocs, responses = profile.allocation_matrix(), profile.response_vector()
+        key = id(profile)
+        sets = self._sets.get(key)
+        if sets is not None and sets.appended_to(grid, k, allocs, responses):
+            if len(sets.responses) < len(responses):
+                lattice = _lattice_keys(grid, allocs[len(sets.responses):])
+                if lattice is None:
+                    del self._sets[key]
+                    return self.predict_batch(grid.points()[rows], profile)
+                sets.merge(*lattice, allocs, responses)
+        else:
+            self._sets.pop(key, None)
+            lattice = _lattice_keys(grid, allocs)
+            if lattice is None:
+                return self.predict_batch(grid.points()[rows], profile)
+            if grid.size * k > _TABLE_MAX:
+                ranks, offsets, bases = lattice
+                sums = _nearest(ranks, offsets[rows], bases, responses, k)
+                return sums / k, np.full(len(sums), float(k))
+            profile_ref = weakref.ref(profile, _forget(weakref.ref(self), key))
+            sets = self._sets[key] = _NeighborSets(profile_ref, grid, k, lattice,
+                                                   allocs, responses)
+        y_star = sets.sums[rows] / k
+        return y_star, np.full(len(y_star), float(k))

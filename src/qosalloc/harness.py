@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import math
+import statistics
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -504,7 +505,7 @@ def _measure_final_search_ms(
                 search(ctrl.config.grid, ctrl.profile, ctrl.predictor, ctrl.target)
                 samples.append((time.perf_counter() - t0) * 1e3)
     # each group's first round is the warm-up
-    return [float(np.median(samples[1:])) for samples in times]
+    return [statistics.median(samples[1:]) for samples in times]
 
 
 def _build_seed_profile(
@@ -728,22 +729,26 @@ def compare_predictors(
 def write_comparison(results: Sequence[tuple[str, ScenarioResult]], out_dir) -> None:
     """comparison.csv, comparison_timing.csv, and one plot file per service.
 
+    comparison_timing.csv holds each run's final search time and the
+    median of its per-epoch search times, from the controller's log.
     Service 1's totals per variant go to plot_compare.csv, service i's
     (i >= 2) to plot_compare_s{i}.csv, with the same header.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rows = [(label, rep) for label, result in results for rep in result.reports]
+    rows = [(label, rep, ctrl) for label, result in results
+            for rep, ctrl in zip(result.reports, result.controllers)]
     _write_csv(
         out / "comparison.csv",
         ["variant", "service", "avg_rab_mbps", "avg_dlr_mbps", "avg_bw_variation_mbps"],
         ((label, rep.service, rep.avg_rab, rep.avg_dlr, rep.avg_bw_variation)
-         for label, rep in rows),
+         for label, rep, _ in rows),
     )
     _write_csv(
         out / "comparison_timing.csv",
-        ["variant", "service", "final_search_time_ms"],
-        ((label, rep.service, rep.final_search_time_ms) for label, rep in rows),
+        ["variant", "service", "final_search_time_ms", "epoch_search_ms_median"],
+        ((label, rep.service, rep.final_search_time_ms,
+          statistics.median(rec.search_ms for rec in ctrl.log)) for label, rep, ctrl in rows),
     )
     header = ["epoch", "source_rate_mbps", *(f"total_{label}_mbps" for label, _ in results)]
     for i in range(len(results[0][1].controllers)):

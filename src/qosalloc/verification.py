@@ -115,8 +115,10 @@ def naive_search(step, max_per_link, records, sigma2, target, level_count):
     """Naive full enumeration using the rounded-prediction membership rule.
 
     Returns (allocation tuple, feasible bool). min keys: total step count,
-    then highest y*, then lexicographic order of the step counts.
+    then highest y*, then lexicographic order of the step counts. records
+    is any iterable of (allocation, response); it is read once, into a list.
     """
+    records = list(records)
     axes = [range(int(math.floor(b / step + 1e-9)) + 1) for b in max_per_link]
     best_feasible = None
     best_any = None

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import gc
 import math
+import pickle
 import re
 import time
 import weakref
@@ -260,6 +262,140 @@ class TestKnnOnTheLattice:
                           [(tuple(x), 1 + i % 12) for i, x in enumerate(grid.points())])
         got = KnnPredictor(k).predict_grid(grid, slice(None), profile)
         assert np.array_equal(got[0], knn_reference(grid.points(), profile, k)[0])
+
+
+def same_bits(predictor, grid, rows, profile):
+    """Whether predict_grid on rows gives predict_batch's bytes there."""
+    got = predictor.predict_grid(grid, rows, profile)
+    expected = predictor.predict_batch(grid.points()[rows], profile)
+    return all(a.tobytes() == b.tobytes() for a, b in zip(got, expected))
+
+
+class TestNeighborSets:
+    GRID = SearchGrid(1.25, (12.5, 10.0))  # 99 points
+
+    def appended_records(self, rng, count):
+        """Lattice records, many at a few repeated anchors or at the grid's ends and middle."""
+        steps = self.GRID.steps_per_link
+        anchors = [(0, 0), (steps[0], steps[1]), (steps[0] // 2, steps[1] // 2), (3, 5)]
+        records = []
+        for _ in range(count):
+            if rng.random() < 0.6:
+                counts = anchors[rng.integers(len(anchors))]
+            else:
+                counts = [rng.integers(c + 1) for c in steps]
+            records.append((tuple(float(c) * self.GRID.step for c in counts),
+                            int(rng.integers(1, 13))))
+        return records
+
+    @pytest.mark.parametrize("k", [1, 5, 12])
+    def test_appends_merge_bit_for_bit(self, k):
+        rng = np.random.default_rng(k)
+        grid = self.GRID
+        profile = Profile(2, 12, None, self.appended_records(rng, k))
+        predictor = KnnPredictor(k)
+        assert same_bits(predictor, grid, slice(None), profile)
+        sets = predictor._sets[id(profile)]
+        for alloc, response in self.appended_records(rng, 300):
+            profile.update(alloc, response, target=7)
+            assert same_bits(predictor, grid, slice(3, 80), profile)
+            assert same_bits(predictor, grid, rng.permutation(grid.size), profile)
+        # every append merged into the first call's sets
+        assert predictor._sets[id(profile)] is sets
+        assert len(sets.responses) == profile.size == k + 300
+        assert np.array_equal(sets.worst, sets.keys.max(axis=1))
+
+    @pytest.mark.parametrize("change", ["record", "response", "grid", "k", "off_lattice"])
+    def test_other_changes_rebuild(self, change):
+        grid = self.GRID
+        records = [((0.0, 0.0), 9), ((5.0, 2.5), 10), ((12.5, 10.0), 8), ((2.5, 7.5), 11)]
+        profile = Profile(2, 12, 4, records)
+        predictor = KnnPredictor(2)
+        assert same_bits(predictor, grid, slice(None), profile)
+        sets = predictor._sets[id(profile)]
+        if change == "record":  # all records positive: the nearest one is evicted
+            assert profile.update((3.75, 2.5), 10, target=7).index == 1
+            assert profile.response_vector().tolist() == [9, 10, 8, 11]
+        elif change == "response":  # a negative newcomer evicts the positive record under it
+            assert profile.update((5.0, 2.5), 3, target=7).index == 1
+            assert profile.allocation_matrix()[1].tolist() == [5.0, 2.5]
+        elif change == "grid":
+            grid = SearchGrid(1.25, (12.5, 10.0))
+        elif change == "k":
+            predictor.k_neighbors = 3
+        else:
+            profile = Profile(2, 12, None, records)
+            assert same_bits(predictor, grid, slice(None), profile)
+            sets = predictor._sets[id(profile)]
+            profile.append((1.3, 0.0), 4)
+        rows = np.random.default_rng(3).permutation(grid.size)
+        assert same_bits(predictor, grid, rows, profile)
+        if change == "off_lattice":
+            assert id(profile) not in predictor._sets
+        else:
+            rebuilt = predictor._sets[id(profile)]
+            assert rebuilt is not sets
+            assert same_bits(predictor, grid, slice(None), profile)
+            assert predictor._sets[id(profile)] is rebuilt
+
+    def test_one_predictor_serves_two_profiles(self):
+        rng = np.random.default_rng(2)
+        grid = self.GRID
+        profiles = [Profile(2, 12, None, self.appended_records(rng, 5)) for _ in range(2)]
+        predictor = KnnPredictor(4)
+        for profile in profiles:
+            assert same_bits(predictor, grid, slice(None), profile)
+        sets = [predictor._sets[id(profile)] for profile in profiles]
+        for alloc, response in self.appended_records(rng, 40):
+            for profile in profiles:
+                if rng.random() < 0.5:
+                    profile.append(alloc, response)
+                assert same_bits(predictor, grid, rng.permutation(grid.size), profile)
+        assert [predictor._sets[id(profile)] for profile in profiles] == sets
+
+    def test_sets_go_with_the_profile_or_the_predictor(self):
+        grid = self.GRID
+        profile = Profile(2, 12, None, self.appended_records(np.random.default_rng(4), 8))
+        predictor = KnnPredictor(3)
+        predictor.predict_grid(grid, slice(None), profile)
+        other = KnnPredictor(3)
+        other.predict_grid(grid, slice(None), profile)
+        profile_ref, predictor_ref = weakref.ref(profile), weakref.ref(predictor)
+        gc.disable()  # both must go by reference counting alone: no cycle holds them
+        try:
+            del predictor
+            assert predictor_ref() is None
+            assert len(other._sets) == 1
+            del profile
+            assert profile_ref() is None
+            assert other._sets == {}
+        finally:
+            gc.enable()
+
+    def test_copies_and_pickles_start_without_sets(self):
+        grid = self.GRID
+        profile = Profile(2, 12, None, self.appended_records(np.random.default_rng(5), 8))
+        predictor = KnnPredictor(3)
+        predictor.predict_grid(grid, slice(None), profile)
+        for other in (pickle.loads(pickle.dumps(predictor)), copy.copy(predictor),
+                      copy.deepcopy(predictor)):
+            assert other.k_neighbors == 3 and other._sets == {}
+            assert same_bits(other, grid, slice(None), profile)
+        assert len(predictor._sets) == 1
+
+    def test_sets_above_the_key_limit_are_not_kept(self, monkeypatch):
+        monkeypatch.setattr(baselines_module, "_LATTICES", weakref.WeakKeyDictionary())
+        grid = SearchGrid(1.25, (50.0, 30.0))  # 1,025 points, 3,969 ranks
+        monkeypatch.setattr(baselines_module, "_TABLE_MAX", 5 * grid.size - 1)
+        profile = lattice_profile(grid, 40, seed=6)
+        spy = SpyBatch(monkeypatch)
+        rows = np.random.default_rng(6).choice(grid.size, 300)
+        for k in (5, 4):
+            predictor = KnnPredictor(k)
+            for block in (slice(None), slice(100, 400), rows):
+                assert same_bits(predictor, grid, block, profile)
+            assert len(predictor._sets) == (k == 4)
+        assert spy.calls == 3 * 2  # same_bits' own calls only
 
 
 class TestDistanceRanks:

@@ -1,7 +1,9 @@
 """Closed-loop differential tests: fast search paths against plain ones.
 
-KnnPredictor.predict_grid serves a search block from the grid's distance
-ranks when it can; ComputedKnn always calls predict_batch. GrnnPredictor
+KnnPredictor.predict_grid serves a search block from the profile's
+neighbor sets when it can, rebuilt from the grid's distance ranks or, for
+an unbounded profile, merged with the records appended since the last
+search; ComputedKnn always calls predict_batch. GrnnPredictor
 predicts only a block's rows; WholeGridGrnn predicts the whole grid for
 every block and keeps the block's rows. UnscreenedGrnn's interval rules out
 no grid point, so its searches predict the whole grid block by block, as a
@@ -56,10 +58,11 @@ class ComputedKnn(KnnPredictor):
         return self.predict_batch(grid.points()[rows], profile)
 
 
-def run_loop(seed, make_predictor):
+def run_loop(seed, make_predictor, unbounded=False):
     """One seeded closed loop; returns (decision bytes, profile bytes per service).
 
-    make_predictor(config) gives each service's predictor.
+    make_predictor(config) gives each service's predictor. The seed
+    profiles are bounded at the config's capacity, or unbounded if asked.
     """
     rng = np.random.default_rng(seed)
     n = 1 + seed % 3
@@ -76,8 +79,8 @@ def run_loop(seed, make_predictor):
     for _ in range(services):
         records = min(config.capacity, config.grid.size)
         seed_profile = seed_profile_generate(config.grid, config, records, nominal, rng,
-                                             capacity=config.capacity)
-        if seed % 4 == 3:  # an off-lattice record keeps the ranks out until it is evicted
+                                             capacity=None if unbounded else config.capacity)
+        if seed % 4 == 3:  # off the lattice for seed 7: no ranks until it is evicted
             seed_profile.update(tuple(b / 3 for b in maxima), 12, target=7)
         ctrls.append(QosController(config, seed_profile, int(rng.integers(1, 4)),
                                    predictor=make_predictor(config)))
@@ -145,29 +148,51 @@ def test_whole_grid_and_block_predictions_run_identical_loops(seed, monkeypatch)
     assert blocks == whole
 
 
+def neighbor_set_calls(monkeypatch) -> dict:
+    """Counts of KnnPredictor's set rebuilds and merges, and of its predict_batch calls."""
+    calls = {"rebuild": 0, "merge": 0, "batch": 0}
+    sets_cls = baselines_module._NeighborSets
+
+    def counting(name, method):
+        def wrapped(*args):
+            calls[name] += 1
+            return method(*args)
+        return wrapped
+
+    monkeypatch.setattr(sets_cls, "__init__", counting("rebuild", sets_cls.__init__))
+    monkeypatch.setattr(sets_cls, "merge", counting("merge", sets_cls.merge))
+    monkeypatch.setattr(KnnPredictor, "predict_batch",
+                        counting("batch", KnnPredictor.predict_batch))
+    return calls
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_knn_ranks_and_computed_paths_run_identical_loops(seed, monkeypatch):
-    served = []
-    lattice_keys = baselines_module._lattice_keys
-
-    def counting_keys(grid, allocs):
-        keys = lattice_keys(grid, allocs)
-        served.append(keys is not None)
-        return keys
-
-    monkeypatch.setattr(baselines_module, "_lattice_keys", counting_keys)
     k = 1 + seed % 5  # every seed profile holds at least 5 records
-    computed = run_loop(seed, lambda config: ComputedKnn(k))
-    assert served == []
+    computed = [run_loop(seed, lambda config: ComputedKnn(k), unbounded)
+                for unbounded in (False, True)]
     if seed % 2:  # small blocks: some searches predict two or more
         monkeypatch.setattr(search_module, "_BLOCK_MIN", 16)
     blocks = blocks_per_search(monkeypatch, KnnPredictor)
+    calls = neighbor_set_calls(monkeypatch)
     ranked = run_loop(seed, lambda config: KnnPredictor(k))
-    if seed % 4 != 3:
-        assert served.count(True) >= EPOCHS
+    services = 1 + seed % 2
+    if seed % 4 != 3:  # the sets serve every block
+        assert calls["batch"] == 0
+        assert calls["rebuild"] >= 1
     if seed % 2 and seed % 3:  # a 1-link grid holds fewer than 2 * 16 points: one block
         assert max(blocks) >= 2
-    assert ranked == computed
+    assert ranked == computed[0]
+
+    calls.update(rebuild=0, merge=0, batch=0)
+    # an unbounded profile only appends: one rebuild per profile, then a
+    # merge before each epoch's search
+    merged = run_loop(seed, lambda config: KnnPredictor(k), unbounded=True)
+    if seed != 7:
+        assert calls == {"rebuild": services, "merge": EPOCHS * services, "batch": 0}
+    else:  # its extra record (4.17, 3.33) is off the lattice and never evicted
+        assert calls["rebuild"] == calls["merge"] == 0 and calls["batch"] >= EPOCHS
+    assert merged == computed[1]
 
 
 @pytest.mark.parametrize("seed", range(8))

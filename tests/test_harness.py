@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -490,11 +491,17 @@ class TestComparePredictors:
         assert [r[:2] for r in timings[1:]] == [[s, lab] for s in ("1", "2") for lab in labels]
         final = [r.split(",")
                  for r in (tmp_path / "cmp/comparison_timing.csv").read_text().splitlines()]
-        assert final[0] == ["variant", "service", "final_search_time_ms"]
+        assert final[0] == ["variant", "service", "final_search_time_ms",
+                            "epoch_search_ms_median"]
         assert [r[:2] for r in final[1:]] == [
             [v, s] for v in ("grnn_bounded_S6", "knn_k3") for s in ("1", "2")]
-        for ms in [float(r[2]) for r in timings[1:]] + [float(r[2]) for r in final[1:]]:
+        for ms in [float(r[2]) for r in timings[1:]] + [float(v) for r in final[1:]
+                                                       for v in r[2:]]:
             assert math.isfinite(ms) and ms >= 0.0
+        # the column is the median of the run's per-epoch search times
+        ctrls = [ctrl for _, result in results for ctrl in result.controllers]
+        assert [float(r[3]) for r in final[1:]] == [
+            statistics.median(rec.search_ms for rec in ctrl.log) for ctrl in ctrls]
         # each service's totals per variant, service 2 in its own plot file
         plots = [[r.split(",") for r in (tmp_path / "cmp" / name).read_text().splitlines()]
                  for name in ("plot_compare.csv", "plot_compare_s2.csv")]

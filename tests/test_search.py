@@ -437,6 +437,16 @@ def test_matches_naive_oracle_spot_checks():
         assert result.feasible_found == expected_feasible
 
 
+def test_naive_oracle_reads_a_one_shot_iterable_once():
+    allocs = [(0.0, 2.5), (5.0, 0.0), (2.5, 2.5), (5.0, 5.0)]
+    responses = [3, 6, 9, 12]
+    args = (2.5, (5.0, 5.0))
+    expected = naive_search(*args, list(zip(allocs, responses)), 40.0, 8, 12)
+    # a bare zip is exhausted by the first grid point if it is walked per point
+    assert naive_search(*args, zip(allocs, responses), 40.0, 8, 12) == expected
+    assert expected == ((5.0, 2.5), True)
+
+
 def test_search_cost_scales_linearly_with_profile_size():
     # doubling-twice the record count must cost at most 8x (linear + slack)
     rng = np.random.default_rng(9)
