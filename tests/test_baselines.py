@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import copy
 import gc
-import math
 import pickle
 import re
 import time
@@ -12,7 +11,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qosalloc import baselines as baselines_module
@@ -23,7 +22,7 @@ from qosalloc.predictor import (
 )
 from qosalloc.profile import APPENDED, Profile, UpdateResult
 from qosalloc.search import SearchGrid, search
-from test_search import EXACT_GRIDS, full_grid_search, lattice_records
+from test_search import lattice_records
 
 
 class TestPredictorKind:
@@ -131,26 +130,59 @@ def knn_reference(xs, profile, k):
     return responses[order].mean(axis=1), np.full(xs.shape[0], float(k))
 
 
+# where a stray record sits on the one link it leaves the grid on
+STRAYS = ("off_grid", "outside_box", "beyond_max")
+
+
 @st.composite
-def tie_heavy_lattice_cases(draw):
-    """(grid, profile, k, index rows): records on the lattice, many of them tied.
+def tie_heavy_cases(draw):
+    """(grid, profile, k, index rows): records mostly on the grid, many of them tied.
 
     Records repeat a few anchors or sit at the ends and the middle of each
-    link, so many grid points are equidistant from many records.
+    link, so many grid points are equidistant from many records. Steps 0.7
+    and 0.1 are inexact in binary. A stray record leaves the grid on one
+    link: between two grid values, one step outside the box, or past the
+    maximum by a fraction of a step. An 8-link grid makes numpy sum each
+    distance pairwise instead of in link order.
     """
-    step = draw(st.sampled_from([0.5, 1.25, 2.5]))
-    steps = draw(st.lists(st.integers(0, 6), min_size=1, max_size=3))
-    grid = SearchGrid(step, tuple(c * step for c in steps))
+    step = draw(st.sampled_from([0.5, 1.25, 2.5, 0.7, 0.1]))
+    links = draw(st.sampled_from([1, 2, 3, 8]))
+    most = 1 if links == 8 else 6
+    grid = SearchGrid(step, tuple(c * step for c in draw(
+        st.lists(st.integers(0, most), min_size=links, max_size=links))))
+    steps = grid.steps_per_link
     symmetric = st.tuples(*[st.sampled_from(sorted({0, c // 2, c})) for c in steps])
     anywhere = st.tuples(*[st.integers(0, c) for c in steps])
     anchors = draw(st.lists(symmetric | anywhere, min_size=1, max_size=4))
     counts = draw(st.lists(st.sampled_from(anchors) | symmetric | anywhere,
                            min_size=1, max_size=24))
-    records = [(tuple(c * step for c in count), draw(st.integers(1, 12))) for count in counts]
-    profile = Profile(len(steps), 12, None, records)
+    records = []
+    for count in counts:
+        alloc = [c * step for c in count]
+        stray = draw(st.sampled_from((None,) * 3 + STRAYS))
+        if stray is not None:
+            j = draw(st.integers(0, links - 1))
+            alloc[j] = {"off_grid": (count[j] + 0.3) * step,
+                        "outside_box": (steps[j] + 1) * step,
+                        "beyond_max": grid.max_per_link[j] + 0.4 * step}[stray]
+        records.append((tuple(alloc), draw(st.integers(1, 12))))
+    profile = Profile(links, 12, None, records)
     k = draw(st.integers(1, profile.size))
     rows = np.array(draw(st.lists(st.integers(0, grid.size - 1), min_size=1, max_size=64)))
     return grid, profile, k, rows
+
+
+# every point of an 8-link grid as a record, k = 170: numpy sums rows of 8
+# or more values pairwise instead of in link order, and each distance here
+# ties with dozens of others
+EIGHT_LINKS = SearchGrid(0.3, (0.3,) * 8)
+EIGHT_LINK_CASE = (EIGHT_LINKS, Profile(8, 12, None, [(tuple(x), 1 + i % 12) for i, x in
+                                                       enumerate(EIGHT_LINKS.points())]),
+                   170, np.arange(0, EIGHT_LINKS.size, 3))
+
+
+def no_batch(*args):
+    raise AssertionError("predict_grid called predict_batch")
 
 
 class SpyBatch:
@@ -172,20 +204,21 @@ def lattice_profile(grid, p, seed):
                    lattice_records(np.random.default_rng(seed), grid, p))
 
 
-class TestKnnOnTheLattice:
+class TestKnnOnTheGrid:
     @settings(max_examples=300, deadline=None)
-    @given(tie_heavy_lattice_cases())
+    @given(tie_heavy_cases())
+    @example(EIGHT_LINK_CASE)
     def test_predict_grid_equals_stable_argsort(self, case):
         grid, profile, k, rows = case
         predictor = KnnPredictor(k)
-        assert baselines_module._lattice_keys(grid, profile.allocation_matrix()) is not None
+        predictor.predict_batch = no_batch
         for block in (slice(None), rows):
             expected = knn_reference(grid.points()[block], profile, k)
             got = predictor.predict_grid(grid, block, profile)
             assert np.array_equal(got[0], expected[0])
             assert np.array_equal(got[1], expected[1])
 
-    def test_lattice_path_serves_without_predict_batch(self, monkeypatch):
+    def test_reference_grid_serves_without_predict_batch(self, monkeypatch):
         spy = SpyBatch(monkeypatch)
         grid = SearchGrid(1.25, (50.0, 30.0))
         profile = lattice_profile(grid, 40, seed=5)
@@ -196,72 +229,24 @@ class TestKnnOnTheLattice:
             assert np.array_equal(kernel_sum, expected[1])
         assert spy.calls == 0
 
-    @pytest.mark.parametrize("keys", [1, 39, 41, 2**14])
-    def test_row_chunks_equal_stable_argsort(self, keys, monkeypatch):
-        # 40 records: one row per chunk, one or two rows per chunk, and the
-        # real chunk of 409 rows, which leaves a partial last chunk
-        monkeypatch.setattr(baselines_module, "_KNN_KEYS", keys)
-        grid = SearchGrid(1.25, (50.0, 30.0))
-        profile = lattice_profile(grid, 40, seed=11)
-        rows = np.random.default_rng(keys).choice(grid.size, 300)
-        for k in (1, 7, 40):
-            for block in (slice(None), rows):
-                got = KnnPredictor(k).predict_grid(grid, block, profile)
-                expected = knn_reference(grid.points()[block], profile, k)
-                assert np.array_equal(got[0], expected[0])
-                assert np.array_equal(got[1], expected[1])
-
     @pytest.mark.parametrize("records, k, error", [
         ([], 1, EmptyProfileError), ([((0.0,), 2), ((1.25,), 3)], 3, ValueError),
     ], ids=["empty_profile", "k_above_size"])
-    def test_errors_come_before_any_table(self, records, k, error, monkeypatch):
+    def test_errors_come_before_any_set(self, records, k, error, monkeypatch):
         profile = Profile(1, 12, None, records)
         predictor = KnnPredictor(k)
         with pytest.raises(error) as from_batch:
             predictor.predict_batch(np.zeros((1, 1)), profile)
 
-        def no_table(*args):
-            raise AssertionError("read a grid table before checking the profile")
+        def no_work(*args):
+            raise AssertionError("did work before checking the profile")
 
-        for name in ("_lattice_keys", "_lattice"):
-            monkeypatch.setattr(baselines_module, name, no_table)
-        monkeypatch.setattr(SearchGrid, "points", no_table)
+        monkeypatch.setattr(baselines_module, "_NeighborSets", no_work)
+        monkeypatch.setattr(SearchGrid, "points", no_work)
         with pytest.raises(error) as from_grid:
             predictor.predict_grid(SearchGrid(1.25, (5.0,)), slice(None), profile)
         assert str(from_grid.value) == str(from_batch.value)
-
-    @pytest.mark.parametrize("grid, stray", [
-        (SearchGrid(1.25, (50.0, 30.0)), (1.3, 2.5)),
-        (SearchGrid(0.7, (7.0, 4.2)), None),
-    ], ids=["off_lattice_record", "inexact_step"])
-    def test_falls_back_to_predict_batch(self, grid, stray, monkeypatch):
-        monkeypatch.setattr(baselines_module, "_LATTICES", weakref.WeakKeyDictionary())
-        profile = lattice_profile(grid, 12, seed=9)
-        if stray is not None:
-            profile.update(stray, 12, target=7)
-        spy = SpyBatch(monkeypatch)
-        rows = np.arange(0, grid.size, 3)
-        for block in (slice(None), rows):
-            got = KnnPredictor(5).predict_grid(grid, block, profile)
-            expected = knn_reference(grid.points()[block], profile, 5)
-            assert np.array_equal(got[0], expected[0])
-        assert spy.calls == 2
-        if stray is None:
-            assert baselines_module._lattice(grid) is None
-        else:  # the ranks are built only for a profile they can serve
-            assert grid not in baselines_module._LATTICES
-
-    @pytest.mark.parametrize("k", [1, 100, 170, 256])
-    def test_eight_links_fall_back(self, k):
-        # numpy sums rows of 8 or more values pairwise: on this grid its
-        # distances hold ties that link-order sums do not, and ranks built
-        # from those sums would pick other records for k in 164..218
-        grid = SearchGrid(0.3, (0.3,) * 8)
-        assert baselines_module._lattice(grid) is None
-        profile = Profile(8, 12, None,
-                          [(tuple(x), 1 + i % 12) for i, x in enumerate(grid.points())])
-        got = KnnPredictor(k).predict_grid(grid, slice(None), profile)
-        assert np.array_equal(got[0], knn_reference(grid.points(), profile, k)[0])
+        assert predictor._sets == {}
 
 
 def same_bits(predictor, grid, rows, profile):
@@ -275,17 +260,23 @@ class TestNeighborSets:
     GRID = SearchGrid(1.25, (12.5, 10.0))  # 99 points
 
     def appended_records(self, rng, count):
-        """Lattice records, many at a few repeated anchors or at the grid's ends and middle."""
-        steps = self.GRID.steps_per_link
+        """Records, many at a few repeated anchors or at the grid's ends and middle.
+
+        One in ten is anywhere in a box 1.2 times the grid's, mostly off it.
+        """
+        grid = self.GRID
+        steps = grid.steps_per_link
         anchors = [(0, 0), (steps[0], steps[1]), (steps[0] // 2, steps[1] // 2), (3, 5)]
         records = []
         for _ in range(count):
-            if rng.random() < 0.6:
-                counts = anchors[rng.integers(len(anchors))]
+            draw = rng.random()
+            if draw < 0.1:
+                alloc = tuple(rng.uniform(0.0, 1.2 * np.array(grid.max_per_link)))
             else:
-                counts = [rng.integers(c + 1) for c in steps]
-            records.append((tuple(float(c) * self.GRID.step for c in counts),
-                            int(rng.integers(1, 13))))
+                counts = (anchors[rng.integers(len(anchors))] if draw < 0.6
+                          else [rng.integers(c + 1) for c in steps])
+                alloc = tuple(float(c) * grid.step for c in counts)
+            records.append((alloc, int(rng.integers(1, 13))))
         return records
 
     @pytest.mark.parametrize("k", [1, 5, 12])
@@ -300,12 +291,14 @@ class TestNeighborSets:
             profile.update(alloc, response, target=7)
             assert same_bits(predictor, grid, slice(3, 80), profile)
             assert same_bits(predictor, grid, rng.permutation(grid.size), profile)
+            allocs = profile.allocation_matrix()
+            d2 = ((grid.points()[:, None, :] - allocs[None, :, :]) ** 2).sum(axis=2)
+            assert np.array_equal(sets.index, np.argsort(d2, axis=1, kind="stable")[:, :k])
         # every append merged into the first call's sets
         assert predictor._sets[id(profile)] is sets
         assert len(sets.responses) == profile.size == k + 300
-        assert np.array_equal(sets.worst, sets.keys.max(axis=1))
 
-    @pytest.mark.parametrize("change", ["record", "response", "grid", "k", "off_lattice"])
+    @pytest.mark.parametrize("change", ["record", "response", "grid", "k"])
     def test_other_changes_rebuild(self, change):
         grid = self.GRID
         records = [((0.0, 0.0), 9), ((5.0, 2.5), 10), ((12.5, 10.0), 8), ((2.5, 7.5), 11)]
@@ -321,22 +314,14 @@ class TestNeighborSets:
             assert profile.allocation_matrix()[1].tolist() == [5.0, 2.5]
         elif change == "grid":
             grid = SearchGrid(1.25, (12.5, 10.0))
-        elif change == "k":
-            predictor.k_neighbors = 3
         else:
-            profile = Profile(2, 12, None, records)
-            assert same_bits(predictor, grid, slice(None), profile)
-            sets = predictor._sets[id(profile)]
-            profile.append((1.3, 0.0), 4)
+            predictor.k_neighbors = 3
         rows = np.random.default_rng(3).permutation(grid.size)
         assert same_bits(predictor, grid, rows, profile)
-        if change == "off_lattice":
-            assert id(profile) not in predictor._sets
-        else:
-            rebuilt = predictor._sets[id(profile)]
-            assert rebuilt is not sets
-            assert same_bits(predictor, grid, slice(None), profile)
-            assert predictor._sets[id(profile)] is rebuilt
+        rebuilt = predictor._sets[id(profile)]
+        assert rebuilt is not sets
+        assert same_bits(predictor, grid, slice(None), profile)
+        assert predictor._sets[id(profile)] is rebuilt
 
     def test_one_predictor_serves_two_profiles(self):
         rng = np.random.default_rng(2)
@@ -383,10 +368,9 @@ class TestNeighborSets:
             assert same_bits(other, grid, slice(None), profile)
         assert len(predictor._sets) == 1
 
-    def test_sets_above_the_key_limit_are_not_kept(self, monkeypatch):
-        monkeypatch.setattr(baselines_module, "_LATTICES", weakref.WeakKeyDictionary())
-        grid = SearchGrid(1.25, (50.0, 30.0))  # 1,025 points, 3,969 ranks
-        monkeypatch.setattr(baselines_module, "_TABLE_MAX", 5 * grid.size - 1)
+    def test_sets_above_the_size_limit_are_not_kept(self, monkeypatch):
+        grid = SearchGrid(1.25, (50.0, 30.0))  # 1,025 points
+        monkeypatch.setattr(baselines_module, "_SETS_MAX", 5 * grid.size - 1)
         profile = lattice_profile(grid, 40, seed=6)
         spy = SpyBatch(monkeypatch)
         rows = np.random.default_rng(6).choice(grid.size, 300)
@@ -396,89 +380,6 @@ class TestNeighborSets:
                 assert same_bits(predictor, grid, block, profile)
             assert len(predictor._sets) == (k == 4)
         assert spy.calls == 3 * 2  # same_bits' own calls only
-
-
-class TestDistanceRanks:
-    @pytest.mark.parametrize("grid", EXACT_GRIDS, ids=repr)
-    def test_ranks_order_and_tie_as_the_distances_do(self, grid):
-        rng = np.random.default_rng(grid.size)
-        allocs = np.array([a for a, _ in lattice_records(rng, grid, 12)])
-        ranks, offsets, bases = baselines_module._lattice_keys(grid, allocs)
-        assert ranks.dtype == np.int64
-        assert ranks.size == math.prod(2 * c + 1 for c in grid.steps_per_link)
-        assert not ranks.flags.writeable
-        got = ranks[offsets[:, None] + bases[None, :]]
-        d2 = ((grid.points()[:, None, :] - allocs[None, :, :]) ** 2).sum(axis=2)
-        # equal dense rankings: every order and every tie is kept
-        assert np.array_equal(np.unique(got, return_inverse=True)[1],
-                              np.unique(d2, return_inverse=True)[1])
-
-    def test_reference_grid_ranks_are_cached(self, monkeypatch):
-        monkeypatch.setattr(baselines_module, "_LATTICES", weakref.WeakKeyDictionary())
-        grid = SearchGrid(1.25, (50.0, 30.0))
-        on_lattice = np.array([[0.0, 0.0], [50.0, 30.0]])
-        # built lazily, and only for records the ranks can serve
-        assert baselines_module._lattice_keys(grid, np.array([[1.3, 0.0]])) is None
-        assert grid not in baselines_module._LATTICES
-        ranks, offsets, _ = baselines_module._lattice_keys(grid, on_lattice)
-        assert ranks.size == 3969 and ranks.nbytes == 31_752
-        assert offsets.shape == (grid.size,) and not offsets.flags.writeable
-        # the same arrays for the grid's lifetime, whatever the records
-        again = baselines_module._lattice_keys(grid, on_lattice[::-1])
-        assert again[0] is ranks and again[1] is offsets
-        # the cache is not a field: equality and hashing are unchanged
-        assert grid == SearchGrid(1.25, (50.0, 30.0))
-        assert hash(grid) == hash(SearchGrid(1.25, (50.0, 30.0)))
-        # and it goes with the grid
-        del grid, ranks, offsets, again
-        gc.collect()
-        assert len(baselines_module._LATTICES) == 0
-
-    def test_record_bases(self):
-        grid = SearchGrid(1.25, (50.0, 30.0))
-
-        def bases(allocs):
-            keys = baselines_module._lattice_keys(grid, np.array(allocs))
-            return None if keys is None else keys[2]
-
-        np.testing.assert_array_equal(
-            bases([[0.0, 0.0], [50.0, 30.0], [1.25, 2.5], [-0.0, 30.0]]),
-            [40 * 49 + 24, 0, 39 * 49 + 22, 40 * 49])
-        assert bases([[1.3, 0.0]]) is None  # off the lattice
-        assert bases([[0.0, 31.25]]) is None  # outside the box
-        assert bases([[0.0, 1.25 + 1e-15]]) is None
-
-    @pytest.mark.parametrize("grid", [
-        SearchGrid(0.7, (7.0,)), SearchGrid(0.7, (7.0, 4.2)), SearchGrid(0.1, (0.3,)),
-    ], ids=repr)
-    def test_inexact_step_has_no_ranks(self, grid):
-        assert baselines_module._lattice(grid) is None
-        values = np.arange(max(grid.steps_per_link) + 1) * grid.step
-        squares = np.square(values[None, :] - values[:, None])
-        deltas = np.subtract.outer(np.arange(len(values)), np.arange(len(values)))
-        # some pair (c, r) misses the value its offset c - r has elsewhere
-        assert any(len(set(squares[deltas == d].tolist())) > 1 for d in range(len(values)))
-        rng = np.random.default_rng(7)
-        profile = Profile(grid.link_count, 12, None, lattice_records(rng, grid, 6))
-        for predictor in (GrnnPredictor(KernelParams(3.0)), KnnPredictor(3)):
-            assert search(grid, profile, predictor, 7) == full_grid_search(
-                grid, profile, predictor, 7)
-
-    def test_size_limit(self, monkeypatch):
-        monkeypatch.setattr(baselines_module, "_TABLE_MAX", 41**2)
-        # (c, r) pairs in the check, then rank entries
-        assert baselines_module._lattice(SearchGrid(1.25, (50.0,))) is not None  # 41**2, 81
-        assert baselines_module._lattice(SearchGrid(1.25, (51.25,))) is None  # 42**2, 83
-        assert baselines_module._lattice(SearchGrid(1.25, (50.0, 25.0))) is None  # 41**2, 81 * 41
-
-    def test_no_ranks_off_the_exact_lattice(self, monkeypatch):
-        lattice = baselines_module._lattice
-        assert lattice(SearchGrid(0.7, (7.0, 4.2))) is None
-        assert lattice(SearchGrid(0.3, (0.3,) * 8)) is None  # numpy sums pairwise
-        assert lattice(SearchGrid(0.3, (0.3,) * 7)) is not None
-        monkeypatch.setattr(baselines_module, "_TABLE_MAX", 41**2)
-        assert lattice(SearchGrid(1.25, (50.0,))) is not None
-        assert lattice(SearchGrid(1.25, (50.0, 25.0))) is None
 
 
 class TestUnboundedGrowth:

@@ -1,16 +1,15 @@
 """Closed-loop differential tests: fast search paths against plain ones.
 
 KnnPredictor.predict_grid serves a search block from the profile's
-neighbor sets when it can, rebuilt from the grid's distance ranks or, for
-an unbounded profile, merged with the records appended since the last
-search; ComputedKnn always calls predict_batch. GrnnPredictor
-predicts only a block's rows; WholeGridGrnn predicts the whole grid for
-every block and keeps the block's rows. UnscreenedGrnn's interval rules out
-no grid point, so its searches predict the whole grid block by block, as a
-search did before the screen. Whole seeded closed loops, with ERAB noise,
-background traces and shared links, must make the same decisions bit for
-bit and leave byte-identical profiles whichever path, and whichever block
-size, serves the search.
+neighbor sets, built anew or, for an unbounded profile, merged with the
+records appended since the last search; ComputedKnn always calls
+predict_batch. GrnnPredictor predicts only a block's rows; WholeGridGrnn
+predicts the whole grid for every block and keeps the block's rows.
+UnscreenedGrnn's interval rules out no grid point, so its searches predict
+the whole grid block by block, as a search did before the screen. Whole
+seeded closed loops, with ERAB noise, background traces and shared links,
+must make the same decisions bit for bit and leave byte-identical profiles
+whichever path, and whichever block size, serves the search.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ class UnscreenedGrnn(GrnnPredictor):
 
 
 class ComputedKnn(KnnPredictor):
-    """KnnPredictor whose predict_grid never reads the distance ranks."""
+    """KnnPredictor whose predict_grid keeps no neighbor sets."""
 
     def predict_grid(self, grid, rows, profile):
         return self.predict_batch(grid.points()[rows], profile)
@@ -80,7 +79,7 @@ def run_loop(seed, make_predictor, unbounded=False):
         records = min(config.capacity, config.grid.size)
         seed_profile = seed_profile_generate(config.grid, config, records, nominal, rng,
                                              capacity=None if unbounded else config.capacity)
-        if seed % 4 == 3:  # off the lattice for seed 7: no ranks until it is evicted
+        if seed % 4 == 3:  # off the grid for seed 7, on it for seed 3
             seed_profile.update(tuple(b / 3 for b in maxima), 12, target=7)
         ctrls.append(QosController(config, seed_profile, int(rng.integers(1, 4)),
                                    predictor=make_predictor(config)))
@@ -149,25 +148,40 @@ def test_whole_grid_and_block_predictions_run_identical_loops(seed, monkeypatch)
 
 
 def neighbor_set_calls(monkeypatch) -> dict:
-    """Counts of KnnPredictor's set rebuilds and merges, and of its predict_batch calls."""
+    """Counts of KnnPredictor's set rebuilds and merges, and of its predict_batch calls.
+
+    A rebuild counts once, not also as the merge it makes of the records
+    after the first k.
+    """
     calls = {"rebuild": 0, "merge": 0, "batch": 0}
+    building = [False]
     sets_cls = baselines_module._NeighborSets
+    init, merge, predict_batch = sets_cls.__init__, sets_cls.merge, KnnPredictor.predict_batch
 
-    def counting(name, method):
-        def wrapped(*args):
-            calls[name] += 1
-            return method(*args)
-        return wrapped
+    def counting_init(*args):
+        calls["rebuild"] += 1
+        building[0] = True
+        try:
+            init(*args)
+        finally:
+            building[0] = False
 
-    monkeypatch.setattr(sets_cls, "__init__", counting("rebuild", sets_cls.__init__))
-    monkeypatch.setattr(sets_cls, "merge", counting("merge", sets_cls.merge))
-    monkeypatch.setattr(KnnPredictor, "predict_batch",
-                        counting("batch", KnnPredictor.predict_batch))
+    def counting_merge(*args):
+        calls["merge"] += not building[0]
+        merge(*args)
+
+    def counting_batch(*args):
+        calls["batch"] += 1
+        return predict_batch(*args)
+
+    monkeypatch.setattr(sets_cls, "__init__", counting_init)
+    monkeypatch.setattr(sets_cls, "merge", counting_merge)
+    monkeypatch.setattr(KnnPredictor, "predict_batch", counting_batch)
     return calls
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_knn_ranks_and_computed_paths_run_identical_loops(seed, monkeypatch):
+def test_knn_sets_and_computed_paths_run_identical_loops(seed, monkeypatch):
     k = 1 + seed % 5  # every seed profile holds at least 5 records
     computed = [run_loop(seed, lambda config: ComputedKnn(k), unbounded)
                 for unbounded in (False, True)]
@@ -175,23 +189,20 @@ def test_knn_ranks_and_computed_paths_run_identical_loops(seed, monkeypatch):
         monkeypatch.setattr(search_module, "_BLOCK_MIN", 16)
     blocks = blocks_per_search(monkeypatch, KnnPredictor)
     calls = neighbor_set_calls(monkeypatch)
-    ranked = run_loop(seed, lambda config: KnnPredictor(k))
-    services = 1 + seed % 2
-    if seed % 4 != 3:  # the sets serve every block
-        assert calls["batch"] == 0
-        assert calls["rebuild"] >= 1
+    bounded = run_loop(seed, lambda config: KnnPredictor(k))
+    # the sets serve every block, on the grid or off it
+    assert calls["batch"] == 0
+    assert calls["rebuild"] >= 1
     if seed % 2 and seed % 3:  # a 1-link grid holds fewer than 2 * 16 points: one block
         assert max(blocks) >= 2
-    assert ranked == computed[0]
+    assert bounded == computed[0]
 
     calls.update(rebuild=0, merge=0, batch=0)
     # an unbounded profile only appends: one rebuild per profile, then a
     # merge before each epoch's search
     merged = run_loop(seed, lambda config: KnnPredictor(k), unbounded=True)
-    if seed != 7:
-        assert calls == {"rebuild": services, "merge": EPOCHS * services, "batch": 0}
-    else:  # its extra record (4.17, 3.33) is off the lattice and never evicted
-        assert calls["rebuild"] == calls["merge"] == 0 and calls["batch"] >= EPOCHS
+    services = 1 + seed % 2
+    assert calls == {"rebuild": services, "merge": EPOCHS * services, "batch": 0}
     assert merged == computed[1]
 
 

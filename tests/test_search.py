@@ -10,14 +10,12 @@ from __future__ import annotations
 
 import importlib
 import time
-import weakref
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from qosalloc import baselines as baselines_module
 from qosalloc.baselines import KnnPredictor
 from qosalloc.predictor import (
     EmptyProfileError,
@@ -703,17 +701,14 @@ class TestLatticeSearch:
 
     @pytest.mark.parametrize("stray", [(1.3, 2.5), (0.0, 31.25), (51.25, 0.0)],
                              ids=["off_lattice", "outside_box", "beyond_max"])
-    def test_stray_record_falls_back(self, stray, monkeypatch):
-        served = []
-        lattice_keys = baselines_module._lattice_keys
+    def test_stray_record_is_served(self, stray, monkeypatch):
+        batch_calls = []
+        predict_batch = KnnPredictor.predict_batch
 
-        def counting_keys(grid, allocs):
-            keys = lattice_keys(grid, allocs)
-            served.append(keys is not None)
-            return keys
+        def counting_batch(predictor, xs, profile):
+            batch_calls.append(len(xs))
+            return predict_batch(predictor, xs, profile)
 
-        monkeypatch.setattr(baselines_module, "_lattice_keys", counting_keys)
-        monkeypatch.setattr(baselines_module, "_LATTICES", weakref.WeakKeyDictionary())
         grid = SearchGrid(1.25, (50.0, 30.0))
         rng = np.random.default_rng(3)
         for level in (1, 12):
@@ -722,12 +717,12 @@ class TestLatticeSearch:
             profile = Profile(2, 12, None, records)
             for predictor in (GrnnPredictor(KernelParams(2.0)), KnnPredictor(3)):
                 for target in (2, 7, 11):
-                    assert search(grid, profile, predictor, target) == full_grid_search(
-                        grid, profile, predictor, target)
-        # the kNN search never reads the ranks for a profile off the lattice,
-        # nor builds them
-        assert served and not any(served)
-        assert len(baselines_module._LATTICES) == 0
+                    expected = full_grid_search(grid, profile, predictor, target)
+                    with monkeypatch.context() as patch:
+                        patch.setattr(KnnPredictor, "predict_batch", counting_batch)
+                        assert search(grid, profile, predictor, target) == expected
+        # the kNN neighbor sets serve a record off the grid as any other
+        assert batch_calls == []
 
     def test_large_grid_searches_block_by_block(self, monkeypatch):
         spy = CountingBatch()
@@ -768,10 +763,10 @@ SCREEN_MAX_STEPS = {1: 40, 2: 12, 3: 5, 4: 3}
 def screen_cases(draw):
     """A grid, a kernel and a profile of 1-600 records, on the lattice or off it.
 
-    Steps 0.5 and 1.25 pass the distance ranks' exactness check, 0.7 does
-    not. Responses are uniform in a drawn level range or rise with the
-    record's total; a bounded profile is filled to capacity and then
-    updated past it, so its slot order is not its insertion order.
+    Step 0.7 is inexact in binary, 0.5 and 1.25 are not. Responses are
+    uniform in a drawn level range or rise with the record's total; a
+    bounded profile is filled to capacity and then updated past it, so its
+    slot order is not its insertion order.
     """
     n = draw(st.integers(1, 4))
     step = draw(st.sampled_from([0.5, 0.7, 1.25]))
