@@ -22,7 +22,7 @@ from qosalloc.predictor import (
 )
 from qosalloc.profile import APPENDED, Profile, UpdateResult
 from qosalloc.search import SearchGrid, search
-from test_search import lattice_records
+from test_search import EXACT_GRIDS, full_grid_search, lattice_records
 
 
 class TestPredictorKind:
@@ -248,6 +248,31 @@ class TestKnnOnTheGrid:
         assert str(from_grid.value) == str(from_batch.value)
         assert predictor._sets == {}
 
+    @pytest.mark.parametrize("k", [1, 100, 170, 256])
+    def test_eight_links_are_served(self, k, monkeypatch):
+        # numpy sums rows of 8 or more values pairwise: each distance here
+        # ties with dozens of others, and the sets take the same floats
+        grid = EIGHT_LINKS
+        profile = EIGHT_LINK_CASE[1]
+        monkeypatch.setattr(KnnPredictor, "predict_batch", no_batch)
+        got = KnnPredictor(k).predict_grid(grid, slice(None), profile)
+        expected = knn_reference(grid.points(), profile, k)
+        assert np.array_equal(got[0], expected[0])
+        assert np.array_equal(got[1], expected[1])
+
+    @pytest.mark.parametrize("grid", [
+        SearchGrid(0.7, (7.0,)), SearchGrid(0.7, (7.0, 4.2)), SearchGrid(0.1, (0.3,)),
+    ], ids=repr)
+    def test_inexact_steps_search_as_the_full_grid(self, grid, monkeypatch):
+        rng = np.random.default_rng(7)
+        profile = Profile(grid.link_count, 12, None, lattice_records(rng, grid, 6))
+        spy = SpyBatch(monkeypatch)
+        for predictor in (GrnnPredictor(KernelParams(3.0)), KnnPredictor(3)):
+            expected = full_grid_search(grid, profile, predictor, 7)
+            spy.calls = 0
+            assert search(grid, profile, predictor, 7) == expected
+        assert spy.calls == 0
+
 
 def same_bits(predictor, grid, rows, profile):
     """Whether predict_grid on rows gives predict_batch's bytes there."""
@@ -297,6 +322,63 @@ class TestNeighborSets:
         # every append merged into the first call's sets
         assert predictor._sets[id(profile)] is sets
         assert len(sets.responses) == profile.size == k + 300
+
+    @pytest.mark.parametrize("grid", EXACT_GRIDS, ids=repr)
+    def test_sets_order_and_tie_as_the_distances_do(self, grid):
+        rng = np.random.default_rng(grid.size)
+        profile = lattice_profile(grid, 12, seed=grid.size)
+        allocs, responses = profile.allocation_matrix(), profile.response_vector()
+        d2 = ((grid.points()[:, None, :] - allocs[None, :, :]) ** 2).sum(axis=2)
+        for k in (1, int(rng.integers(2, 12)), 12):
+            sets = baselines_module._NeighborSets(grid.points(), k, allocs, responses)
+            order = np.argsort(d2, axis=1, kind="stable")[:, :k]
+            assert np.array_equal(sets.index, order)
+            assert np.array_equal(sets.dist, np.take_along_axis(d2, order, axis=1))
+            assert sets.sums.dtype == np.int64
+            assert np.array_equal(sets.sums, responses[order].sum(axis=1))
+
+    @pytest.mark.parametrize("split", [3, 4, 9, 20])
+    def test_building_equals_merging_from_any_split(self, split):
+        points = self.GRID.points()
+        profile = Profile(2, 12, None, self.appended_records(np.random.default_rng(split), 20))
+        allocs, responses = profile.allocation_matrix(), profile.response_vector()
+        whole = baselines_module._NeighborSets(points, 3, allocs, responses)
+        merged = baselines_module._NeighborSets(points, 3, allocs[:split], responses[:split])
+        merged.merge(points, allocs, responses)
+        for name in ("dist", "index", "sums", "allocs", "responses"):
+            assert np.array_equal(getattr(merged, name), getattr(whole, name))
+
+    # records at 1, 2 and 3 on a 1-link grid, k = 3: at the origin their
+    # squared distances are 1, 4 and 9, and the appended record's index is 3
+    @pytest.mark.parametrize("alloc, origin_row", [
+        (3.0, [0, 1, 2]), (2.0, [0, 1, 3]), (1.5, [0, 3, 1]), (0.0, [3, 0, 1]), (4.0, [0, 1, 2]),
+    ], ids=["tied_with_the_last", "tied_inside", "between_off_grid", "nearest", "farther"])
+    def test_a_merged_record_goes_after_its_ties(self, alloc, origin_row):
+        grid = SearchGrid(1.0, (4.0,))
+        profile = Profile(1, 12, None, [((1.0,), 2), ((2.0,), 5), ((3.0,), 11)])
+        predictor = KnnPredictor(3)
+        assert same_bits(predictor, grid, slice(None), profile)
+        sets = predictor._sets[id(profile)]
+        profile.append((alloc,), 7)
+        assert same_bits(predictor, grid, slice(None), profile)
+        assert predictor._sets[id(profile)] is sets
+        assert sets.index[0].tolist() == origin_row
+        assert sets.sums[0] == profile.response_vector()[origin_row].sum()
+
+    @pytest.mark.parametrize("stray", STRAYS)
+    def test_stray_appends_merge(self, stray):
+        grid = self.GRID
+        profile = lattice_profile(grid, 12, seed=8)
+        predictor = KnnPredictor(5)
+        assert same_bits(predictor, grid, slice(None), profile)
+        sets = predictor._sets[id(profile)]
+        alloc = {"off_grid": (1.3, 2.5), "outside_box": (2.5, 11.25),
+                 "beyond_max": (12.5 + 0.4 * 1.25, 5.0)}[stray]
+        profile.append(alloc, 12)
+        assert same_bits(predictor, grid, np.random.default_rng(8).permutation(grid.size),
+                         profile)
+        assert predictor._sets[id(profile)] is sets
+        assert len(sets.responses) == profile.size == 13
 
     @pytest.mark.parametrize("change", ["record", "response", "grid", "k"])
     def test_other_changes_rebuild(self, change):
