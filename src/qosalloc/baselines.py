@@ -33,18 +33,20 @@ and it goes after the members at a distance <= its own. The row's sum
 moves by the exact difference of the two responses.
 
 A KnnPredictor keeps the sets of each profile it serves, over its whole
-grid. The entry is keyed by the profile's identity and holds it, and its
-grid, only weakly: it goes when the profile or the predictor goes, and
-nothing refers back to the predictor. A later call merges the records the
-profile appended since. Every other change builds the sets anew: the
-first call, another grid object or k, or any record or response of the
-earlier ones changed (the entry keeps copies of them and compares them on
-each call), as a bounded profile does at capacity. The sets hold
-grid.size * k (distance, index) pairs, 16 bytes each. Above _SETS_MAX
-pairs (4 MB) a call builds sets over the requested rows only and keeps
-nothing. On the 2-link reference grid with k = 5 they hold 5,125 pairs,
-82 KB, and one int64 sum per point. The entries are plain state without
-a lock: one KnnPredictor must not serve two threads at once.
+grid, in the per-profile entry that predictor._KeepsState owns for every
+stateful predictor. The entry is keyed by the profile's identity and
+holds it, and its grid, only weakly: it goes when the profile or the
+predictor goes, and nothing refers back to the predictor. A later call
+merges the records the profile appended since. Every other change builds
+the sets anew: the first call, another grid object or k, or any record or
+response of the earlier ones changed (the entry keeps copies of them and
+compares them on each call), as a bounded profile does at capacity. The
+sets hold grid.size * k (distance, index) pairs, 16 bytes each. Above
+_SETS_MAX pairs (4 MB) a call builds sets over the requested rows only
+and keeps nothing. On the 2-link reference grid with k = 5 they hold
+5,125 pairs, 82 KB, and one int64 sum per point. The entries are plain
+state without a lock: one KnnPredictor must not serve two threads at
+once.
 
 KnnPredictor.predict_bounds is the profile's constant [min, max] response
 interval, so a kNN search predicts as many points as an unscreened search
@@ -55,13 +57,12 @@ point is a member, and only the origin is predicted.
 from __future__ import annotations
 
 import operator
-import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .predictor import EmptyProfileError
+from .predictor import EmptyProfileError, _KeepsState
 from .profile import Profile
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -147,34 +148,24 @@ class _NeighborSets:
 
     dist[c] and index[c] hold point c's k nearest records' squared
     distances and indices in the stable sort's order, and sums[c] the sum
-    of their responses, over the records that allocs and responses copy.
-    profile and grid are weak references, or None for sets kept nowhere.
+    of their responses, over the records merged so far.
     """
 
-    __slots__ = ("profile", "grid", "k", "allocs", "responses", "dist", "index", "sums")
+    __slots__ = ("k", "dist", "index", "sums")
 
-    def __init__(self, points: np.ndarray, k: int, allocs: np.ndarray, responses: np.ndarray,
-                 profile_ref: weakref.ref | None = None, grid_ref: weakref.ref | None = None):
+    def __init__(self, points: np.ndarray, k: int, allocs: np.ndarray, responses: np.ndarray):
         d2 = _squared_distances(points, allocs[:k])
         self.index = np.argsort(d2, axis=1, kind="stable")
         self.dist = np.take_along_axis(d2, self.index, axis=1)
         self.sums = responses[self.index].sum(axis=1)
-        self.profile, self.grid, self.k = profile_ref, grid_ref, k
-        self.responses = responses[:k]
-        self.merge(points, allocs, responses)
+        self.k = k
+        self.merge(points, allocs, responses, k)
 
-    def appended_to(self, grid: "SearchGrid", k: int, allocs: np.ndarray,
-                    responses: np.ndarray) -> bool:
-        """Whether these sets are for grid and k, and the records only grew since."""
-        size = len(self.responses)
-        return (self.grid() is grid and self.k == k and size <= len(responses)
-                and (responses[:size] == self.responses).all()
-                and (allocs[:size] == self.allocs).all())
-
-    def merge(self, points: np.ndarray, allocs: np.ndarray, responses: np.ndarray) -> None:
-        """Merge the records from len(self.responses) on, in index order."""
+    def merge(self, points: np.ndarray, allocs: np.ndarray, responses: np.ndarray,
+              start: int) -> None:
+        """Merge the records from index start on, in index order."""
         dist, index, sums, k = self.dist, self.index, self.sums, self.k
-        for i in range(len(self.responses), len(responses)):
+        for i in range(start, len(responses)):
             d2 = _squared_distances(points, allocs[i:i + 1])[:, 0]
             rows = np.flatnonzero(d2 < dist[:, -1])
             if rows.size:
@@ -186,19 +177,9 @@ class _NeighborSets:
                 order = near.argsort(axis=1, kind="stable")
                 order += np.arange(0, rows.size * k, k)[:, None]
                 dist[rows], index[rows] = near.take(order), nearest.take(order)
-        self.allocs, self.responses = allocs.copy(), responses.copy()
 
 
-def _forget(predictor_ref: weakref.ref, key: int):
-    """A weakref callback that drops key from the predictor's sets, if it is still alive."""
-    def forget(_):
-        predictor = predictor_ref()
-        if predictor is not None:
-            predictor._sets.pop(key, None)
-    return forget
-
-
-class KnnPredictor:
+class KnnPredictor(_KeepsState):
     """k-nearest-neighbor predictor with the search-facing predict_bounds / predict_grid.
 
     It keeps each served profile's neighbor sets (see the module
@@ -207,14 +188,8 @@ class KnnPredictor:
     """
 
     def __init__(self, k_neighbors: int = 5):
+        super().__init__()
         self.k_neighbors = _neighbor_count(k_neighbors, "k_neighbors")
-        #: Each served profile's neighbor sets, by the profile's id().
-        self._sets: dict[int, _NeighborSets] = {}
-
-    def __getstate__(self) -> dict:
-        # the sets hold weak references, which do not pickle; a copy or an
-        # unpickled predictor builds its own on its first call
-        return {**self.__dict__, "_sets": {}}
 
     def _check(self, profile: Profile) -> None:
         if profile.size == 0:
@@ -256,18 +231,16 @@ class KnnPredictor:
         allocs, responses = profile.allocation_matrix(), profile.response_vector()
         if allocs.shape[1] != grid.link_count:
             raise ValueError(f"grid has {grid.link_count} links but records have {allocs.shape[1]}")
-        key = id(profile)
-        sets = self._sets.get(key)
-        if sets is not None and sets.appended_to(grid, k, allocs, responses):
-            if len(sets.responses) < len(responses):
-                sets.merge(grid.points(), allocs, responses)
+        entry = self._changes(grid, profile, k, allocs, responses)
+        if entry is not None and not len(entry.replaced):
+            sets = entry.value
+            if entry.appended:
+                sets.merge(grid.points(), allocs, responses, entry.appended.start)
+        elif grid.size * k > _SETS_MAX:
+            sums = _NeighborSets(grid.points()[rows], k, allocs, responses).sums
+            return sums / k, np.full(len(sums), float(k))
         else:
-            self._sets.pop(key, None)
-            if grid.size * k > _SETS_MAX:
-                sums = _NeighborSets(grid.points()[rows], k, allocs, responses).sums
-                return sums / k, np.full(len(sums), float(k))
-            profile_ref = weakref.ref(profile, _forget(weakref.ref(self), key))
-            sets = self._sets[key] = _NeighborSets(grid.points(), k, allocs, responses,
-                                                   profile_ref, weakref.ref(grid))
+            sets, entry = _NeighborSets(grid.points(), k, allocs, responses), None
+        self._keep(grid, profile, k, sets, entry)
         y_star = sets.sums[rows] / k
         return y_star, np.full(len(y_star), float(k))

@@ -46,12 +46,16 @@ the responses) and the right links' factor. That estimate is not bit-exact:
 its rounding differs from predict_batch's. Its interval is y* +- tol with
 tol = _SCREEN_TOL * L, valid wherever the screened kernel sum is at least
 _SCREEN_MIN_SUM; elsewhere it is (-inf, inf). The derivation is in
-GrnnPredictor.predict_bounds.
+GrnnPredictor.predict_bounds. On grids of at least _KEEP_MIN_POINTS
+points, for profiles of at least _KEEP_MIN_RECORDS records, a
+GrnnPredictor keeps each profile's product between calls and updates it
+slot by slot; a running error bound widens its interval.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -76,6 +80,29 @@ _SCREEN_TOL = 2.0**-20
 #: the sum is smaller, weights near underflow could dominate it, and the
 #: interval is (-inf, inf).
 _SCREEN_MIN_SUM = 2.0**-900
+
+#: Fewest grid points, and fewest records, on which GrnnPredictor keeps a
+#: profile's screen product between calls (see predict_bounds); below
+#: either it screens anew on every call. An update costs about the same at
+#: any record count, a fresh screen in proportion to it: at S = 128 the kept
+#: screen broke even near 2,000 points and was 1.7x faster at 3,185; at
+#: 4,913 points it broke even near S = 48, and at 25,625 near S = 31 (one
+#: BLAS thread, 2 vCPU).
+_KEEP_MIN_POINTS = 4096
+_KEEP_MIN_RECORDS = 64
+
+#: Most entries of the link values, repeated per record, that a
+#: GrnnPredictor keeps for the fresh screen's one contiguous subtraction
+#: (32 KB; 2,046 on the reference grid at S = 31).
+_SPREAD_MAX = 2**12
+
+#: Updates after which a kept screen product is rebuilt, whatever its
+#: error bound, which grows with every update (see predict_bounds).
+_REBUILD_EVERY = 256
+
+#: Most float64 entries of one temporary of the kept product's rebuild and
+#: update (128 KB).
+_KEEP_CHUNK = 2**14
 
 
 class EmptyProfileError(ValueError):
@@ -305,15 +332,265 @@ def variation_bound(profile_size_after: int, level_count: int, kernel_sum_after:
     return (level_count - 1) / kernel_sum_after
 
 
-class GrnnPredictor:
+class _Entry:
+    """One profile's kept state; see _KeepsState."""
+
+    __slots__ = ("profile", "grid", "params", "allocs", "responses", "value",
+                 "replaced", "appended")
+
+
+_NO_SLOTS = np.empty(0, dtype=np.intp)
+
+
+def _forget(predictor_ref: weakref.ref, key: int):
+    """A weakref callback that drops key from the predictor's entries, if it is still alive."""
+    def forget(_):
+        predictor = predictor_ref()
+        if predictor is not None:
+            predictor._kept.pop(key, None)
+    return forget
+
+
+class _KeepsState:
+    """Per-profile state a predictor keeps between its calls.
+
+    A predictor derived from this keeps one entry per profile it serves,
+    keyed by the profile's id(). The entry holds the profile and its grid
+    only weakly: it goes when the profile or the predictor goes, and
+    nothing refers back to the predictor. It also holds the parameter the
+    state was made for (k, sigma2) and copies of the records, which
+    _changes compares with the profile's on every call. A copy or an
+    unpickled predictor starts with no entries. The entries are plain state
+    without a lock: one predictor must not serve two threads at once.
+    """
+
+    def __init__(self) -> None:
+        #: Each served profile's entry, by the profile's id().
+        self._kept: dict[int, _Entry] = {}
+
+    def __getstate__(self) -> dict:
+        # the entries hold weak references, which do not pickle; a copy or
+        # an unpickled predictor builds its own state on its first call
+        return {**self.__dict__, "_kept": {}}
+
+    def _changes(self, grid: "SearchGrid", profile: "Profile", params, allocs: np.ndarray,
+                 responses: np.ndarray) -> _Entry | None:
+        """Take the profile's entry out and say what changed since it was kept.
+
+        allocs and responses are the profile's allocation_matrix() and
+        response_vector(). None means rebuild: nothing is kept for the
+        profile on this grid object with params, or it holds fewer records
+        than the copies. Otherwise entry.replaced holds the slots below the
+        copies' count whose allocation or response differs from the copy,
+        in increasing order, and entry.appended the range of slots added
+        since; both are empty when nothing changed. The copies still hold
+        the old records; _keep puts the entry back with the new ones.
+        """
+        entry = self._kept.pop(id(profile), None)
+        if entry is None or entry.grid() is not grid or entry.params != params:
+            return None
+        size = len(entry.responses)
+        if size > len(responses):
+            return None
+        same_response = responses[:size] == entry.responses
+        same_alloc = allocs[:size] == entry.allocs
+        if same_response.all() and same_alloc.all():  # most calls: nothing replaced
+            entry.replaced = _NO_SLOTS
+        else:
+            entry.replaced = np.flatnonzero(~(same_response & same_alloc.all(axis=1)))
+        entry.appended = range(size, len(responses))
+        return entry
+
+    def _keep(self, grid: "SearchGrid", profile: "Profile", params, value,
+              entry: _Entry | None = None) -> None:
+        """Keep value for profile: in entry, as _changes gave it, or in a new entry."""
+        key = id(profile)
+        if entry is None:
+            entry = _Entry()
+            entry.profile = weakref.ref(profile, _forget(weakref.ref(self), key))
+            entry.grid, entry.params, entry.replaced = weakref.ref(grid), params, None
+        if entry.replaced is None or len(entry.replaced) or entry.appended:  # new or changed
+            entry.allocs = profile.allocation_matrix().copy()
+            entry.responses = profile.response_vector().copy()
+        entry.value = value
+        self._kept[key] = entry
+
+
+def _factors_into(k: np.ndarray, spread: np.ndarray, links: np.ndarray, allocs: np.ndarray,
+                  sigma2: float) -> None:
+    """k[r, i] = exp((spread[r] - allocs[i, links[r]])**2 / -sigma2), every link's factor.
+
+    spread is the grid's link values as a column, or repeated along the
+    records so that the subtraction is one contiguous call; either gives
+    the same bits.
+    """
+    np.take(allocs.T, links, axis=0, out=k, mode="clip")  # clip: no buffered copy
+    np.subtract(spread, k, out=k)
+    np.square(k, out=k)
+    np.divide(k, -sigma2, out=k)
+    np.exp(k, out=k)
+
+
+def _split_links(k: np.ndarray, grid: "SearchGrid") -> list[np.ndarray]:
+    """The per-link factors K_j, views of the stacked k."""
+    factors, start = [], 0
+    for c in grid.steps_per_link:
+        factors.append(k[start:start + c + 1])
+        start += c + 1
+    return factors
+
+
+def _columns(grid: "SearchGrid", allocs: np.ndarray, responses: np.ndarray, sigma2: float
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """[K_0; K_0 * r] and F's columns for the given records: (2 (C_0 + 1), q) and (M, q).
+
+    The same expressions, in the same order, as the kept screen's rebuild,
+    so a record's column has the bits its rebuild gave it.
+    """
+    values, links = grid.link_values()
+    q = len(responses)
+    k = np.empty((len(values), q))
+    _factors_into(k, values[:, None], links, allocs, sigma2)
+    factors = _split_links(k, grid)
+    left = np.concatenate((factors[0], factors[0] * responses.astype(float)))
+    f = factors[1] if len(factors) > 1 else np.ones((1, q))
+    for k_j in factors[2:]:
+        f = (f[:, None, :] * k_j[None, :, :]).reshape(-1, q)
+    return left, f
+
+
+def _f_rows(factors: list[np.ndarray], s: int):
+    """F's rows, row-major, in chunks of at most _KEEP_CHUNK entries: (start, rows) pairs.
+
+    F[(c_1, ..., c_{n-1}), i] = prod_{j>=1} K_j[c_j, i], multiplied from
+    link 1 on, as _columns does. A chunk is a few rows of the links before
+    the last one's product, each times a run of the last link's factor.
+    """
+    if len(factors) < 2:  # F is K_1 itself, or a row of ones on one link
+        yield 0, factors[0] if factors else np.ones((1, s))
+        return
+    *inner, last = factors
+    dims, c_last = [len(k_j) for k_j in inner], len(last)
+    heads, rows = math.prod(dims), max(1, _KEEP_CHUNK // s)
+    span, run = max(1, rows // c_last), min(rows, c_last)
+    buf = np.empty(span * run * s)
+    for p0 in range(0, heads, span):
+        index = np.unravel_index(np.arange(p0, min(p0 + span, heads)), dims)
+        head = inner[0][index[0]]
+        for k_j, i_j in zip(inner[1:], index[1:]):
+            head *= k_j[i_j]
+        for l0 in range(0, c_last, run):
+            tail = last[l0:l0 + run]
+            f = np.multiply(head[:, None, :], tail[None, :, :],
+                            out=buf[:len(head) * len(tail) * s].reshape(len(head), len(tail), s))
+            yield p0 * c_last + l0, f.reshape(-1, s)
+
+
+def _error_scale(records: int, links: int, updates: int, level_count: int) -> float:
+    """beta: the error term at a point is at most beta (1 + taken[r] * peak[m] / den).
+
+    See GrnnPredictor.predict_bounds for the derivation.
+    """
+    u = 2.0**-53
+    gamma = records * u / (1.0 - records * u)
+    mu = 20 * links * u
+    nu = updates * u / (1.0 - u)
+    kappa = ((2.0 + mu) * gamma + mu + nu) / (1.0 - gamma - 2.0 * nu)
+    gamma_ns = updates * records * u / (1.0 - updates * records * u)
+    return (2.0 * level_count * (1.0 + u) * kappa / (1.0 - kappa) * (1.0 + mu) * (1.0 + gamma_ns)
+            * (1.0 + 2.0**-40))
+
+
+class _KeptScreen:
+    """One profile's screen product, kept between searches; see GrnnPredictor.predict_bounds.
+
+    out is [K_0; K_0 * r] @ F.T over the records the entry copies. The
+    terms updates took out since the rebuild bound the running error:
+    taken[r] sums their K_0[r] and peak[m] is the largest of their F[m].
+    updates counts the updates since the rebuild, and infinite the
+    intervals the error bound made infinite right after it.
+    """
+
+    __slots__ = ("out", "taken", "peak", "updates", "infinite")
+
+    def __init__(self, grid: "SearchGrid", allocs: np.ndarray, responses: np.ndarray,
+                 sigma2: float):
+        values, links = grid.link_values()
+        s, c_0 = len(responses), grid.steps_per_link[0] + 1
+        self.out = np.empty((2 * c_0, grid.size // c_0))
+        k = np.empty((len(values), s))
+        _factors_into(k, np.repeat(values, s).reshape(k.shape), links, allocs, sigma2)
+        factors = _split_links(k, grid)
+        left = np.empty((2 * c_0, s))
+        np.copyto(left[:c_0], factors[0])
+        np.multiply(factors[0], responses.astype(float), out=left[c_0:])
+        for start, rows in _f_rows(factors[1:], s):
+            np.matmul(left, rows.T, out=self.out[:, start:start + len(rows)])
+        self.taken, self.peak = np.zeros(c_0), np.zeros(self.out.shape[1])
+        self.updates = self.infinite = 0
+
+    def update(self, grid: "SearchGrid", sigma2: float, allocs: np.ndarray,
+               responses: np.ndarray, added: int) -> None:
+        """Add the terms of the first `added` records and take out the others'.
+
+        The records taken out are the ones the added records replace, as
+        the entry's copies hold them; an appended record has none.
+        """
+        left, f = _columns(grid, allocs, responses, sigma2)
+        if added < len(responses):
+            self.taken += left[:len(self.taken), added:].sum(axis=1)
+            np.maximum(self.peak, f[:, added:].max(axis=1), out=self.peak)
+            np.negative(left[:, added:], out=left[:, added:])
+        out = self.out
+        step = max(1, _KEEP_CHUNK // out.shape[1])
+        for start in range(0, len(out), step):
+            out[start:start + step] += left[start:start + step] @ f.T
+        self.updates += 1
+
+    def bounds(self, level_count: int, records: int, links: int
+               ) -> tuple[np.ndarray, np.ndarray, int]:
+        """(lo, hi, count): the intervals, and how many the error bound alone made infinite."""
+        beta = _error_scale(records, links, self.updates, level_count)
+        c_0 = len(self.taken)
+        den, num = self.out[:c_0].reshape(-1), self.out[c_0:].reshape(-1)
+        tol, half = _SCREEN_TOL * level_count, 0.5 * level_count
+        least = np.minimum.reduce(den)
+        if least >= 2.0 * _SCREEN_MIN_SUM:
+            # one width for every point when the largest error term is below tol
+            w = beta * (1.0 + np.maximum.reduce(self.taken) * np.maximum.reduce(self.peak) / least)
+            if w < tol:
+                y = np.divide(num, den)
+                return np.subtract(y, tol + w), np.add(y, tol + w, out=y), 0
+        finite = den >= 2.0 * _SCREEN_MIN_SUM
+        w = np.multiply.outer(self.taken, self.peak).reshape(-1)
+        np.divide(w, den, out=w, where=finite)
+        w += 1.0
+        w *= beta
+        kept = finite & (w < half)
+        count = int(np.count_nonzero(finite)) - int(np.count_nonzero(kept))
+        w += tol
+        y = np.divide(num, den, out=np.empty(den.size), where=kept)
+        lo = np.subtract(y, w, out=np.full(den.size, -np.inf), where=kept)
+        hi = np.add(y, w, out=w, where=kept)
+        np.copyto(hi, np.inf, where=~kept)
+        return lo, hi, count
+
+
+class GrnnPredictor(_KeepsState):
     """Kernel-regression predictor bound to fixed kernel parameters.
 
-    Pure and read-only over its inputs; one instance can serve concurrent
-    evaluations against immutable profile snapshots.
+    On grids of at least _KEEP_MIN_POINTS points it keeps the screen
+    product of each served profile of at least _KEEP_MIN_RECORDS records
+    between calls (see predict_bounds), without a lock, so one instance
+    must not serve two threads at once.
     """
 
     def __init__(self, kernel: KernelParams | None = None):
+        super().__init__()
         self.kernel = kernel or KernelParams()
+        #: The last fresh screen's link values, record count and, from its
+        #: second call on, the values repeated per record; see _spread_values.
+        self._spread: tuple[np.ndarray, int, np.ndarray | None] | None = None
 
     def predict_batch(self, xs: np.ndarray, profile: "Profile") -> tuple[np.ndarray, np.ndarray]:
         return predict_batch(xs, profile, self.kernel)
@@ -388,6 +665,71 @@ class GrnnPredictor:
         or not. It costs exp on sum_j (C_j + 1) S entries, about M S
         products and one (2 (C_0 + 1), S) by (S, M) matrix product, and
         holds about 8 S (2 C_0 + 2 + M) + 16 size bytes.
+
+        The kept product. On a grid of at least _KEEP_MIN_POINTS points,
+        for a profile of at least _KEEP_MIN_RECORDS records, the predictor
+        keeps per profile (with its grid object and sigma2) the product out
+        = [K_0; K_0 * r] @ F.T and two short arrays that bound its running
+        error, and updates out instead of screening anew:
+        - A replaced slot i changes one term of every entry: out += t_new
+          - t_old with t = [K_0[:, i]; r_i K_0[:, i]] (x) F[:, i], one
+          matrix product over all changed slots' columns, computed from the
+          new records and from the entry's copies of the old ones. An
+          appended slot adds t_new alone. Nothing of K or F is kept.
+        - A rebuild (the first call, another grid object or sigma2, fewer
+          records) fills out from F in row chunks of at most _KEEP_CHUNK
+          entries, so F (640 KB on the stress grid) is never whole.
+        - Rebuild policy: rebuild instead of updating when the update's
+          columns (two per replaced slot, one per appended) would reach
+          the records' count S, the inner dimension of a rebuild's product;
+          after _REBUILD_EVERY updates; and when the error bound alone
+          makes more intervals infinite than right after the last rebuild.
+          T_sure depends on the target, which the screen does not know, so
+          it counts every grid point (T_sure is at most the largest total).
+
+        Why the kept interval holds y*: a running error bound (N. J.
+        Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+        SIAM 2002, section 3.3). Write P for the exact product of the
+        factor values an add used (a term "as added"), D' for the exact sum
+        of the current slots' terms as added, R for the exact sum of the
+        terms taken out since the rebuild, as added, and e = out - D'. Let
+        S be the record count and N the updates since the rebuild. Every
+        term is non-negative, and what the rebuild and the updates added
+        equals D' + R at every step.
+        - The rebuild's product has |e| <= gamma_S D'.
+        - An update's product over q < S columns is off by at most gamma_S
+          of the sum of its terms' magnitudes, and adding it to out by u'
+          |out| with u' = u / (1 - u). It takes the old terms out as
+          recomputed from the copies, which may differ from the terms as
+          added by mu = 20 n u of themselves (two evaluations of one
+          weight, each within 4 ulps per exp and u per product).
+        - Summed over the updates, with |out| at any step at most the
+          final D' + R + |e|, and D' <= |out| + |e|: |e| <= kappa (|out| +
+          R) with kappa = ((2 + mu) gamma_S + mu + N u') / (1 - gamma_S -
+          2 N u').
+        - The response sum's terms are at most L' = L (1 + u) times the
+          kernel sum's, so E_N + L' E_D <= 2 L' kappa (den + R_D) / (1 -
+          kappa), where E_N and E_D bound e on the response and kernel-sum
+          halves and R_D is R on the kernel-sum half.
+        - A term taken out is K_0[r, i] F[m, i], within mu of the
+          recomputed one, so R_D[r, m] <= (1 + mu) (1 + gamma_{NS})
+          taken[r] peak[m]: taken[r] adds up the recomputed K_0[r] in
+          float64, at most N S additions, and peak[m] keeps the largest
+          recomputed F[m].
+        - With N' and D' the exact sums, |N_k / D_k - N' / D'| = |e_N D' -
+          N' e_D| / (D_k D') <= (E_N + L' E_D) / D_k, and N' / D' meets
+          the derivation above with no summation error. So the interval is
+          y +- (tol + beta (1 + taken[r] peak[m] / den)) with beta = c 2 L'
+          kappa (1 + mu) (1 + gamma_{NS}) / (1 - kappa) (_error_scale), c
+          = 1 + 2^-40 covering the float64 rounding of that term; y's
+          division and the additions are covered by tol's slack. Where
+          beta (1 + max(taken) max(peak) / min(den)) is below tol, every
+          point takes that one width.
+        - The interval is finite only where den >= 2 tau and the error
+          term is below L / 2. Then E_D < den / 2, so D' > den / 2 >= tau,
+          which the derivation above needs; elsewhere it is (-inf, inf).
+        At stress size (S = 128, three links, L = 12, N <= 256) beta is at
+        most 1.6e-12, and tol is 1.1e-5; each F[m] <= 1, so peak <= 1.
         """
         if profile.size == 0:
             raise EmptyProfileError("cannot screen against an empty profile")
@@ -396,6 +738,8 @@ class GrnnPredictor:
             raise ValueError(
                 f"grid has {grid.link_count} links but records have {allocs.shape[1]}"
             )
+        if grid.size >= _KEEP_MIN_POINTS and profile.size >= _KEEP_MIN_RECORDS:
+            return self._kept_bounds(grid, profile)
         values, links = grid.link_values()
         s, c_0, n = profile.size, grid.steps_per_link[0] + 1, grid.link_count
         m = grid.size // c_0
@@ -410,19 +754,11 @@ class GrnnPredictor:
         k = block[:k_end].reshape(-1, s)
         left = block[k_end:left_end].reshape(2 * c_0, s)
         out = block[f_end:].reshape(2 * c_0, m)
-        # all links' factors stacked: row r is values[r] on link links[r]
-        np.take(allocs.T, links, axis=0, out=k, mode="clip")  # clip: no buffered copy
-        np.subtract(values[:, None], k, out=k)
-        np.square(k, out=k)
-        np.divide(k, -self.kernel.sigma2, out=k)
-        np.exp(k, out=k)
-        factors, start = [], 0
-        for c in grid.steps_per_link:
-            factors.append(k[start:start + c + 1])
-            start += c + 1
+        _factors_into(k, self._spread_values(values, s), links, allocs, self.kernel.sigma2)
+        factors = _split_links(k, grid)
         k_0 = factors[0]
         np.copyto(left[:c_0], k_0)
-        np.multiply(k_0, profile.response_vector(), out=left[c_0:])
+        np.multiply(k_0, profile.response_vector().astype(float), out=left[c_0:])
         # F[(c_1, ..., c_{n-1}), i] = prod_{j>=1} K_j[c_j, i], rows row-major
         f = factors[1] if n > 1 else np.ones((1, s))
         for k_j in factors[2:-1]:
@@ -445,3 +781,49 @@ class GrnnPredictor:
         np.copyto(hi, np.inf, where=~kept)
         return lo, hi
 
+    def _spread_values(self, values: np.ndarray, s: int) -> np.ndarray:
+        """values repeated s times each, as (len(values), s), for a repeated grid and s.
+
+        The second call in a row with the same link values and s builds it,
+        and later ones reuse it; other calls, and sizes above _SPREAD_MAX
+        entries, get the column values[:, None], whose subtraction gives the
+        same bits one row at a time.
+        """
+        last = self._spread
+        if last is None or last[0] is not values or last[1] != s or len(values) * s > _SPREAD_MAX:
+            self._spread = values, s, None
+            return values[:, None]
+        if last[2] is None:
+            spread = np.repeat(values, s).reshape(-1, s)
+            spread.flags.writeable = False
+            last = self._spread = values, s, spread
+        return last[2]
+
+    def _kept_bounds(self, grid: "SearchGrid", profile: "Profile"
+                     ) -> tuple[np.ndarray, np.ndarray]:
+        """predict_bounds from the profile's kept product, updated or rebuilt first."""
+        sigma2 = self.kernel.sigma2
+        allocs, responses = profile.allocation_matrix(), profile.response_vector()
+        entry = self._changes(grid, profile, sigma2, allocs, responses)
+        screen = None if entry is None else entry.value
+        if screen is not None and (len(entry.replaced) or entry.appended):
+            old = entry.replaced
+            new = np.concatenate((old, entry.appended)).astype(np.intp)
+            if screen.updates < _REBUILD_EVERY and len(old) + len(new) < len(responses):
+                screen.update(grid, sigma2, np.concatenate((allocs[new], entry.allocs[old])),
+                              np.concatenate((responses[new], entry.responses[old])), len(new))
+            else:
+                screen = entry.value = None
+        shape = profile.level_count, len(responses), grid.link_count
+        if screen is None:
+            screen = _KeptScreen(grid, allocs, responses, sigma2)
+            lo, hi, screen.infinite = screen.bounds(*shape)
+        else:
+            lo, hi, infinite = screen.bounds(*shape)
+            if infinite > screen.infinite:  # the error bound alone: rebuild
+                del lo, hi
+                screen = entry.value = None  # the old product goes first
+                screen = _KeptScreen(grid, allocs, responses, sigma2)
+                lo, hi, screen.infinite = screen.bounds(*shape)
+        self._keep(grid, profile, sigma2, screen, entry)
+        return lo, hi

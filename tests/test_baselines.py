@@ -246,7 +246,7 @@ class TestKnnOnTheGrid:
         with pytest.raises(error) as from_grid:
             predictor.predict_grid(SearchGrid(1.25, (5.0,)), slice(None), profile)
         assert str(from_grid.value) == str(from_batch.value)
-        assert predictor._sets == {}
+        assert predictor._kept == {}
 
     @pytest.mark.parametrize("k", [1, 100, 170, 256])
     def test_eight_links_are_served(self, k, monkeypatch):
@@ -272,6 +272,11 @@ class TestKnnOnTheGrid:
             spy.calls = 0
             assert search(grid, profile, predictor, 7) == expected
         assert spy.calls == 0
+
+
+def kept_sets(predictor, profile):
+    """The neighbor sets predictor keeps for profile."""
+    return predictor._kept[id(profile)].value
 
 
 def same_bits(predictor, grid, rows, profile):
@@ -311,7 +316,7 @@ class TestNeighborSets:
         profile = Profile(2, 12, None, self.appended_records(rng, k))
         predictor = KnnPredictor(k)
         assert same_bits(predictor, grid, slice(None), profile)
-        sets = predictor._sets[id(profile)]
+        sets = kept_sets(predictor, profile)
         for alloc, response in self.appended_records(rng, 300):
             profile.update(alloc, response, target=7)
             assert same_bits(predictor, grid, slice(3, 80), profile)
@@ -320,8 +325,8 @@ class TestNeighborSets:
             d2 = ((grid.points()[:, None, :] - allocs[None, :, :]) ** 2).sum(axis=2)
             assert np.array_equal(sets.index, np.argsort(d2, axis=1, kind="stable")[:, :k])
         # every append merged into the first call's sets
-        assert predictor._sets[id(profile)] is sets
-        assert len(sets.responses) == profile.size == k + 300
+        assert kept_sets(predictor, profile) is sets
+        assert len(predictor._kept[id(profile)].responses) == profile.size == k + 300
 
     @pytest.mark.parametrize("grid", EXACT_GRIDS, ids=repr)
     def test_sets_order_and_tie_as_the_distances_do(self, grid):
@@ -344,8 +349,8 @@ class TestNeighborSets:
         allocs, responses = profile.allocation_matrix(), profile.response_vector()
         whole = baselines_module._NeighborSets(points, 3, allocs, responses)
         merged = baselines_module._NeighborSets(points, 3, allocs[:split], responses[:split])
-        merged.merge(points, allocs, responses)
-        for name in ("dist", "index", "sums", "allocs", "responses"):
+        merged.merge(points, allocs, responses, split)
+        for name in ("dist", "index", "sums"):
             assert np.array_equal(getattr(merged, name), getattr(whole, name))
 
     # records at 1, 2 and 3 on a 1-link grid, k = 3: at the origin their
@@ -358,10 +363,10 @@ class TestNeighborSets:
         profile = Profile(1, 12, None, [((1.0,), 2), ((2.0,), 5), ((3.0,), 11)])
         predictor = KnnPredictor(3)
         assert same_bits(predictor, grid, slice(None), profile)
-        sets = predictor._sets[id(profile)]
+        sets = kept_sets(predictor, profile)
         profile.append((alloc,), 7)
         assert same_bits(predictor, grid, slice(None), profile)
-        assert predictor._sets[id(profile)] is sets
+        assert kept_sets(predictor, profile) is sets
         assert sets.index[0].tolist() == origin_row
         assert sets.sums[0] == profile.response_vector()[origin_row].sum()
 
@@ -371,14 +376,14 @@ class TestNeighborSets:
         profile = lattice_profile(grid, 12, seed=8)
         predictor = KnnPredictor(5)
         assert same_bits(predictor, grid, slice(None), profile)
-        sets = predictor._sets[id(profile)]
+        sets = kept_sets(predictor, profile)
         alloc = {"off_grid": (1.3, 2.5), "outside_box": (2.5, 11.25),
                  "beyond_max": (12.5 + 0.4 * 1.25, 5.0)}[stray]
         profile.append(alloc, 12)
         assert same_bits(predictor, grid, np.random.default_rng(8).permutation(grid.size),
                          profile)
-        assert predictor._sets[id(profile)] is sets
-        assert len(sets.responses) == profile.size == 13
+        assert kept_sets(predictor, profile) is sets
+        assert len(predictor._kept[id(profile)].responses) == profile.size == 13
 
     @pytest.mark.parametrize("change", ["record", "response", "grid", "k"])
     def test_other_changes_rebuild(self, change):
@@ -387,7 +392,7 @@ class TestNeighborSets:
         profile = Profile(2, 12, 4, records)
         predictor = KnnPredictor(2)
         assert same_bits(predictor, grid, slice(None), profile)
-        sets = predictor._sets[id(profile)]
+        sets = kept_sets(predictor, profile)
         if change == "record":  # all records positive: the nearest one is evicted
             assert profile.update((3.75, 2.5), 10, target=7).index == 1
             assert profile.response_vector().tolist() == [9, 10, 8, 11]
@@ -400,10 +405,10 @@ class TestNeighborSets:
             predictor.k_neighbors = 3
         rows = np.random.default_rng(3).permutation(grid.size)
         assert same_bits(predictor, grid, rows, profile)
-        rebuilt = predictor._sets[id(profile)]
+        rebuilt = kept_sets(predictor, profile)
         assert rebuilt is not sets
         assert same_bits(predictor, grid, slice(None), profile)
-        assert predictor._sets[id(profile)] is rebuilt
+        assert kept_sets(predictor, profile) is rebuilt
 
     def test_one_predictor_serves_two_profiles(self):
         rng = np.random.default_rng(2)
@@ -412,13 +417,13 @@ class TestNeighborSets:
         predictor = KnnPredictor(4)
         for profile in profiles:
             assert same_bits(predictor, grid, slice(None), profile)
-        sets = [predictor._sets[id(profile)] for profile in profiles]
+        sets = [kept_sets(predictor, profile) for profile in profiles]
         for alloc, response in self.appended_records(rng, 40):
             for profile in profiles:
                 if rng.random() < 0.5:
                     profile.append(alloc, response)
                 assert same_bits(predictor, grid, rng.permutation(grid.size), profile)
-        assert [predictor._sets[id(profile)] for profile in profiles] == sets
+        assert [kept_sets(predictor, profile) for profile in profiles] == sets
 
     def test_sets_go_with_the_profile_or_the_predictor(self):
         grid = self.GRID
@@ -432,10 +437,10 @@ class TestNeighborSets:
         try:
             del predictor
             assert predictor_ref() is None
-            assert len(other._sets) == 1
+            assert len(other._kept) == 1
             del profile
             assert profile_ref() is None
-            assert other._sets == {}
+            assert other._kept == {}
         finally:
             gc.enable()
 
@@ -446,9 +451,9 @@ class TestNeighborSets:
         predictor.predict_grid(grid, slice(None), profile)
         for other in (pickle.loads(pickle.dumps(predictor)), copy.copy(predictor),
                       copy.deepcopy(predictor)):
-            assert other.k_neighbors == 3 and other._sets == {}
+            assert other.k_neighbors == 3 and other._kept == {}
             assert same_bits(other, grid, slice(None), profile)
-        assert len(predictor._sets) == 1
+        assert len(predictor._kept) == 1
 
     def test_sets_above_the_size_limit_are_not_kept(self, monkeypatch):
         grid = SearchGrid(1.25, (50.0, 30.0))  # 1,025 points
@@ -460,7 +465,7 @@ class TestNeighborSets:
             predictor = KnnPredictor(k)
             for block in (slice(None), slice(100, 400), rows):
                 assert same_bits(predictor, grid, block, profile)
-            assert len(predictor._sets) == (k == 4)
+            assert len(predictor._kept) == (k == 4)
         assert spy.calls == 3 * 2  # same_bits' own calls only
 
 

@@ -6,7 +6,9 @@ records appended since the last search; ComputedKnn always calls
 predict_batch. GrnnPredictor predicts only a block's rows; WholeGridGrnn
 predicts the whole grid for every block and keeps the block's rows.
 UnscreenedGrnn's interval rules out no grid point, so its searches predict
-the whole grid block by block, as a search did before the screen. Whole
+the whole grid block by block, as a search did before the screen; the
+screened loops run once with a fresh screen per search and once with each
+profile's kept screen product. Whole
 seeded closed loops, with ERAB noise, background traces and shared links,
 must make the same decisions bit for bit and leave byte-identical profiles
 whichever path, and whichever block size, serves the search.
@@ -206,6 +208,19 @@ def test_knn_sets_and_computed_paths_run_identical_loops(seed, monkeypatch):
     assert merged == computed[1]
 
 
+def kept_updates(monkeypatch) -> list:
+    """One entry per update of a kept screen product."""
+    updates = []
+    update = predictor_module._KeptScreen.update
+
+    def counting_update(self, *args):
+        updates.append(1)
+        return update(self, *args)
+
+    monkeypatch.setattr(predictor_module._KeptScreen, "update", counting_update)
+    return updates
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_screened_and_unscreened_searches_run_identical_loops(seed, monkeypatch):
     predicted = counting_rows(monkeypatch)
@@ -216,8 +231,16 @@ def test_screened_and_unscreened_searches_run_identical_loops(seed, monkeypatch)
     if seed % 2 and seed % 3:  # a 1-link grid holds fewer than 2 * 16 points: one block
         assert max(blocks) >= 2
     whole = sum(predicted)
-    predicted.clear()
-    screened = run_loop(seed, lambda config: GrnnPredictor(config.kernel))
-    assert len(predicted) >= EPOCHS
-    assert sum(predicted) < whole
-    assert screened == unscreened
+    updates = kept_updates(monkeypatch)
+    # every grid here is below the keeping gates: a fresh screen per search;
+    # with the gates at 0 every profile's product is kept and updated
+    for gate in (None, 0):
+        if gate is not None:
+            monkeypatch.setattr(predictor_module, "_KEEP_MIN_POINTS", gate)
+            monkeypatch.setattr(predictor_module, "_KEEP_MIN_RECORDS", gate)
+        predicted.clear()
+        screened = run_loop(seed, lambda config: GrnnPredictor(config.kernel))
+        assert len(predicted) >= EPOCHS
+        assert sum(predicted) < whole
+        assert screened == unscreened
+        assert (len(updates) > 0) == (gate == 0)
