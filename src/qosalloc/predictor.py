@@ -47,9 +47,9 @@ its rounding differs from predict_batch's. Its interval is y* +- tol with
 tol = _SCREEN_TOL * L, valid wherever the screened kernel sum is at least
 _SCREEN_MIN_SUM; elsewhere it is (-inf, inf). The derivation is in
 GrnnPredictor.predict_bounds. On grids of at least _KEEP_MIN_POINTS
-points, for profiles of at least _KEEP_MIN_RECORDS records, a
-GrnnPredictor keeps each profile's product between calls and updates it
-slot by slot; a running error bound widens its interval.
+points, for profiles with enough records, a GrnnPredictor keeps each
+profile's product between calls and updates it slot by slot; a running
+error bound widens its interval.
 """
 
 from __future__ import annotations
@@ -81,20 +81,19 @@ _SCREEN_TOL = 2.0**-20
 #: interval is (-inf, inf).
 _SCREEN_MIN_SUM = 2.0**-900
 
-#: Fewest grid points, and fewest records, on which GrnnPredictor keeps a
-#: profile's screen product between calls (see predict_bounds); below
-#: either it screens anew on every call. An update costs about the same at
-#: any record count, a fresh screen in proportion to it: at S = 128 the kept
-#: screen broke even near 2,000 points and was 1.7x faster at 3,185; at
-#: 4,913 points it broke even near S = 48, and at 25,625 near S = 31 (one
-#: BLAS thread, 2 vCPU).
+#: GrnnPredictor keeps a profile's screen product between calls (see
+#: predict_bounds) on a grid of g >= _KEEP_MIN_POINTS points when the
+#: profile holds S >= _KEEP_MIN_RECORDS * (1 + _KEEP_MIN_POINTS / g) records:
+#: 64 on the smallest such grid, 38 on the 25,625-point stress grid.
+#: Otherwise it screens anew on every call. A fresh screen costs about
+#: S g multiply-adds plus a fixed part, an update about g plus a larger
+#: fixed part, so the record count at which they break even falls with g.
+#: Measured (one BLAS thread, 2 vCPU): at S = 128 near 2,000 points; at
+#: 4,913 points near S = 60; on the stress grid near S = 32 in the screen,
+#: and end to end a stress run's calls were faster fresh at S = 16 and kept
+#: at S = 48 and 128.
 _KEEP_MIN_POINTS = 4096
-_KEEP_MIN_RECORDS = 64
-
-#: Most entries of the link values, repeated per record, that a
-#: GrnnPredictor keeps for the fresh screen's one contiguous subtraction
-#: (32 KB; 2,046 on the reference grid at S = 31).
-_SPREAD_MAX = 2**12
+_KEEP_MIN_RECORDS = 32
 
 #: Updates after which a kept screen product is rebuilt, whatever its
 #: error bound, which grows with every update (see predict_bounds).
@@ -416,64 +415,48 @@ class _KeepsState:
         self._kept[key] = entry
 
 
-def _factors_into(k: np.ndarray, spread: np.ndarray, links: np.ndarray, allocs: np.ndarray,
-                  sigma2: float) -> None:
-    """k[r, i] = exp((spread[r] - allocs[i, links[r]])**2 / -sigma2), every link's factor.
+def _screen_factors(k: np.ndarray, left: np.ndarray, grid: "SearchGrid", allocs: np.ndarray,
+                    responses: np.ndarray, sigma2: float) -> list[np.ndarray]:
+    """Fill k with every link's factor and left with [K_0; K_0 * r]; return K_1, ..., K_{n-1}.
 
-    spread is the grid's link values as a column, or repeated along the
-    records so that the subtraction is one contiguous call; either gives
-    the same bits.
+    k is (sum_j (C_j + 1), q) and left (2 (C_0 + 1), q) for q records; row
+    r of k is exp((v_r - allocs[i, links[r]])**2 / -sigma2) over
+    grid.link_values(), so K_j is a view of k's rows for link j.
     """
+    values, links = grid.link_values()
     np.take(allocs.T, links, axis=0, out=k, mode="clip")  # clip: no buffered copy
-    np.subtract(spread, k, out=k)
+    np.subtract(values[:, None], k, out=k)
     np.square(k, out=k)
     np.divide(k, -sigma2, out=k)
     np.exp(k, out=k)
-
-
-def _split_links(k: np.ndarray, grid: "SearchGrid") -> list[np.ndarray]:
-    """The per-link factors K_j, views of the stacked k."""
     factors, start = [], 0
     for c in grid.steps_per_link:
         factors.append(k[start:start + c + 1])
         start += c + 1
-    return factors
+    k_0 = factors[0]
+    np.copyto(left[:len(k_0)], k_0)
+    np.multiply(k_0, responses, out=left[len(k_0):])
+    return factors[1:]
 
 
-def _columns(grid: "SearchGrid", allocs: np.ndarray, responses: np.ndarray, sigma2: float
-             ) -> tuple[np.ndarray, np.ndarray]:
-    """[K_0; K_0 * r] and F's columns for the given records: (2 (C_0 + 1), q) and (M, q).
+def _f_rows(factors: list[np.ndarray], q: int, most: int, buf: np.ndarray | None = None):
+    """F's rows, row-major, at most `most` at a time: (start, rows) pairs.
 
-    The same expressions, in the same order, as the kept screen's rebuild,
-    so a record's column has the bits its rebuild gave it.
-    """
-    values, links = grid.link_values()
-    q = len(responses)
-    k = np.empty((len(values), q))
-    _factors_into(k, values[:, None], links, allocs, sigma2)
-    factors = _split_links(k, grid)
-    left = np.concatenate((factors[0], factors[0] * responses.astype(float)))
-    f = factors[1] if len(factors) > 1 else np.ones((1, q))
-    for k_j in factors[2:]:
-        f = (f[:, None, :] * k_j[None, :, :]).reshape(-1, q)
-    return left, f
-
-
-def _f_rows(factors: list[np.ndarray], s: int):
-    """F's rows, row-major, in chunks of at most _KEEP_CHUNK entries: (start, rows) pairs.
-
-    F[(c_1, ..., c_{n-1}), i] = prod_{j>=1} K_j[c_j, i], multiplied from
-    link 1 on, as _columns does. A chunk is a few rows of the links before
-    the last one's product, each times a run of the last link's factor.
+    F[(c_1, ..., c_{n-1}), i] = prod_{j>=1} K_j[c_j, i] over q records,
+    multiplied from link 1 on; factors are K_1, ..., K_{n-1}. A chunk is a
+    few rows of the links before the last one's product, each times a run
+    of the last link's factor, written into buf when it is given (it must
+    hold `most` rows).
     """
     if len(factors) < 2:  # F is K_1 itself, or a row of ones on one link
-        yield 0, factors[0] if factors else np.ones((1, s))
+        yield 0, factors[0] if factors else np.ones((1, q))
         return
     *inner, last = factors
     dims, c_last = [len(k_j) for k_j in inner], len(last)
-    heads, rows = math.prod(dims), max(1, _KEEP_CHUNK // s)
-    span, run = max(1, rows // c_last), min(rows, c_last)
-    buf = np.empty(span * run * s)
+    heads = math.prod(dims)
+    span, run = max(1, most // c_last), min(most, c_last)
+    if buf is None:
+        buf = np.empty(span * run * q)
     for p0 in range(0, heads, span):
         index = np.unravel_index(np.arange(p0, min(p0 + span, heads)), dims)
         head = inner[0][index[0]]
@@ -482,8 +465,8 @@ def _f_rows(factors: list[np.ndarray], s: int):
         for l0 in range(0, c_last, run):
             tail = last[l0:l0 + run]
             f = np.multiply(head[:, None, :], tail[None, :, :],
-                            out=buf[:len(head) * len(tail) * s].reshape(len(head), len(tail), s))
-            yield p0 * c_last + l0, f.reshape(-1, s)
+                            out=buf[:len(head) * len(tail) * q].reshape(len(head), len(tail), q))
+            yield p0 * c_last + l0, f.reshape(-1, q)
 
 
 def _error_scale(records: int, links: int, updates: int, level_count: int) -> float:
@@ -507,27 +490,25 @@ class _KeptScreen:
     out is [K_0; K_0 * r] @ F.T over the records the entry copies. The
     terms updates took out since the rebuild bound the running error:
     taken[r] sums their K_0[r] and peak[m] is the largest of their F[m].
-    updates counts the updates since the rebuild, and infinite the
-    intervals the error bound made infinite right after it.
+    updates counts the updates since the rebuild, infinite the intervals
+    that were infinite but need not be right after it (see bounds), and
+    bounded says whether the error bound forced the rebuild.
     """
 
-    __slots__ = ("out", "taken", "peak", "updates", "infinite")
+    __slots__ = ("out", "taken", "peak", "updates", "infinite", "bounded")
 
     def __init__(self, grid: "SearchGrid", allocs: np.ndarray, responses: np.ndarray,
                  sigma2: float):
-        values, links = grid.link_values()
         s, c_0 = len(responses), grid.steps_per_link[0] + 1
         self.out = np.empty((2 * c_0, grid.size // c_0))
-        k = np.empty((len(values), s))
-        _factors_into(k, np.repeat(values, s).reshape(k.shape), links, allocs, sigma2)
-        factors = _split_links(k, grid)
         left = np.empty((2 * c_0, s))
-        np.copyto(left[:c_0], factors[0])
-        np.multiply(factors[0], responses.astype(float), out=left[c_0:])
-        for start, rows in _f_rows(factors[1:], s):
+        factors = _screen_factors(np.empty((len(grid.link_values()[0]), s)), left, grid,
+                                  allocs, responses, sigma2)
+        for start, rows in _f_rows(factors, s, max(1, _KEEP_CHUNK // s)):
             np.matmul(left, rows.T, out=self.out[:, start:start + len(rows)])
         self.taken, self.peak = np.zeros(c_0), np.zeros(self.out.shape[1])
         self.updates = self.infinite = 0
+        self.bounded = False
 
     def update(self, grid: "SearchGrid", sigma2: float, allocs: np.ndarray,
                responses: np.ndarray, added: int) -> None:
@@ -536,20 +517,32 @@ class _KeptScreen:
         The records taken out are the ones the added records replace, as
         the entry's copies hold them; an appended record has none.
         """
-        left, f = _columns(grid, allocs, responses, sigma2)
-        if added < len(responses):
-            self.taken += left[:len(self.taken), added:].sum(axis=1)
-            np.maximum(self.peak, f[:, added:].max(axis=1), out=self.peak)
+        q, out = len(responses), self.out
+        left = np.empty((len(out), q))
+        factors = _screen_factors(np.empty((len(grid.link_values()[0]), q)), left, grid,
+                                  allocs, responses, sigma2)
+        c_0 = len(self.taken)
+        if added < q:
+            self.taken += left[:c_0, added:].sum(axis=1)
             np.negative(left[:, added:], out=left[:, added:])
-        out = self.out
-        step = max(1, _KEEP_CHUNK // out.shape[1])
-        for start in range(0, len(out), step):
-            out[start:start + step] += left[start:start + step] @ f.T
+        for start, rows in _f_rows(factors, q, max(1, _KEEP_CHUNK // q)):
+            end = start + len(rows)
+            if added < q:
+                np.maximum(self.peak[start:end], rows[:, added:].max(axis=1),
+                           out=self.peak[start:end])
+            step = max(1, _KEEP_CHUNK // len(rows))  # rows of out per product
+            for r0 in range(0, len(out), step):
+                out[r0:r0 + step, start:end] += left[r0:r0 + step] @ rows.T
         self.updates += 1
 
     def bounds(self, level_count: int, records: int, links: int
                ) -> tuple[np.ndarray, np.ndarray, int]:
-        """(lo, hi, count): the intervals, and how many the error bound alone made infinite."""
+        """(lo, hi, count): the intervals, and how many of them are infinite but need not be.
+
+        An interval need not be infinite where the exact kernel sum of the
+        terms as added may reach _SCREEN_MIN_SUM, so that a rebuild may
+        give it a finite width.
+        """
         beta = _error_scale(records, links, self.updates, level_count)
         c_0 = len(self.taken)
         den, num = self.out[:c_0].reshape(-1), self.out[c_0:].reshape(-1)
@@ -563,11 +556,14 @@ class _KeptScreen:
                 return np.subtract(y, tol + w), np.add(y, tol + w, out=y), 0
         finite = den >= 2.0 * _SCREEN_MIN_SUM
         w = np.multiply.outer(self.taken, self.peak).reshape(-1)
+        # |den - D'| <= beta (|den| + taken[r] peak[m]) / L: the points whose
+        # exact kernel sum may reach tau, where a rebuild may give an interval
+        could = den + beta * (np.abs(den) + w) / level_count >= _SCREEN_MIN_SUM
         np.divide(w, den, out=w, where=finite)
         w += 1.0
         w *= beta
         kept = finite & (w < half)
-        count = int(np.count_nonzero(finite)) - int(np.count_nonzero(kept))
+        count = int(np.count_nonzero(could & ~kept))
         w += tol
         y = np.divide(num, den, out=np.empty(den.size), where=kept)
         lo = np.subtract(y, w, out=np.full(den.size, -np.inf), where=kept)
@@ -580,17 +576,14 @@ class GrnnPredictor(_KeepsState):
     """Kernel-regression predictor bound to fixed kernel parameters.
 
     On grids of at least _KEEP_MIN_POINTS points it keeps the screen
-    product of each served profile of at least _KEEP_MIN_RECORDS records
-    between calls (see predict_bounds), without a lock, so one instance
-    must not serve two threads at once.
+    product of each served profile with enough records between calls (see
+    predict_bounds), without a lock, so one instance must not serve two
+    threads at once.
     """
 
     def __init__(self, kernel: KernelParams | None = None):
         super().__init__()
         self.kernel = kernel or KernelParams()
-        #: The last fresh screen's link values, record count and, from its
-        #: second call on, the values repeated per record; see _spread_values.
-        self._spread: tuple[np.ndarray, int, np.ndarray | None] | None = None
 
     def predict_batch(self, xs: np.ndarray, profile: "Profile") -> tuple[np.ndarray, np.ndarray]:
         return predict_batch(xs, profile, self.kernel)
@@ -666,26 +659,34 @@ class GrnnPredictor(_KeepsState):
         products and one (2 (C_0 + 1), S) by (S, M) matrix product, and
         holds about 8 S (2 C_0 + 2 + M) + 16 size bytes.
 
-        The kept product. On a grid of at least _KEEP_MIN_POINTS points,
-        for a profile of at least _KEEP_MIN_RECORDS records, the predictor
-        keeps per profile (with its grid object and sigma2) the product out
-        = [K_0; K_0 * r] @ F.T and two short arrays that bound its running
-        error, and updates out instead of screening anew:
+        The kept product. On a grid of g >= _KEEP_MIN_POINTS points, for a
+        profile of S >= _KEEP_MIN_RECORDS (1 + _KEEP_MIN_POINTS / g)
+        records, the predictor keeps per profile (with its grid object and
+        sigma2) the product out = [K_0; K_0 * r] @ F.T and two short arrays
+        that bound its running error, and updates out instead of screening
+        anew:
         - A replaced slot i changes one term of every entry: out += t_new
           - t_old with t = [K_0[:, i]; r_i K_0[:, i]] (x) F[:, i], one
           matrix product over all changed slots' columns, computed from the
           new records and from the entry's copies of the old ones. An
           appended slot adds t_new alone. Nothing of K or F is kept.
         - A rebuild (the first call, another grid object or sigma2, fewer
-          records) fills out from F in row chunks of at most _KEEP_CHUNK
-          entries, so F (640 KB on the stress grid) is never whole.
+          records) fills out from F, and an update adds to it, in chunks
+          of at most _KEEP_CHUNK entries, so neither F (640 KB on the
+          stress grid) nor a temporary as large as out is ever whole.
         - Rebuild policy: rebuild instead of updating when the update's
           columns (two per replaced slot, one per appended) would reach
           the records' count S, the inner dimension of a rebuild's product;
-          after _REBUILD_EVERY updates; and when the error bound alone
-          makes more intervals infinite than right after the last rebuild.
-          T_sure depends on the target, which the screen does not know, so
-          it counts every grid point (T_sure is at most the largest total).
+          after _REBUILD_EVERY updates; and when the error bound makes more
+          intervals infinite, at points whose exact kernel sum may reach
+          tau, than right after the last rebuild. T_sure depends on the
+          target, which the screen does not know, so it counts every grid
+          point (T_sure is at most the largest total).
+          When the error bound forces a rebuild of a product that it had
+          itself forced one update before, keeping costs more than it
+          saves (small sigma2 against the grid, with records that
+          dominate their points): the profile is screened anew on the
+          next _REBUILD_EVERY calls, and then kept again.
 
         Why the kept interval holds y*: a running error bound (N. J.
         Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
@@ -738,36 +739,30 @@ class GrnnPredictor(_KeepsState):
             raise ValueError(
                 f"grid has {grid.link_count} links but records have {allocs.shape[1]}"
             )
-        if grid.size >= _KEEP_MIN_POINTS and profile.size >= _KEEP_MIN_RECORDS:
-            return self._kept_bounds(grid, profile)
-        values, links = grid.link_values()
+        g = grid.size
+        if g >= _KEEP_MIN_POINTS and \
+                profile.size * g >= _KEEP_MIN_RECORDS * (g + _KEEP_MIN_POINTS):
+            bounds = self._kept_bounds(grid, profile)
+            if bounds is not None:
+                return bounds
         s, c_0, n = profile.size, grid.steps_per_link[0] + 1, grid.link_count
-        m = grid.size // c_0
+        m = g // c_0
         # every array of the screen in one block, F only from 3 links on: as
         # separate blocks of similar size, the allocator handed their pages
         # back to the OS after each search and page-faulted them in again
         # (about 290 faults per search on the 3-link grid at S = 128)
-        k_end = len(values) * s
+        k_end = len(grid.link_values()[0]) * s
         left_end = k_end + 2 * c_0 * s
         f_end = left_end + (m * s if n > 2 else 0)
         block = np.empty(f_end + 2 * c_0 * m)
         k = block[:k_end].reshape(-1, s)
         left = block[k_end:left_end].reshape(2 * c_0, s)
         out = block[f_end:].reshape(2 * c_0, m)
-        _factors_into(k, self._spread_values(values, s), links, allocs, self.kernel.sigma2)
-        factors = _split_links(k, grid)
-        k_0 = factors[0]
-        np.copyto(left[:c_0], k_0)
-        np.multiply(k_0, profile.response_vector().astype(float), out=left[c_0:])
-        # F[(c_1, ..., c_{n-1}), i] = prod_{j>=1} K_j[c_j, i], rows row-major
-        f = factors[1] if n > 1 else np.ones((1, s))
-        for k_j in factors[2:-1]:
-            f = (f[:, None, :] * k_j[None, :, :]).reshape(-1, s)
-        if n > 2:
-            k_j = factors[-1]
-            f = np.multiply(f[:, None, :], k_j[None, :, :],
-                            out=block[left_end:f_end].reshape(len(f), len(k_j), s)).reshape(m, s)
-        np.matmul(left, f.T, out=out)
+        factors = _screen_factors(k, left, grid, allocs, profile.response_vector(),
+                                  self.kernel.sigma2)
+        # F[(c_1, ..., c_{n-1}), i] = prod_{j>=1} K_j[c_j, i] in one chunk
+        for start, rows in _f_rows(factors, s, m, block[left_end:f_end]):
+            np.matmul(left, rows.T, out=out[:, start:start + len(rows)])
         den, y = out[:c_0].reshape(-1), out[c_0:].reshape(-1)
         tol = _SCREEN_TOL * profile.level_count
         if np.minimum.reduce(den) >= _SCREEN_MIN_SUM:  # every interval is finite
@@ -781,31 +776,19 @@ class GrnnPredictor(_KeepsState):
         np.copyto(hi, np.inf, where=~kept)
         return lo, hi
 
-    def _spread_values(self, values: np.ndarray, s: int) -> np.ndarray:
-        """values repeated s times each, as (len(values), s), for a repeated grid and s.
-
-        The second call in a row with the same link values and s builds it,
-        and later ones reuse it; other calls, and sizes above _SPREAD_MAX
-        entries, get the column values[:, None], whose subtraction gives the
-        same bits one row at a time.
-        """
-        last = self._spread
-        if last is None or last[0] is not values or last[1] != s or len(values) * s > _SPREAD_MAX:
-            self._spread = values, s, None
-            return values[:, None]
-        if last[2] is None:
-            spread = np.repeat(values, s).reshape(-1, s)
-            spread.flags.writeable = False
-            last = self._spread = values, s, spread
-        return last[2]
-
     def _kept_bounds(self, grid: "SearchGrid", profile: "Profile"
-                     ) -> tuple[np.ndarray, np.ndarray]:
-        """predict_bounds from the profile's kept product, updated or rebuilt first."""
+                     ) -> tuple[np.ndarray, np.ndarray] | None:
+        """predict_bounds from the profile's kept product, updated or rebuilt first.
+
+        None when the profile is to be screened anew on this call.
+        """
         sigma2 = self.kernel.sigma2
         allocs, responses = profile.allocation_matrix(), profile.response_vector()
         entry = self._changes(grid, profile, sigma2, allocs, responses)
         screen = None if entry is None else entry.value
+        if isinstance(screen, int):  # the calls left to screen anew
+            self._keep(grid, profile, sigma2, screen - 1 or None, entry)
+            return None
         if screen is not None and (len(entry.replaced) or entry.appended):
             old = entry.replaced
             new = np.concatenate((old, entry.appended)).astype(np.intp)
@@ -820,10 +803,14 @@ class GrnnPredictor(_KeepsState):
             lo, hi, screen.infinite = screen.bounds(*shape)
         else:
             lo, hi, infinite = screen.bounds(*shape)
-            if infinite > screen.infinite:  # the error bound alone: rebuild
+            if infinite > screen.infinite:  # the error bound: rebuild
                 del lo, hi
+                if screen.bounded and screen.updates == 1:  # twice in a row
+                    self._keep(grid, profile, sigma2, _REBUILD_EVERY, entry)
+                    return None
                 screen = entry.value = None  # the old product goes first
                 screen = _KeptScreen(grid, allocs, responses, sigma2)
                 lo, hi, screen.infinite = screen.bounds(*shape)
+                screen.bounded = True
         self._keep(grid, profile, sigma2, screen, entry)
         return lo, hi

@@ -1,9 +1,10 @@
 """The kernel-regression screen's kept product: soundness under churn, lifecycle, memory.
 
-On grids of at least predictor._KEEP_MIN_POINTS points, for profiles of at
-least _KEEP_MIN_RECORDS records, a GrnnPredictor keeps each profile's
-screen product between calls and updates it slot by slot. Most tests here
-lower both gates to 0 so that the kept product serves small grids.
+On grids of g >= predictor._KEEP_MIN_POINTS points, for profiles of at
+least _KEEP_MIN_RECORDS (1 + _KEEP_MIN_POINTS / g) records, a
+GrnnPredictor keeps each profile's screen product between calls and
+updates it slot by slot. Most tests here lower both constants to 0 so that
+the kept product serves small grids.
 """
 
 from __future__ import annotations
@@ -148,6 +149,78 @@ def test_error_bound_forces_a_rebuild(kept_everywhere, monkeypatch):
     assert search(grid, profile, predictor, 3) == full_grid_search(grid, profile, predictor, 3)
 
 
+def test_a_sum_that_truly_falls_below_the_floor_forces_no_rebuild(kept_everywhere, monkeypatch):
+    grid = SearchGrid(1.25, (5.0, 5.0, 5.0))  # 125 points
+    # record 0, off the grid, alone gives (5, 0, 0) a kernel sum of about
+    # exp(-608), above the screen's floor; every other point's sum is
+    # below it or comes from the other records
+    others = [(0.0, 5.0, 5.0), (0.0, 5.0, 3.75), (0.0, 3.75, 5.0), (1.25, 5.0, 5.0)]
+    records = [((12.8, 0.0, 0.0), 12)] + [(alloc, 3) for alloc in others]
+    profile = Profile(3, 12, 5, records)
+    predictor = GrnnPredictor(KernelParams(0.1))
+    built, updated = spy(monkeypatch, "__init__"), spy(monkeypatch, "update")
+    corner = 4 * 25  # the row of (5, 0, 0)
+    lo, _ = predictor.predict_bounds(grid, profile)
+    assert np.isfinite(lo[corner])
+    # its replacement lies on another record: (5, 0, 0) keeps no sum a fresh
+    # screen could see, so its infinite interval is no reason to rebuild
+    assert profile.update((0.0, 5.0, 5.0), 1, target=12).index == 0
+    lo, _ = predictor.predict_bounds(grid, profile)
+    assert lo[corner] == -np.inf and len(built) == 1 and len(updated) == 1
+    assert_sound(predictor, grid, profile)
+    for target in (2, 12):
+        assert search(grid, profile, predictor, target) == \
+            full_grid_search(grid, profile, predictor, target)
+    assert len(built) == 1
+
+
+def test_error_bound_twice_in_a_row_screens_anew(kept_everywhere, monkeypatch):
+    monkeypatch.setattr(predictor_module, "_REBUILD_EVERY", 3)
+    grid = SearchGrid(1.25, (10.0, 10.0, 10.0))
+    records = [((0.0, 0.0, 0.0), 12)] + [((10.0, 10.0, 10.0 - 1.25 * i), 3) for i in range(5)]
+    profile = Profile(3, 12, 6, records)
+    predictor = GrnnPredictor(KernelParams(1.0))
+    built, updated = spy(monkeypatch, "__init__"), spy(monkeypatch, "update")
+    counted = spy(monkeypatch, "bounds")
+    assert_sound(predictor, grid, profile)
+    # record 0 goes, the error bound forces a rebuild; its newcomer alone
+    # holds the kernel sum at (10, 0, 10)
+    assert profile.update((10.0, 0.0, 10.0), 1, target=12).index == 0
+    assert_sound(predictor, grid, profile)
+    assert len(built) == 2 and len(updated) == 1 and kept(predictor, profile).bounded
+    # the next update takes that newcomer out: the bound fails again, and the
+    # profile is screened anew instead of rebuilt
+    assert profile.update((10.0, 0.0, 0.0), 12, target=12).index == 0
+    assert_sound(predictor, grid, profile)
+    assert len(built) == 2 and len(updated) == 2 and counted[-1][2] > 0
+    assert kept(predictor, profile) == 3
+    # the next three calls screen anew too, and the fourth rebuilds
+    for call in range(4):
+        target = (3, 12)[call % 2]
+        assert search(grid, profile, predictor, target) == \
+            full_grid_search(grid, profile, predictor, target)
+        assert len(built) == 2 + (call == 3)
+    assert isinstance(kept(predictor, profile), predictor_module._KeptScreen)
+    assert not kept(predictor, profile).bounded
+
+
+def test_small_sigma2_updates_serve_a_stress_size_grid(monkeypatch):
+    # the stress benchmark's grid and record count with a kernel 20 times
+    # narrower: the error bound forces no rebuild, updates serve the calls
+    grid = STRESS_GRID
+    rng = np.random.default_rng(10)
+    profile = Profile(3, 12, 128, lattice_records(rng, grid, 128))
+    predictor = GrnnPredictor(KernelParams(10.0))
+    built, updated = spy(monkeypatch, "__init__"), spy(monkeypatch, "update")
+    rows = rng.choice(grid.size, 512, replace=False)
+    for alloc, response in lattice_records(rng, grid, 60):
+        profile.update(alloc, response, target=7)
+        lo, hi = predictor.predict_bounds(grid, profile)
+        y_star, _ = predictor.predict_grid(grid, rows, profile)
+        assert np.all((lo[rows] <= y_star) & (y_star <= hi[rows]))
+    assert len(built) == 1 and len(updated) == 59
+
+
 def test_periodic_and_costly_updates_rebuild(kept_everywhere, monkeypatch):
     rng = np.random.default_rng(3)
     monkeypatch.setattr(predictor_module, "_REBUILD_EVERY", 4)
@@ -175,6 +248,32 @@ def test_periodic_and_costly_updates_rebuild(kept_everywhere, monkeypatch):
     assert changed >= 4
     assert_sound(predictor, GRID, profile)
     assert len(built) == before + 1
+
+
+def test_small_chunks_give_the_same_products(kept_everywhere, monkeypatch):
+    # rebuilds and updates of one row of F, or a few, at a time against
+    # whole products: the same bound arrays, and products equal but for the
+    # rounding of their different sums
+    rng = np.random.default_rng(12)
+    records = lattice_records(rng, GRID, 10)
+    updates = lattice_records(rng, GRID, 40)
+    screens = []
+    for chunk in (predictor_module._KEEP_CHUNK, 8):
+        monkeypatch.setattr(predictor_module, "_KEEP_CHUNK", chunk)
+        profile = Profile(3, 12, 10, records)
+        predictor = GrnnPredictor(KernelParams(2.0))
+        for step, (alloc, response) in enumerate(updates):
+            profile.update(alloc, response, target=7)
+            if step % 7 == 0:  # three slots at once
+                for alloc, response in updates[step + 1:step + 3]:
+                    profile.update(alloc, response, target=7)
+            assert_sound(predictor, GRID, profile)
+        screens.append(kept(predictor, profile))
+    whole, small = screens
+    assert whole.updates == small.updates > 30
+    assert np.array_equal(whole.taken, small.taken) and np.array_equal(whole.peak, small.peak)
+    assert whole.peak.min() > 0.0
+    np.testing.assert_allclose(small.out, whole.out, rtol=1e-13, atol=1e-13 * whole.out.max())
 
 
 def test_one_predictor_keeps_two_profiles(kept_everywhere, monkeypatch):
@@ -260,16 +359,24 @@ def test_products_go_with_the_profile_or_the_predictor(kept_everywhere):
         gc.enable()
 
 
+def least_records(points: int) -> int:
+    """Fewest records for which a grid of `points` points keeps a product."""
+    gate = predictor_module._KEEP_MIN_POINTS
+    return -(-predictor_module._KEEP_MIN_RECORDS * (points + gate) // points)
+
+
 @pytest.mark.parametrize("points, records, keeps", [
-    (0, 0, True), (-1, 0, False), (0, -1, False),
-], ids=["at_both_gates", "one_point_below", "one_record_below"])
+    (4096, 0, True), (4095, 0, False), (4096, -1, False), (16384, 0, True), (16384, -1, False),
+], ids=["at_the_gates", "one_point_below", "one_record_below", "larger_grid",
+        "larger_grid_one_record_below"])
 def test_the_gates(points, records, keeps):
-    # a 1-link grid of exactly _KEEP_MIN_POINTS (+ points) points
-    size = predictor_module._KEEP_MIN_POINTS + points
-    grid = SearchGrid(1.0, (float(size - 1),))
-    assert grid.size == size
-    rng = np.random.default_rng(size)
-    count = predictor_module._KEEP_MIN_RECORDS + records
+    assert predictor_module._KEEP_MIN_POINTS == 4096
+    assert least_records(4096) == 64 and least_records(16384) == 40
+    assert least_records(STRESS_GRID.size) == 38
+    grid = SearchGrid(1.0, (float(points - 1),))  # a 1-link grid of `points` points
+    assert grid.size == points
+    rng = np.random.default_rng(points)
+    count = least_records(max(points, 4096)) + records
     profile = Profile(1, 12, count, lattice_records(rng, grid, count))
     predictor = GrnnPredictor(KernelParams(5000.0))
     for _ in range(3):
