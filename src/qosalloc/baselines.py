@@ -41,12 +41,13 @@ merges the records the profile appended since. Every other change builds
 the sets anew: the first call, another grid object or k, or any record or
 response of the earlier ones changed (the entry keeps copies of them and
 compares them on each call), as a bounded profile does at capacity. The
-sets hold grid.size * k (distance, index) pairs, 16 bytes each. Above
-_SETS_MAX pairs (4 MB) a call builds sets over the requested rows only
-and keeps nothing. On the 2-link reference grid with k = 5 they hold
-5,125 pairs, 82 KB, and one int64 sum per point. The entries are plain
-state without a lock: one KnnPredictor must not serve two threads at
-once.
+sets hold grid.size * k (distance, index) pairs, 16 bytes each, and the
+grid's points, which the grid computes on each call. Above _SETS_MAX
+pairs (4 MB) a call builds sets over the requested rows only and keeps
+nothing. On the 2-link reference grid with k = 5 they hold 5,125 pairs,
+82 KB, one int64 sum per point and 16 KB of points. The entries are
+plain state without a lock: one KnnPredictor must not serve two threads
+at once.
 
 KnnPredictor.predict_bounds is the profile's constant [min, max] response
 interval, so a kNN search predicts as many points as an unscreened search
@@ -148,23 +149,23 @@ class _NeighborSets:
 
     dist[c] and index[c] hold point c's k nearest records' squared
     distances and indices in the stable sort's order, and sums[c] the sum
-    of their responses, over the records merged so far.
+    of their responses, over the records merged so far. points are the
+    points the sets serve, kept for later merges.
     """
 
-    __slots__ = ("k", "dist", "index", "sums")
+    __slots__ = ("points", "k", "dist", "index", "sums")
 
     def __init__(self, points: np.ndarray, k: int, allocs: np.ndarray, responses: np.ndarray):
         d2 = _squared_distances(points, allocs[:k])
         self.index = np.argsort(d2, axis=1, kind="stable")
         self.dist = np.take_along_axis(d2, self.index, axis=1)
         self.sums = responses[self.index].sum(axis=1)
-        self.k = k
-        self.merge(points, allocs, responses, k)
+        self.points, self.k = points, k
+        self.merge(allocs, responses, k)
 
-    def merge(self, points: np.ndarray, allocs: np.ndarray, responses: np.ndarray,
-              start: int) -> None:
+    def merge(self, allocs: np.ndarray, responses: np.ndarray, start: int) -> None:
         """Merge the records from index start on, in index order."""
-        dist, index, sums, k = self.dist, self.index, self.sums, self.k
+        points, dist, index, sums, k = self.points, self.dist, self.index, self.sums, self.k
         for i in range(start, len(responses)):
             d2 = _squared_distances(points, allocs[i:i + 1])[:, 0]
             rows = np.flatnonzero(d2 < dist[:, -1])
@@ -218,7 +219,7 @@ class KnnPredictor(_KeepsState):
 
     def predict_grid(self, grid: "SearchGrid", rows, profile: Profile
                      ) -> tuple[np.ndarray, np.ndarray]:
-        """predict_batch on grid.points()[rows], bit for bit, from neighbor sets.
+        """predict_batch on grid.points(rows), bit for bit, from neighbor sets.
 
         rows is a slice or an index array into the row-major grid. The
         profile's kept sets are merged or built first as the module
@@ -235,9 +236,9 @@ class KnnPredictor(_KeepsState):
         if entry is not None and not len(entry.replaced):
             sets = entry.value
             if entry.appended:
-                sets.merge(grid.points(), allocs, responses, entry.appended.start)
+                sets.merge(allocs, responses, entry.appended.start)
         elif grid.size * k > _SETS_MAX:
-            sums = _NeighborSets(grid.points()[rows], k, allocs, responses).sums
+            sums = _NeighborSets(grid.points(rows), k, allocs, responses).sums
             return sums / k, np.full(len(sums), float(k))
         else:
             sets, entry = _NeighborSets(grid.points(), k, allocs, responses), None

@@ -41,7 +41,7 @@ import numpy as np
 from .baselines import GRNN_BOUNDED, KNN, KnnPredictor, PredictorKind
 from .controller import ConfigError, QosConfig, QosController
 from .netsim import LinkSpec, ServiceSpec, Simulator
-from .predictor import DEFAULT_SIGMA2, GrnnPredictor, KernelParams
+from .predictor import DEFAULT_SIGMA2, GrnnPredictor, KernelParams, _screen_bytes
 from .profile import Profile
 from .search import SearchGrid, search
 
@@ -122,6 +122,19 @@ class ScenarioConfig:
             )
         if not self.qos_levels:
             raise ConfigError("need at least one service")
+        # fail early on inconsistent QoS parameters, and on a run too large
+        # to search whatever its traces hold
+        grid = self.to_qos_config().grid
+        records = self.seed.records
+        if records is not None:
+            _check_knn_k(self.predictor, records)
+            if self.predictor.bounded and records > self.capacity:
+                raise ConfigError(
+                    f"seed.records={records} exceeds the profile capacity {self.capacity}"
+                )
+            if records > grid.size:
+                raise ConfigError(f"seed.records={records} exceeds the {grid.size} grid points")
+            _check_screen_bytes(self, grid, records)
         if not (math.isfinite(self.erab_noise_std) and self.erab_noise_std >= 0.0):
             raise ConfigError(
                 f"erab_noise_std must be finite and >= 0, got {self.erab_noise_std}"
@@ -143,17 +156,6 @@ class ScenarioConfig:
                     f"background trace has {len(link.background)} epochs, "
                     f"run needs {self.run_length}"
                 )
-        # fail early on inconsistent QoS parameters
-        grid = self.to_qos_config().grid
-        records = self.seed.records
-        if records is not None:
-            _check_knn_k(self.predictor, records)
-            if self.predictor.bounded and records > self.capacity:
-                raise ConfigError(
-                    f"seed.records={records} exceeds the profile capacity {self.capacity}"
-                )
-            if records > grid.size:
-                raise ConfigError(f"seed.records={records} exceeds the {grid.size} grid points")
 
     def to_qos_config(self) -> QosConfig:
         return QosConfig(
@@ -170,6 +172,30 @@ class ScenarioConfig:
 def _check_nominal_rate(nominal_rate: float) -> None:
     if not (math.isfinite(nominal_rate) and nominal_rate >= 0.0):
         raise ConfigError(f"nominal_rate must be finite and >= 0, got {nominal_rate}")
+
+
+#: Most bytes one fresh screen of the grid (GrnnPredictor.predict_bounds) may
+#: take at the largest profile a run can reach; a larger run is refused at
+#: load. The 3-link stress grid (25,625 points) at S = 512 takes 3.7 MB.
+_SCREEN_MAX_BYTES = 2**28
+
+
+def _check_screen_bytes(config: ScenarioConfig, grid: SearchGrid, seed_records: int) -> None:
+    """Refuse a run whose profile can grow to a screen of more than _SCREEN_MAX_BYTES.
+
+    The profile reaches min(capacity, seed records + run_length) records
+    when it is bounded, seed records + run_length otherwise.
+    """
+    reach = seed_records + config.run_length
+    if config.predictor.bounded:
+        reach = min(config.capacity, reach)
+    need = _screen_bytes(grid, reach)
+    if need > _SCREEN_MAX_BYTES:
+        raise ConfigError(
+            f"the profile can reach {reach} records ({seed_records} seed records, "
+            f"run_length {config.run_length}), whose screen of the {grid.size}-point grid "
+            f"would take {need / 2**20:.0f} MiB, more than {_SCREEN_MAX_BYTES >> 20} MiB"
+        )
 
 
 def _check_knn_k(predictor: PredictorKind, seed_records: int) -> None:
@@ -432,7 +458,7 @@ def seed_profile_generate(
     size = grid.size
     strata = np.arange(n_records + 1) * size // n_records
     picks = grid.by_total_order()[rng.integers(strata[:-1], strata[1:])]
-    allocs = grid.counts()[picks] * grid.step
+    allocs = grid.points(picks)
     # each total added link by link, as sum() over the allocation adds it
     erab = np.add.accumulate(allocs, axis=1)[:, -1] - nominal_rate
     responses = np.searchsorted(qos_config.thresholds, erab, side="left") + 1
@@ -524,7 +550,13 @@ def _build_seed_profile(
                 f"seed profile {config.seed.file} has {loaded.level_count} levels, "
                 f"config has {qos_config.level_count}"
             )
+        if capacity is not None and loaded.size > capacity:
+            raise ConfigError(
+                f"seed_profile.file {config.seed.file} holds {loaded.size} records, "
+                f"more than the profile capacity {capacity}"
+            )
         _check_knn_k(config.predictor, loaded.size)
+        _check_screen_bytes(config, qos_config.grid, loaded.size)
         # rewrap under the run's capacity policy; the file's own capacity is
         # a property of whoever saved it
         return Profile._from_arrays(

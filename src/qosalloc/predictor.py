@@ -16,9 +16,10 @@ the existing records bit-identical, which keeps the membership-set
 monotonicity checks numerically stable.
 
 predict_batch evaluates link-major and record-chunked: the candidates are
-transposed once into contiguous per-link columns, and the records are taken
-k at a time, so one chunk's (k, m) distances and weights cost a few
-whole-array ufunc calls instead of a few calls per record. The weights are
+transposed once into per-link columns (a contiguous copy above
+_STRIDED_MAX candidates), and the records are taken k at a time, so one
+chunk's (k, m) distances and weights cost a few whole-array ufunc calls
+instead of a few calls per record. The weights are
 then added to the running sums in record order, which keeps the
 left-to-right order above; np.add.reduce over the chunk's rows would not
 (numpy sums such a reduction pairwise when m is 1). For up to
@@ -32,7 +33,7 @@ underflows, runs lazily over just those rows.
 
 Every predictor the search accepts has three methods: predict_batch(xs,
 profile) for arbitrary candidates; predict_grid(grid, rows, profile), which
-predicts grid.points()[rows]; and predict_bounds(grid, profile), which
+predicts grid.points(rows); and predict_bounds(grid, profile), which
 gives an interval [lo, hi] per grid point that holds the y* predict_grid
 would give there, so the search never needs to know which predictor it
 holds. The single-point form is the module-level predict().
@@ -193,7 +194,9 @@ def predict_batch(
     m, p = xs.shape[0], profile.size
     if m == 0:
         return np.empty(0), np.empty(0)
-    cols = np.ascontiguousarray(xs.T)
+    # per-link columns: every op on them is elementwise, so a view's bits
+    # equal a copy's; the copy pays off only on wider batches
+    cols = xs.T if m <= _STRIDED_MAX else np.ascontiguousarray(xs.T)
     allocs = profile.allocation_matrix()
     responses = profile.response_vector()
     links = allocs.T[:, :, None]  # (n, p, 1): a chunk's (count, 1) columns broadcast
@@ -244,6 +247,13 @@ def predict_batch(
 #: Target element count of one (k, m) chunk buffer: two buffers of 2^15
 #: float64 take 512 KB, which stays in L2.
 _CHUNK = 2**15
+
+
+#: Widest batch whose per-link columns predict_batch reads as a strided
+#: view of the candidates instead of a contiguous copy: the copy cost about
+#: 1 us more at 8 candidates and saved about 4 us at 128 (3 links, 128
+#: records, 2 vCPU, numpy 2.4.6).
+_STRIDED_MAX = 16
 
 
 #: Widest batch whose sums run as one np.add.accumulate per chunk. Down the
@@ -413,6 +423,13 @@ class _KeepsState:
             entry.responses = profile.response_vector().copy()
         entry.value = value
         self._kept[key] = entry
+
+
+def _screen_bytes(grid: "SearchGrid", records: int) -> int:
+    """Most bytes a fresh screen of the grid holds for `records` records; see predict_bounds."""
+    c_0 = grid.steps_per_link[0] + 1
+    factors = sum(c + 1 for c in grid.steps_per_link)
+    return 8 * records * (factors + 2 * c_0 + grid.size // c_0) + 16 * grid.size
 
 
 def _screen_factors(k: np.ndarray, left: np.ndarray, grid: "SearchGrid", allocs: np.ndarray,
@@ -590,12 +607,12 @@ class GrnnPredictor(_KeepsState):
 
     def predict_grid(self, grid: "SearchGrid", rows, profile: "Profile"
                      ) -> tuple[np.ndarray, np.ndarray]:
-        """predict_batch on grid.points()[rows]; rows is a slice or an index array."""
+        """predict_batch on grid.points(rows); rows is a slice or an index array."""
         if profile.link_count != grid.link_count:
             raise ValueError(
                 f"grid has {grid.link_count} links but records have {profile.link_count}"
             )
-        return predict_batch(grid.points()[rows], profile, self.kernel)
+        return predict_batch(grid.points(rows), profile, self.kernel)
 
     def predict_bounds(self, grid: "SearchGrid", profile: "Profile"
                        ) -> tuple[np.ndarray, np.ndarray]:
@@ -657,7 +674,8 @@ class GrnnPredictor(_KeepsState):
         nearest record. The screen works for any records, on the lattice
         or not. It costs exp on sum_j (C_j + 1) S entries, about M S
         products and one (2 (C_0 + 1), S) by (S, M) matrix product, and
-        holds about 8 S (2 C_0 + 2 + M) + 16 size bytes.
+        holds at most 8 S (sum_j (C_j + 1) + 2 (C_0 + 1) + M) + 16 size
+        bytes (_screen_bytes).
 
         The kept product. On a grid of g >= _KEEP_MIN_POINTS points, for a
         profile of S >= _KEEP_MIN_RECORDS (1 + _KEEP_MIN_POINTS / g)

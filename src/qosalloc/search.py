@@ -38,7 +38,7 @@ a member, the search predicts, in one more call, every remaining point
 whose hi reaches the largest lo, since only those can hold the highest y*.
 
 The search knows a predictor only through predict_bounds(grid, profile)
-and predict_grid(grid, rows, profile), which predicts grid.points()[rows]
+and predict_grid(grid, rows, profile), which predicts grid.points(rows)
 for one block; see the predictor module for the protocol.
 
 membership_c_form() evaluates the same predicate in an algebraically
@@ -77,14 +77,22 @@ _GRID_EPS = 1e-9
 _BLOCK_MIN = 4096
 
 # Most points a grid may hold: about 41 times the 3-link stress grid, and
-# about 100 MB of grid arrays at 3 links. A larger grid raises ValueError
-# before any of its arrays is built.
+# at most about 32 MB of grid arrays at 3 links (20 MB on the 101**3 cube,
+# whose counts are uint8). A larger grid raises ValueError before any of
+# its arrays is built.
 _MAX_POINTS = 2**20
 
 
 @dataclass(frozen=True)
 class SearchGrid:
     """Discrete allocation search space of at most _MAX_POINTS points.
+
+    The grid keeps no coordinates per point. It keeps each point's step
+    counts, in the smallest unsigned dtype that holds the largest C_j
+    (uint8 up to 255 steps per link), and derives coordinates from them on
+    demand (points). It also keeps each point's total step count and the
+    rows in order of total, both intp. On the 3-link stress grid (25,625
+    points) these take 77 KB, 205 KB and 205 KB.
 
     Attributes
     ----------
@@ -98,6 +106,7 @@ class SearchGrid:
     max_per_link: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "step", float(self.step))
         object.__setattr__(self, "max_per_link", tuple(float(b) for b in self.max_per_link))
         if not (self.step > 0.0) or not math.isfinite(self.step):
             raise ValueError(f"step must be positive and finite, got {self.step}")
@@ -122,16 +131,21 @@ class SearchGrid:
     def size(self) -> int:
         return math.prod(c + 1 for c in self.steps_per_link)
 
-    def counts(self) -> np.ndarray:
-        """Integer step counts of every grid point, shape (size, n), row-major.
+    def points(self, rows=slice(None)) -> np.ndarray:
+        """Allocations in Mbps of the grid's rows, row-major: counts[rows] * step.
 
-        Built once per grid and returned read-only.
+        rows indexes the row-major grid like a numpy index: an int gives
+        one point of shape (n,); a slice, an integer index array or a
+        boolean mask an (m, n) array; the default is the whole grid. The
+        result is a new array on every call, looked up per count in a
+        table of c * step over c = 0..max C_j, so each coordinate has the
+        bits of float64(c) * step whatever the rows.
         """
-        return self._counts
-
-    def points(self) -> np.ndarray:
-        """Grid allocations in Mbps, shape (size, n), row-major; read-only."""
-        return self._points
+        if isinstance(rows, np.ndarray) and rows.dtype.kind in "iu":
+            counts = self._counts.take(rows, axis=0)  # cheaper than a fancy index
+        else:
+            counts = self._counts[rows]
+        return self._coords.take(counts)
 
     def totals(self) -> np.ndarray:
         """Total step count of every grid point, shape (size,); built once, read-only."""
@@ -155,34 +169,40 @@ class SearchGrid:
 
     @functools.cached_property
     def _counts(self) -> np.ndarray:
-        axes = [np.arange(c + 1) for c in self.steps_per_link]
+        dtype = np.min_scalar_type(max(self.steps_per_link))
+        axes = [np.arange(c + 1, dtype=dtype) for c in self.steps_per_link]
         mesh = np.meshgrid(*axes, indexing="ij")
         counts = np.stack(mesh, axis=-1).reshape(-1, self.link_count)
         counts.flags.writeable = False
         return counts
 
     @functools.cached_property
+    def _coords(self) -> np.ndarray:
+        """Entry c is c * step, c = 0..max C_j: a lookup, cheaper than a cast and multiply."""
+        coords = np.arange(max(self.steps_per_link) + 1) * self.step
+        coords.flags.writeable = False
+        return coords
+
+    @functools.cached_property
     def _link_values(self) -> tuple[np.ndarray, np.ndarray]:
-        values = np.concatenate([np.arange(c + 1) * self.step for c in self.steps_per_link])
+        values = np.concatenate([self._coords[:c + 1] for c in self.steps_per_link])
         links = np.repeat(np.arange(self.link_count), [c + 1 for c in self.steps_per_link])
         values.flags.writeable = False
         links.flags.writeable = False
         return values, links
 
     @functools.cached_property
-    def _points(self) -> np.ndarray:
-        points = self._counts * self.step
-        points.flags.writeable = False
-        return points
-
-    @functools.cached_property
     def _totals(self) -> np.ndarray:
-        totals = self._counts.sum(axis=1)
+        # intp, not the smallest dtype: uint8 totals would save 180 KB on
+        # the stress grid, but the search would then run numpy's uint8
+        # loops, whose code raised a small run's peak RSS by about 0.3 MB
+        totals = self._counts.sum(axis=1, dtype=np.intp)
         totals.flags.writeable = False
         return totals
 
     @functools.cached_property
     def _by_total(self) -> np.ndarray:
+        # intp: numpy casts any other index dtype to it on every fancy index
         order = np.argsort(self._totals, kind="stable")
         order.flags.writeable = False
         return order
@@ -349,7 +369,7 @@ def search(grid: SearchGrid, profile: Profile, predictor, target: int) -> Alloca
         best = y_star == y_star.max()
         k = np.flatnonzero(best)[np.argmin(block[best])]  # ties: the lowest row
         feasible = False
-    point = grid.points()[block[k]]
+    point = grid.points(block[k])
     ys = float(y_star[k])
     return AllocationResult(
         allocation=tuple(point.tolist()),

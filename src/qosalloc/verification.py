@@ -22,8 +22,9 @@ guarantees, and reports a trial/violation count:
                     pure-Python full enumeration exactly, including
                     infeasible-fallback cases.
 * store_laws        the bounded store never exceeds capacity, non-fallback
-                    evictions always remove the class opposite the new
-                    record, and persistence round-trips identically.
+                    evictions always remove the nearest record of the class
+                    opposite the new record, and persistence round-trips
+                    identically.
 * determinism       re-running a scenario with the same config and seed
                     yields byte-identical outputs (timing sidecar aside).
 
@@ -193,7 +194,7 @@ def monotonicity_suite(instances: int = 1000) -> CheckResult:
     for _ in range(instances):
         grid, profile, kernel, target = random_instance(rng)
         pts = grid.points()
-        total_c = grid.counts().sum(axis=1)
+        total_c = grid.totals()
         thresh = target - 0.5
         y0, _ = predict_batch(pts, profile, kernel)
         m0 = y0 >= thresh
@@ -319,8 +320,36 @@ def search_oracle_suite(instances: int = 100) -> CheckResult:
                        time.perf_counter() - t0, f"{infeasible_seen} infeasible cases")
 
 
+#: Evictions store_laws_suite checks for nearness at once: the copies of
+#: the records before them take 40 KB at 40 records of 3 links.
+_EVICTION_BATCH = 32
+
+
+def _not_nearest(allocs: np.ndarray, responses: np.ndarray, evictions: list) -> int:
+    """How many evictions took another record than the nearest of the opposite class.
+
+    Eviction k is (allocation, response, target, evicted index) of a new
+    record; allocs[k] and responses[k] hold the records before it. The
+    squared distance is summed link by link, link 0 first; ties go to the
+    lowest index.
+    """
+    if not evictions:
+        return 0
+    xs, new, targets, evicted = (np.array(column) for column in zip(*evictions))
+    d2 = np.zeros(responses.shape)
+    for j in range(xs.shape[1]):
+        d2 += (allocs[:, :, j] - xs[:, j, None]) ** 2
+    opposite = (responses >= targets[:, None]) != (new >= targets)[:, None]
+    d2[~opposite] = np.inf
+    return int(np.count_nonzero(d2.argmin(axis=1) != evicted))
+
+
 def store_laws_suite(updates: int = 10000) -> CheckResult:
-    """Capacity, opposite-class eviction, and persistence round-trips."""
+    """Capacity, nearest opposite-class eviction, and persistence round-trips.
+
+    The evictions are checked for nearness _EVICTION_BATCH at a time, from
+    copies of the records before each.
+    """
     rng = np.random.default_rng(STORE_LAWS_SEED)
     t0 = time.perf_counter()
     violations = 0
@@ -329,12 +358,17 @@ def store_laws_suite(updates: int = 10000) -> CheckResult:
     profile = Profile(n, LEVEL_COUNT, capacity)
     profile.append(tuple(float(rng.uniform(0, 50)) for _ in range(n)),
                    int(rng.integers(1, LEVEL_COUNT + 1)))
+    allocs = np.empty((_EVICTION_BATCH, capacity, n))
+    responses = np.empty((_EVICTION_BATCH, capacity), dtype=np.int64)
+    evictions = []  # the evictions not yet checked for nearness
     for step in range(updates):
         target = int(rng.integers(2, LEVEL_COUNT + 1))
         alloc = tuple(float(rng.uniform(0, 50)) for _ in range(n))
         response = int(rng.integers(1, LEVEL_COUNT + 1))
-        responses_before = profile.response_vector().copy()
         at_capacity = profile.size == capacity
+        if at_capacity:  # the records before the update
+            k = len(evictions)
+            allocs[k], responses[k] = profile.allocation_matrix(), profile.response_vector()
         result = profile.update(alloc, response, target)
         if profile.size > capacity:
             violations += 1
@@ -343,12 +377,19 @@ def store_laws_suite(updates: int = 10000) -> CheckResult:
                 violations += 1
             if result.action != REPLACED_FALLBACK:
                 new_positive = response >= target
-                evicted_positive = responses_before[result.index] >= target
+                evicted_positive = responses[k, result.index] >= target
                 if new_positive == evicted_positive:
                     violations += 1
+                else:
+                    evictions.append((alloc, response, target, result.index))
+                    if len(evictions) == _EVICTION_BATCH:
+                        violations += _not_nearest(allocs, responses, evictions)
+                        evictions.clear()
         if step % 1000 == 0:
             if Profile.from_bytes(profile.to_bytes()) != profile:
                 violations += 1
+    k = len(evictions)
+    violations += _not_nearest(allocs[:k], responses[:k], evictions)
     if Profile.from_bytes(profile.to_bytes()) != profile:
         violations += 1
     return CheckResult("store_laws", updates, violations, time.perf_counter() - t0,

@@ -349,7 +349,7 @@ class TestNeighborSets:
         allocs, responses = profile.allocation_matrix(), profile.response_vector()
         whole = baselines_module._NeighborSets(points, 3, allocs, responses)
         merged = baselines_module._NeighborSets(points, 3, allocs[:split], responses[:split])
-        merged.merge(points, allocs, responses, split)
+        merged.merge(allocs, responses, split)
         for name in ("dist", "index", "sums"):
             assert np.array_equal(getattr(merged, name), getattr(whole, name))
 

@@ -174,6 +174,47 @@ def test_oversized_grid_is_an_error_not_an_allocation(scenario_file, tmp_path, c
     assert not (tmp_path / "o").exists()
 
 
+def test_seed_file_beyond_capacity_is_a_config_error(scenario_file, tmp_path, capsys):
+    doc = json.loads(scenario_file.read_text())
+    assert doc["capacity"] == 31
+    seed = Profile(2, doc["levels"], None)
+    for k in range(40):
+        seed.append((1.25 * k, 1.25 * (k % 7)), 1 + k % 12)
+    seed.save(tmp_path / "seed40.csv")
+    doc["seed_profile"] = {"file": "seed40.csv"}
+    path = tmp_path / "seed40.json"
+    path.write_text(json.dumps(doc))
+    code = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert (f"error: seed_profile.file {tmp_path / 'seed40.csv'} holds 40 records, "
+            f"more than the profile capacity 31") in err
+    assert "use update()" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_too_large_to_screen_is_an_error_not_an_allocation(scenario_file, tmp_path, capsys):
+    # an unbounded 3-link profile growing for 10**9 epochs: one screen of the
+    # stress grid would take about 5.8 TiB
+    config = json.loads(scenario_file.read_text())
+    config["grid"]["max_per_link"] = [50.0, 30.0, 30.0]
+    config["links"] = [{"capacity": 300.0, "background": 40.0}] * 3
+    config["predictor"]["kind"] = "grnn_unbounded"
+    config["run_length"] = 10**9
+    huge = tmp_path / "huge_run.json"
+    huge.write_text(json.dumps(config))
+    tracemalloc.start()
+    try:
+        code = main(["run", "--config", str(huge), "--out", str(tmp_path / "o")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "more than 256 MiB" in capsys.readouterr().err
+    assert peak < 2**20
+    assert not (tmp_path / "o").exists()
+
+
 def test_module_entry_point_runs_verify():
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

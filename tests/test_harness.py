@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import copy
+import importlib
 import json
 import math
+import re
 import statistics
 
 import numpy as np
@@ -28,6 +30,8 @@ from qosalloc.baselines import PredictorKind
 from qosalloc.netsim import LinkSpec
 from qosalloc.scenarios import THRESHOLDS, tracking_scenario
 from qosalloc.search import SearchGrid
+
+harness_module = importlib.import_module("qosalloc.harness")
 
 
 def small_scenario(**overrides) -> ScenarioConfig:
@@ -155,7 +159,8 @@ class TestSeedProfileGenerate:
             for k in range(records):
                 lo, hi = k * grid.size // records, (k + 1) * grid.size // records
                 pick = grid.by_total_order()[int(ref_rng.integers(lo, hi))]
-                allocation = tuple(float(v) for v in grid.counts()[pick] * grid.step)
+                counts = np.unravel_index(pick, [c + 1 for c in grid.steps_per_link])
+                allocation = tuple(float(c) * grid.step for c in counts)
                 ref.append(allocation, quantize(float(sum(allocation)) - 40.0, qos))
             assert profile.to_bytes() == ref.to_bytes()
             assert rng.integers(2**62) == ref_rng.integers(2**62)  # same stream left
@@ -197,6 +202,43 @@ class TestScenarioConfigValidation:
     def test_qos_level_out_of_range(self):
         with pytest.raises(ConfigError, match="qos_level"):
             small_scenario(qos_levels=(4,))
+
+    def test_screen_bound_counts_the_profile_a_run_can_reach(self):
+        # 12 links of one step each: 4,096 points, and a screen of
+        # 8 S (24 + 4 + 2,048) + 16 * 4,096 bytes at S records
+        grid = dict(grid_step=5.0, grid_max_per_link=(5.0,) * 12,
+                    links=(LinkSpec(300.0, 40.0),) * 12)
+        run = 2**28 // (8 * 2076)  # with the 6 seed records, just past the bound
+        unbounded = PredictorKind("grnn_unbounded")
+        with pytest.raises(ConfigError, match=r"reach \d+ records .*MiB, more than 256 MiB"):
+            small_scenario(**grid, predictor=unbounded, run_length=run)
+        # a bounded profile reaches its capacity at most: the next check is the traces'
+        with pytest.raises(ConfigError, match="rate trace has 6 epochs"):
+            small_scenario(**grid, run_length=10**9)
+        small_scenario(**grid, predictor=unbounded, run_length=6)
+
+    def test_screen_bound_admits_the_stress_size(self):
+        grid = SearchGrid(1.25, (50.0, 30.0, 30.0))
+        need = harness_module._screen_bytes(grid, 512)
+        assert need == 8 * 512 * (91 + 82 + 625) + 16 * 25625  # 3.7 MB
+        assert need <= harness_module._SCREEN_MAX_BYTES
+
+    def test_screen_bound_applies_to_a_seed_file(self, tmp_path, monkeypatch, capsys):
+        config = small_scenario()
+        qos = config.to_qos_config()
+        seed_profile_generate(qos.grid, qos, 8, 40.0, rng_seed=2).save(tmp_path / "seed.csv")
+        doc = small_doc()
+        doc["seed_profile"] = {"file": "seed.csv"}
+        path = write_doc(tmp_path / "scenario.json", doc)
+        # a bounded run reaches its capacity 8 at once: the block of S = 8
+        need = harness_module._screen_bytes(qos.grid, 8)
+        monkeypatch.setattr(harness_module, "_SCREEN_MAX_BYTES", need)
+        run_scenario(load_scenario(path))
+        monkeypatch.setattr(harness_module, "_SCREEN_MAX_BYTES", need - 1)
+        with pytest.raises(ConfigError, match="the profile can reach 8 records"):
+            run_scenario(load_scenario(path))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "error: the profile can reach 8 records" in capsys.readouterr().err
 
     def test_seed_spec_needs_exactly_one_source(self):
         with pytest.raises(ConfigError):
@@ -332,11 +374,13 @@ class TestScenarioFileIO:
         doc = small_doc()
         doc["seed_profile"] = {"file": "seed.csv"}
         path = write_doc(tmp_path / "scenario.json", doc)
-        with pytest.raises(ValueError, match="at capacity 8"):
+        message = (f"seed_profile.file {tmp_path / 'seed.csv'} holds 9 records, "
+                   f"more than the profile capacity 8")
+        with pytest.raises(ConfigError, match=re.escape(message)):
             run_scenario(load_scenario(path))
         out = str(tmp_path / "o")
         assert main(["run", "--config", str(path), "--out", out]) == 2
-        assert "at capacity 8" in capsys.readouterr().err
+        assert f"error: {message}" in capsys.readouterr().err
 
 
 class TestNumericFieldsAndKnnK:

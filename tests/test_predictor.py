@@ -280,7 +280,8 @@ class TestRowIndependence:
     Batches of up to _ACCUMULATE_MAX rows add each chunk with one
     np.add.accumulate below a carry row, wider ones row by row; both must
     give every row the bits it gets alone (a one-row batch) and inside a
-    batch wide enough for the row loop.
+    batch wide enough for the row loop. Batches of up to _STRIDED_MAX rows
+    also read their per-link columns as a view, wider ones from a copy.
     """
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -298,6 +299,7 @@ class TestRowIndependence:
     @example(n=1, p=700, m=120, chunk=None, sigma2=300.0, on_grid=False, seed=2)
     @example(n=3, p=300, m=128, chunk=None, sigma2=30.0, on_grid=True, seed=3)
     @example(n=2, p=40, m=16, chunk=None, sigma2=1e-6, on_grid=False, seed=4)
+    @example(n=3, p=50, m=17, chunk=None, sigma2=30.0, on_grid=False, seed=5)
     def test_rows_match_alone_and_in_a_wide_batch(self, n, p, m, chunk, sigma2, on_grid,
                                                    seed):
         rng = np.random.default_rng(seed)

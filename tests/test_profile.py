@@ -346,3 +346,29 @@ class TestArrayCopy:
                 assert clone == Profile(3, 12, None, expected)
         with pytest.raises(ValueError):
             _clone_with(profile, extra=((1.0, 2.0), 9))  # the extra record is checked
+
+    def test_store_laws_catch_an_eviction_of_the_second_nearest(self, monkeypatch):
+        from qosalloc.verification import store_laws_suite
+
+        clean = store_laws_suite(updates=600)
+        assert clean.violations == 0
+
+        def second_nearest_update(self, allocation, response, target):
+            # the opposite class, as update() picks it, but its second-nearest record
+            alloc, response = self._check_record(allocation, response)
+            if self._size < self.capacity:
+                return UpdateResult(APPENDED, self._append(alloc, response))
+            candidates = np.flatnonzero((self.response_vector() >= target) != (response >= target))
+            if candidates.size == 0:
+                candidates, action = np.arange(self._size), REPLACED_FALLBACK
+            else:
+                action = REPLACED
+            d2 = ((self._allocs[candidates] - alloc) ** 2).sum(axis=1)
+            best = int(candidates[np.argsort(d2, kind="stable")[min(1, len(d2) - 1)]])
+            self._allocs[best], self._responses[best] = alloc, response
+            return UpdateResult(action, best)
+
+        monkeypatch.setattr(Profile, "update", second_nearest_update)
+        mutant = store_laws_suite(updates=600)
+        assert mutant.trials == clean.trials
+        assert mutant.violations > 0

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import importlib
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,9 +36,15 @@ search_module = importlib.import_module("qosalloc.search")
 predictor_module = importlib.import_module("qosalloc.predictor")
 
 
+def grid_counts(grid):
+    """Reference: every grid point's int64 step counts, row-major, from a meshgrid."""
+    axes = [np.arange(c + 1) for c in grid.steps_per_link]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, grid.link_count)
+
+
 def full_grid_search(grid, profile, predictor, target):
     """Reference: search() as one predict_batch call over the whole grid."""
-    counts = grid.counts()
+    counts = grid_counts(grid)
     pts = grid.points()
     y_star, kernel_sum = predictor.predict_batch(pts, profile)
     members = y_star >= target - 0.5
@@ -124,15 +131,66 @@ class TestSearchGrid:
 
     def test_arrays_built_once_and_read_only(self):
         grid = SearchGrid(1.25, (50.0, 30.0))
-        assert grid.counts() is grid.counts()
-        assert grid.points() is grid.points()
-        for arr in (grid.counts(), grid.points()):
+        assert grid.totals() is grid.totals()
+        assert grid.by_total_order() is grid.by_total_order()
+        for arr in (grid.totals(), grid.by_total_order()):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
-                arr[0, 0] = 1
+                arr[0] = 1
+        # points are computed on each call, with the bits of counts * step
+        points = grid.points()
+        assert points is not grid.points() and points.dtype == np.float64
+        assert points.tobytes() == (grid_counts(grid) * 1.25).tobytes()
+        points[0, 0] = 99.0  # a fresh array: writing it leaves the grid as it was
+        assert grid.points(0).tolist() == [0.0, 0.0]
         # the cache is not a field: equality and hashing are unchanged
         assert grid == SearchGrid(1.25, (50.0, 30.0))
         assert hash(grid) == hash(SearchGrid(1.25, (50.0, 30.0)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(step=st.sampled_from([0.1, 0.7, 1.25, 0.3, 3.0]),
+           cells=st.lists(st.tuples(st.integers(0, 9), st.floats(0.01, 0.98)),
+                          min_size=1, max_size=4),
+           picks=st.lists(st.integers(0, 10**6), max_size=12))
+    def test_coordinates_match_a_meshgrid_reference(self, step, cells, picks):
+        # maxima that are no multiple of the step: (c + f) * step with 0 < f < 1
+        grid = SearchGrid(step, tuple((c + f) * step for c, f in cells))
+        assert grid.steps_per_link == tuple(c for c, _ in cells)
+        counts = grid_counts(grid)
+        points = counts * step
+        assert grid.points().tobytes() == points.tobytes()
+        rows = np.array([p % grid.size for p in picks], dtype=np.intp)
+        assert grid.points(rows).tobytes() == points[rows].tobytes()
+        assert grid.points(rows.astype(np.uint32)).tobytes() == points[rows].tobytes()
+        for r in rows[:2]:
+            assert grid.points(r).tobytes() == points[r].tobytes()
+            assert grid.points(int(r)).tobytes() == points[r].tobytes()
+        mask = np.zeros(grid.size, dtype=bool)
+        mask[rows] = True
+        assert grid.points(mask).tobytes() == points[mask].tobytes()
+        assert grid.points(slice(1, None, 2)).tobytes() == points[1::2].tobytes()
+        np.testing.assert_array_equal(grid.totals(), counts.sum(axis=1))
+        keys = tuple(counts[:, j] for j in range(grid.link_count - 1, -1, -1))
+        np.testing.assert_array_equal(grid.by_total_order(),
+                                      np.lexsort(keys + (counts.sum(axis=1),)))
+
+    def test_compact_arrays_at_stress_size(self):
+        rng = np.random.default_rng(5)
+        profile = Profile._from_arrays(3, 12, 128, rng.integers(0, [41, 25, 25], (128, 3)) * 1.25,
+                                       rng.integers(1, 13, 128))
+        tracemalloc.start()
+        try:
+            grid = SearchGrid(1.25, (50.0, 30.0, 30.0))
+            predictor = GrnnPredictor(KernelParams(200.0))
+            search(grid, profile, predictor, 9)
+            del predictor  # with its kept screen product: what remains is the grid's
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # step counts (uint8), totals and order (intp): 77 + 205 + 205 KB;
+        # with float64 coordinates and int64 counts of every point they took 1.64 MB
+        assert held <= 2**19, held
+        assert grid.points(0).dtype == np.float64
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -475,7 +533,7 @@ def assert_block_rule(grid, block_min):
     rows = search_blocks(grid)
     if grid.size < 2 * block_min:
         assert len(rows) == 1
-    totals = grid.counts().sum(axis=1)
+    totals = grid_counts(grid).sum(axis=1)
     np.testing.assert_array_equal(np.sort(np.concatenate(rows)), np.arange(grid.size))
     earlier = 0
     for k, r in enumerate(rows):
@@ -517,7 +575,7 @@ class TestBlockedSearch:
     def test_by_total_order_equals_lexsort(self):
         for grid in (SearchGrid(1.0, (7.0,)), SearchGrid(1.25, (50.0, 30.0)),
                      large_grid(), SearchGrid(2.0, (6.0, 0.0, 10.0))):
-            counts = grid.counts()
+            counts = grid_counts(grid)
             keys = tuple(counts[:, j] for j in range(grid.link_count - 1, -1, -1))
             order = grid.by_total_order()
             np.testing.assert_array_equal(order, np.lexsort(keys + (counts.sum(axis=1),)))
@@ -575,7 +633,7 @@ class TestBlockedSearch:
         result = search(grid, profile, predictor, 9)
         assert result.allocation == (20.0, 0.0)
         assert result == full_grid_search(grid, profile, predictor, 9)
-        totals = grid.counts().sum(axis=1)
+        totals = grid_counts(grid).sum(axis=1)
         assert [sorted(set(totals[rows])) for rows in search_blocks(grid)] == [
             [0, 1], [2], [3, 4]]
 
@@ -609,7 +667,7 @@ class TestBlockedSearch:
         blocks = search_blocks(grid)
         for k, rows in enumerate(blocks):
             block_of[rows] = k
-        totals = grid.counts().sum(axis=1)
+        totals = grid_counts(grid).sum(axis=1)
         predictor = GrnnPredictor(KernelParams(200.0))
         rng = np.random.default_rng(31)
         winner_blocks, tied, infeasible = set(), 0, 0
@@ -885,4 +943,4 @@ class TestScreen:
         grid = SearchGrid(1.25, (50.0, 30.0))
         totals = grid.totals()
         assert totals is grid.totals() and not totals.flags.writeable
-        np.testing.assert_array_equal(totals, grid.counts().sum(axis=1))
+        np.testing.assert_array_equal(totals, grid_counts(grid).sum(axis=1))
