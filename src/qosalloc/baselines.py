@@ -205,17 +205,19 @@ class KnnPredictor(_KeepsState):
         return _knn_batch(np.asarray(xs, dtype=float), profile, self.k_neighbors)
 
     def predict_bounds(self, grid: "SearchGrid", profile: Profile
-                       ) -> tuple[np.ndarray, np.ndarray]:
-        """The interval [min response, max response] at every grid point.
+                       ) -> tuple[np.ndarray, float]:
+        """The interval [min response, max response] at every grid point, as (center, half_width).
 
         A mean of k responses lies between the smallest and the largest,
         and so does its float value: the sum of k small integers is exact,
-        and dividing by k rounds to a float between them. Both arrays have
-        shape (grid.size,).
+        and dividing by k rounds to a float between them. center has shape
+        (grid.size,); the one half_width is a float. Both are halves of
+        small integers, so center +- half_width are exactly the extremes.
         """
         self._check(profile)
         responses = profile.response_vector()
-        return np.full(grid.size, float(responses.min())), np.full(grid.size, float(responses.max()))
+        least, most = float(responses.min()), float(responses.max())
+        return np.full(grid.size, (least + most) / 2), (most - least) / 2
 
     def predict_grid(self, grid: "SearchGrid", rows, profile: Profile
                      ) -> tuple[np.ndarray, np.ndarray]:

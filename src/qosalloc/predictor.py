@@ -34,9 +34,11 @@ underflows, runs lazily over just those rows.
 Every predictor the search accepts has three methods: predict_batch(xs,
 profile) for arbitrary candidates; predict_grid(grid, rows, profile), which
 predicts grid.points(rows); and predict_bounds(grid, profile), which
-gives an interval [lo, hi] per grid point that holds the y* predict_grid
-would give there, so the search never needs to know which predictor it
-holds. The single-point form is the module-level predict().
+gives an interval per grid point that holds the y* predict_grid would give
+there, as (center, half_width): an array of centers and one float width,
+or an array of widths (inf where unbounded). So the search never needs to
+know which predictor it holds. The single-point form is the module-level
+predict().
 
 GrnnPredictor.predict_bounds screens the whole grid at once. The Gaussian
 kernel factors over links, exp(-sum_j d_j / sigma2) = prod_j exp(-d_j /
@@ -46,11 +48,12 @@ grid are one matrix product of the left links' factor (with and without
 the responses) and the right links' factor. That estimate is not bit-exact:
 its rounding differs from predict_batch's. Its interval is y* +- tol with
 tol = _SCREEN_TOL * L, valid wherever the screened kernel sum is at least
-_SCREEN_MIN_SUM; elsewhere it is (-inf, inf). The derivation is in
-GrnnPredictor.predict_bounds. On grids of at least _KEEP_MIN_POINTS
-points, for profiles with enough records, a GrnnPredictor keeps each
-profile's product between calls and updates it slot by slot; a running
-error bound widens its interval.
+_SCREEN_MIN_SUM; elsewhere it is (-inf, inf). tol is over 1,000 times the
+error it covers, so comparisons the search makes with center +- width may
+round. The derivation is in GrnnPredictor.predict_bounds. On grids of at
+least _KEEP_MIN_POINTS points, for profiles with enough records, a
+GrnnPredictor keeps each profile's product between calls and updates it
+slot by slot; a running error bound widens its interval.
 """
 
 from __future__ import annotations
@@ -100,8 +103,8 @@ _KEEP_MIN_RECORDS = 32
 #: error bound, which grows with every update (see predict_bounds).
 _REBUILD_EVERY = 256
 
-#: Most float64 entries of one temporary of the kept product's rebuild and
-#: update (128 KB).
+#: Most float64 entries of one temporary of the kept product's rebuild
+#: (128 KB); an update's temporaries are bounded by half the product.
 _KEEP_CHUNK = 2**14
 
 
@@ -456,24 +459,39 @@ def _screen_factors(k: np.ndarray, left: np.ndarray, grid: "SearchGrid", allocs:
     return factors[1:]
 
 
-def _f_rows(factors: list[np.ndarray], q: int, most: int, buf: np.ndarray | None = None):
-    """F's rows, row-major, at most `most` at a time: (start, rows) pairs.
+def _f_matrix(factors: list[np.ndarray], q: int, out: np.ndarray | None = None) -> np.ndarray:
+    """F whole, (M, q): F[(c_1, ..., c_{n-1}), i] = prod_{j>=1} K_j[c_j, i] over q records.
 
-    F[(c_1, ..., c_{n-1}), i] = prod_{j>=1} K_j[c_j, i] over q records,
-    multiplied from link 1 on; factors are K_1, ..., K_{n-1}. A chunk is a
-    few rows of the links before the last one's product, each times a run
-    of the last link's factor, written into buf when it is given (it must
-    hold `most` rows).
+    Multiplied from link 1 on, row-major, as _f_rows does; factors are
+    K_1, ..., K_{n-1}. From two factors on, the last product is written
+    into out when it is given (M q entries).
     """
     if len(factors) < 2:  # F is K_1 itself, or a row of ones on one link
-        yield 0, factors[0] if factors else np.ones((1, q))
+        return factors[0] if factors else np.ones((1, q))
+    *inner, last = factors
+    f = inner[0]
+    for k_j in inner[1:]:
+        f = np.multiply(f[:, None], k_j).reshape(-1, q)
+    if out is not None:
+        out = out.reshape(len(f), len(last), q)
+    return np.multiply(f[:, None], last, out=out).reshape(-1, q)
+
+
+def _f_rows(factors: list[np.ndarray], q: int, most: int):
+    """F's rows, row-major, at most `most` at a time: (start, rows) pairs.
+
+    The rows are those of _f_matrix(factors, q), with the same bits. A
+    chunk is a few rows of the links before the last one's product, each
+    times a run of the last link's factor.
+    """
+    if len(factors) < 2:
+        yield 0, _f_matrix(factors, q)
         return
     *inner, last = factors
     dims, c_last = [len(k_j) for k_j in inner], len(last)
     heads = math.prod(dims)
     span, run = max(1, most // c_last), min(most, c_last)
-    if buf is None:
-        buf = np.empty(span * run * q)
+    buf = np.empty(span * run * q)
     for p0 in range(0, heads, span):
         index = np.unravel_index(np.arange(p0, min(p0 + span, heads)), dims)
         head = inner[0][index[0]]
@@ -535,28 +553,26 @@ class _KeptScreen:
         the entry's copies hold them; an appended record has none.
         """
         q, out = len(responses), self.out
-        left = np.empty((len(out), q))
+        c_0 = len(self.taken)
+        left = np.empty((2 * c_0, q))
         factors = _screen_factors(np.empty((len(grid.link_values()[0]), q)), left, grid,
                                   allocs, responses, sigma2)
-        c_0 = len(self.taken)
+        f = _f_matrix(factors, q)
         if added < q:
             self.taken += left[:c_0, added:].sum(axis=1)
             np.negative(left[:, added:], out=left[:, added:])
-        for start, rows in _f_rows(factors, q, max(1, _KEEP_CHUNK // q)):
-            end = start + len(rows)
-            if added < q:
-                np.maximum(self.peak[start:end], rows[:, added:].max(axis=1),
-                           out=self.peak[start:end])
-            step = max(1, _KEEP_CHUNK // len(rows))  # rows of out per product
-            for r0 in range(0, len(out), step):
-                out[r0:r0 + step, start:end] += left[r0:r0 + step] @ rows.T
+            np.maximum(self.peak, f[:, added:].max(axis=1), out=self.peak)
+        # one product per half: no temporary is larger than half of out
+        out[:c_0] += left[:c_0] @ f.T
+        out[c_0:] += left[c_0:] @ f.T
         self.updates += 1
 
     def bounds(self, level_count: int, records: int, links: int
-               ) -> tuple[np.ndarray, np.ndarray, int]:
-        """(lo, hi, count): the intervals, and how many of them are infinite but need not be.
+               ) -> tuple[np.ndarray, float | np.ndarray, int]:
+        """(center, half_width, count): the intervals, and how many are infinite but need not be.
 
-        An interval need not be infinite where the exact kernel sum of the
+        half_width is a float when one width holds every point. An
+        interval need not be infinite where the exact kernel sum of the
         terms as added may reach _SCREEN_MIN_SUM, so that a rebuild may
         give it a finite width.
         """
@@ -569,8 +585,7 @@ class _KeptScreen:
             # one width for every point when the largest error term is below tol
             w = beta * (1.0 + np.maximum.reduce(self.taken) * np.maximum.reduce(self.peak) / least)
             if w < tol:
-                y = np.divide(num, den)
-                return np.subtract(y, tol + w), np.add(y, tol + w, out=y), 0
+                return np.divide(num, den), tol + w, 0
         finite = den >= 2.0 * _SCREEN_MIN_SUM
         w = np.multiply.outer(self.taken, self.peak).reshape(-1)
         # |den - D'| <= beta (|den| + taken[r] peak[m]) / L: the points whose
@@ -582,11 +597,8 @@ class _KeptScreen:
         kept = finite & (w < half)
         count = int(np.count_nonzero(could & ~kept))
         w += tol
-        y = np.divide(num, den, out=np.empty(den.size), where=kept)
-        lo = np.subtract(y, w, out=np.full(den.size, -np.inf), where=kept)
-        hi = np.add(y, w, out=w, where=kept)
-        np.copyto(hi, np.inf, where=~kept)
-        return lo, hi, count
+        np.copyto(w, np.inf, where=~kept)
+        return np.divide(num, den, out=np.zeros(den.size), where=kept), w, count
 
 
 class GrnnPredictor(_KeepsState):
@@ -615,19 +627,25 @@ class GrnnPredictor(_KeepsState):
         return predict_batch(grid.points(rows), profile, self.kernel)
 
     def predict_bounds(self, grid: "SearchGrid", profile: "Profile"
-                       ) -> tuple[np.ndarray, np.ndarray]:
-        """An interval [lo, hi] per grid point that holds predict_grid's y* there.
+                       ) -> tuple[np.ndarray, float | np.ndarray]:
+        """(center, half_width): an interval per grid point that holds predict_grid's y* there.
 
-        Both arrays have shape (grid.size,), row-major. The screen builds
-        each link's factor K_j[c, i] = exp((c * step - a_ij)**2 / -sigma2)
-        (all links in one stacked array, over grid.link_values()),
-        multiplies the factors of links 1..n-1 into one (M, S) factor F
-        with M = prod_{j>=1} (C_j + 1) (625 on the 3-link stress grid), and
-        makes one matrix product, [K_0; K_0 * r] @ F.T (rows stacked), whose two
+        center has shape (grid.size,), row-major, and is finite; the
+        interval is [center - half_width, center + half_width]. half_width
+        is a float when one width holds every point, and otherwise an
+        array like center, inf where the interval is unbounded.
+
+        The screen builds each link's factor K_j[c, i] = exp((c * step -
+        a_ij)**2 / -sigma2) (all links in one stacked array, over
+        grid.link_values()), multiplies the factors of links 1..n-1 into
+        one (M, S) factor F with M = prod_{j>=1} (C_j + 1) (625 on the
+        3-link stress grid; F is K_1 itself on two links), and makes one
+        matrix product, [K_0; K_0 * r] @ F.T (rows stacked), whose two
         halves are the kernel sum and the weighted response sum at every
-        grid point, row-major. Their ratio y is the screened y*, and the
-        interval is y +- tol with tol = _SCREEN_TOL * L; where the screened
-        kernel sum is below _SCREEN_MIN_SUM (tau) it is (-inf, inf).
+        grid point, row-major. Their ratio y is the screened y*, the
+        center, and the half-width is tol = _SCREEN_TOL * L; where the
+        screened kernel sum is below _SCREEN_MIN_SUM (tau) it is inf. When
+        every screened sum reaches tau, half_width is the float tol.
 
         Why |y - y*| <= tol where the kernel sum is at least tau. Let u =
         2^-53, gamma_k = k u / (1 - k u), w_i = exp(-t_i) the true weight
@@ -668,6 +686,11 @@ class GrnnPredictor(_KeepsState):
         deviation measured was 4.3e-15 L, over 400 random cases of 1-4
         links and 1-600 records.
 
+        The bound leaves tol a slack of more than 1,000 times the error it
+        covers, so the rounding of the comparisons the search makes with the
+        interval, center against thr +- w or against another center - 2 w
+        (a relative u of values at most L + 2 tol), is far inside it.
+
         Where D_s < tau the interval is infinite, so those points are
         always predicted exactly; that includes every point where
         predict_batch's sum underflows to 0 and y* falls back to the
@@ -689,9 +712,11 @@ class GrnnPredictor(_KeepsState):
           new records and from the entry's copies of the old ones. An
           appended slot adds t_new alone. Nothing of K or F is kept.
         - A rebuild (the first call, another grid object or sigma2, fewer
-          records) fills out from F, and an update adds to it, in chunks
-          of at most _KEEP_CHUNK entries, so neither F (640 KB on the
-          stress grid) nor a temporary as large as out is ever whole.
+          records) fills out from F in chunks of at most _KEEP_CHUNK
+          entries, so F (640 KB on the stress grid) is never whole. An
+          update builds the q changed columns of F whole, q < S (20 KB
+          for one replaced slot on the stress grid), and adds one product
+          into each half of out, so no temporary is larger than half of it.
         - Rebuild policy: rebuild instead of updating when the update's
           columns (two per replaced slot, one per appended) would reach
           the records' count S, the inner dimension of a rebuild's product;
@@ -741,9 +766,12 @@ class GrnnPredictor(_KeepsState):
           y +- (tol + beta (1 + taken[r] peak[m] / den)) with beta = c 2 L'
           kappa (1 + mu) (1 + gamma_{NS}) / (1 - kappa) (_error_scale), c
           = 1 + 2^-40 covering the float64 rounding of that term; y's
-          division and the additions are covered by tol's slack. Where
-          beta (1 + max(taken) max(peak) / min(den)) is below tol, every
-          point takes that one width.
+          division and the additions are covered by tol's slack, and so is
+          the rounding of the search's comparisons (a relative u of values
+          at most L + 2 tol; the derivation above bounds the error it
+          leaves by tol / 1990). Where beta (1 + max(taken) max(peak) /
+          min(den)) is below tol, every point takes that one width, and
+          half_width is that float.
         - The interval is finite only where den >= 2 tau and the error
           term is below L / 2. Then E_D < den / 2, so D' > den / 2 >= tau,
           which the derivation above needs; elsewhere it is (-inf, inf).
@@ -778,24 +806,20 @@ class GrnnPredictor(_KeepsState):
         out = block[f_end:].reshape(2 * c_0, m)
         factors = _screen_factors(k, left, grid, allocs, profile.response_vector(),
                                   self.kernel.sigma2)
-        # F[(c_1, ..., c_{n-1}), i] = prod_{j>=1} K_j[c_j, i] in one chunk
-        for start, rows in _f_rows(factors, s, m, block[left_end:f_end]):
-            np.matmul(left, rows.T, out=out[:, start:start + len(rows)])
+        np.matmul(left, _f_matrix(factors, s, block[left_end:f_end]).T, out=out)
         den, y = out[:c_0].reshape(-1), out[c_0:].reshape(-1)
         tol = _SCREEN_TOL * profile.level_count
         if np.minimum.reduce(den) >= _SCREEN_MIN_SUM:  # every interval is finite
-            np.divide(y, den, out=y)
-            return np.subtract(y, tol, out=den), np.add(y, tol, out=y)
+            return np.divide(y, den, out=y), tol
         kept = den >= _SCREEN_MIN_SUM
-        np.divide(y, den, out=y, where=kept)
-        lo = np.subtract(y, tol, out=den)
-        hi = np.add(y, tol, out=y)
-        np.copyto(lo, -np.inf, where=~kept)
-        np.copyto(hi, np.inf, where=~kept)
-        return lo, hi
+        np.divide(y, den, out=y, where=kept)  # y stays the finite response sum elsewhere
+        width = den
+        width.fill(np.inf)
+        np.copyto(width, tol, where=kept)
+        return y, width
 
     def _kept_bounds(self, grid: "SearchGrid", profile: "Profile"
-                     ) -> tuple[np.ndarray, np.ndarray] | None:
+                     ) -> tuple[np.ndarray, float | np.ndarray] | None:
         """predict_bounds from the profile's kept product, updated or rebuilt first.
 
         None when the profile is to be screened anew on this call.
@@ -818,17 +842,17 @@ class GrnnPredictor(_KeepsState):
         shape = profile.level_count, len(responses), grid.link_count
         if screen is None:
             screen = _KeptScreen(grid, allocs, responses, sigma2)
-            lo, hi, screen.infinite = screen.bounds(*shape)
+            center, width, screen.infinite = screen.bounds(*shape)
         else:
-            lo, hi, infinite = screen.bounds(*shape)
+            center, width, infinite = screen.bounds(*shape)
             if infinite > screen.infinite:  # the error bound: rebuild
-                del lo, hi
+                del center, width
                 if screen.bounded and screen.updates == 1:  # twice in a row
                     self._keep(grid, profile, sigma2, _REBUILD_EVERY, entry)
                     return None
                 screen = entry.value = None  # the old product goes first
                 screen = _KeptScreen(grid, allocs, responses, sigma2)
-                lo, hi, screen.infinite = screen.bounds(*shape)
+                center, width, screen.infinite = screen.bounds(*shape)
                 screen.bounded = True
         self._keep(grid, profile, sigma2, screen, entry)
-        return lo, hi
+        return center, width

@@ -9,18 +9,21 @@ lexicographically smallest allocation, so results are deterministic.
 
 The search screens the grid before it predicts it. A predictor's
 predict_bounds(grid, profile) gives every grid point an interval [lo, hi]
-that holds the exact y* predict_grid would give there, and only the
-points the interval cannot decide are predicted exactly: those whose hi
-reaches the threshold, up to the cheapest layer holding a point whose lo
-reaches it (a sure member). The kernel-regression predictor's interval is
-an estimate of y* from one matrix product over the separable kernel,
-+- 2^-20 L, and is infinite where the estimated kernel sum nears
+= center +- half_width that holds the exact y* predict_grid would give
+there, with one float half-width for the whole grid or an array of them.
+Only the points the interval cannot decide are predicted exactly: those
+whose hi reaches the threshold, up to the cheapest layer holding a point
+whose lo reaches it (a sure member, layer T_sure), and in that layer only
+those whose hi reaches its largest lo. The kernel-regression predictor's
+interval is an estimate of y* from one matrix product over the separable
+kernel, +- 2^-20 L, and is infinite where the estimated kernel sum nears
 underflow; the predictor module derives that tolerance. The kNN
 predictor's interval is the profile's [min, max] response. Every value a
 decision reads still comes from predict_grid, so the result is bit for
 bit the one a whole-grid prediction gives. On the 3-link 25,625-point
-grid of the stress benchmark a search predicts 10 to 16 points exactly on
-average, where it predicted about half the grid before.
+grid of the stress benchmark a search predicts 2.7 points exactly on
+average (at most 8; it was 13.2 before the T_sure layer was pruned, and
+about half the grid before the screen).
 
 The candidates are evaluated in blocks of whole total-bandwidth layers,
 in increasing total, and the search stops after the first block that
@@ -75,6 +78,11 @@ _GRID_EPS = 1e-9
 
 # Fewest grid points in one evaluation block; see the module docstring.
 _BLOCK_MIN = 4096
+
+# Most candidates a search predicts without pruning its T_sure layer; see
+# search(). Below it the pruning's numpy calls cost more than the rows they
+# save.
+_PRUNE_MIN = 8
 
 # Most points a grid may hold: about 41 times the 3-link stress grid, and
 # at most about 32 MB of grid arrays at 3 links (20 MB on the 101**3 cube,
@@ -300,17 +308,26 @@ def search(grid: SearchGrid, profile: Profile, predictor, target: int) -> Alloca
     EmptyProfileError.
 
     The search first screens the grid: predict_bounds gives an interval
-    [lo, hi] that holds each point's exact y*, and only the points the
-    interval cannot rule out are predicted exactly. With threshold =
-    target - 1/2, a point with lo >= threshold is surely a member; let
-    T_sure be the smallest total of such a point (infinite if none). The
-    candidates are the points with hi >= threshold and total <= T_sure:
-    every member of the cheapest member layer is among them, since that
-    layer's total is at most T_sure and a member has y* >= threshold. The
-    candidates are predicted in whole-layer blocks of increasing total,
-    cut as the module docstring says, and the search stops after the
-    first block holding a member, which holds every member of its
-    cheapest layer for the tie-breaks. With no member among the
+    [lo, hi] = center +- half_width that holds each point's exact y*, and
+    only the points the interval cannot rule out are predicted exactly.
+    With threshold = target - 1/2, a point with lo >= threshold is surely
+    a member; let T_sure be the smallest total of such a point (infinite
+    if none). The candidates are the points with hi >= threshold and
+    total <= T_sure: every member of the cheapest member layer is among
+    them, since that layer's total is at most T_sure and a member has y*
+    >= threshold. When T_sure is below the largest total (whose layer is
+    one point) and there are more than _PRUNE_MIN candidates, the T_sure
+    layer keeps only its candidates whose hi reaches B, the largest lo
+    among them, which is a sure member's. That is exact: if the layer is
+    the cheapest member layer, its winner has y* >= B, as has every point
+    that ties it, so hi >= B; otherwise a lower layer, which is not
+    pruned, holds the winner. With one float width w, hi >= B is center
+    >= max(center) - 2 w over the layer, and sure is center >= threshold
+    + w; the predictor's tolerance covers their rounding. The candidates
+    are predicted in whole-layer blocks of increasing total, cut as the
+    module docstring says, and the search stops after the first block
+    holding a member, which holds every member of its cheapest layer for
+    the tie-breaks. With no member among the
     candidates there is none on the grid; the search then also predicts
     every point not yet predicted with hi >= max(lo), since no other point
     can reach the highest y*, and takes the highest y*. Every value a
@@ -325,13 +342,25 @@ def search(grid: SearchGrid, profile: Profile, predictor, target: int) -> Alloca
             f"grid has {grid.link_count} links but profile has {profile.link_count}"
         )
     threshold = target - 0.5
-    lo, hi = predictor.predict_bounds(grid, profile)
+    center, width = predictor.predict_bounds(grid, profile)
+    one_width = np.ndim(width) == 0
     totals = grid.totals()
     layer_ends = grid._layer_ends
+    last = len(layer_ends) - 1
+    sure = center >= threshold + width if one_width else center - width >= threshold
     # T_sure, or the largest total when no point is a sure member
-    t_sure = np.minimum.reduce(totals, where=lo >= threshold, initial=len(layer_ends) - 1)
+    t_sure = np.minimum.reduce(totals, where=sure, initial=last)
     cheap = grid.by_total_order()[:layer_ends[t_sure]]  # every point with total <= T_sure
-    rows = cheap[hi[cheap] >= threshold]
+    maybe = center[cheap] >= threshold - width if one_width else \
+        center[cheap] + width[cheap] >= threshold
+    rows = cheap[maybe]
+    if t_sure < last and len(rows) > _PRUNE_MIN:
+        # the T_sure layer holds a sure member: only its points whose hi
+        # reaches the layer's largest lo can win it
+        first = np.count_nonzero(maybe[:layer_ends[t_sure - 1]]) if t_sure else 0
+        top = rows[first:]
+        keep = _may_hold_highest(center[top], width if one_width else width[top])
+        rows = np.concatenate((rows[:first], top[keep]))
     size = len(rows)
     # the candidates' totals, which only a cut into two or more blocks reads
     row_totals = totals[rows] if size >= 2 * _BLOCK_MIN else None
@@ -360,7 +389,7 @@ def search(grid: SearchGrid, profile: Profile, predictor, target: int) -> Alloca
             feasible = True
             break
     else:
-        reach = hi >= lo.max()  # only these can hold the highest y*
+        reach = _may_hold_highest(center, width)
         reach[rows] = False  # predicted already
         extra = np.flatnonzero(reach)
         if extra.size:
@@ -378,3 +407,14 @@ def search(grid: SearchGrid, profile: Profile, predictor, target: int) -> Alloca
                               kernel_sum=float(kernel_sum[k])),
         feasible_found=feasible,
     )
+
+
+def _may_hold_highest(center: np.ndarray, width) -> np.ndarray:
+    """Where hi reaches the largest lo of the intervals center +- width.
+
+    No other point can hold the highest y* among them, nor tie it. With
+    one float width that is center >= max(center) - 2 width.
+    """
+    if np.ndim(width) == 0:
+        return center >= center.max() - 2 * width
+    return center + width >= (center - width).max()

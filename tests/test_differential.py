@@ -49,7 +49,7 @@ class UnscreenedGrnn(GrnnPredictor):
     """GrnnPredictor whose interval is (-inf, inf): the search screens nothing."""
 
     def predict_bounds(self, grid, profile):
-        return np.full(grid.size, -np.inf), np.full(grid.size, np.inf)
+        return np.zeros(grid.size), np.inf
 
 
 class ComputedKnn(KnnPredictor):

@@ -59,9 +59,9 @@ def kept(predictor, profile):
 
 def assert_sound(predictor, grid, profile):
     """Every interval holds predict_grid's y* at every grid point."""
-    lo, hi = predictor.predict_bounds(grid, profile)
+    center, width = predictor.predict_bounds(grid, profile)
     y_star, _ = predictor.predict_grid(grid, slice(None), profile)
-    assert np.all((lo <= y_star) & (y_star <= hi))
+    assert np.all((center - width <= y_star) & (y_star <= center + width))
 
 
 def far_record(rng, grid):
@@ -144,8 +144,8 @@ def test_error_bound_forces_a_rebuild(kept_everywhere, monkeypatch):
     assert counted[2][2] > 0 and counted[3][2] == 0  # infinite by the bound, then rebuilt
     rebuilt = kept(predictor, profile)
     assert rebuilt is not first and rebuilt.updates == 0
-    lo, _ = predictor.predict_bounds(grid, profile)
-    assert np.isfinite(lo).all()
+    center, width = predictor.predict_bounds(grid, profile)
+    assert np.isfinite(center - width).all()
     assert search(grid, profile, predictor, 3) == full_grid_search(grid, profile, predictor, 3)
 
 
@@ -160,13 +160,13 @@ def test_a_sum_that_truly_falls_below_the_floor_forces_no_rebuild(kept_everywher
     predictor = GrnnPredictor(KernelParams(0.1))
     built, updated = spy(monkeypatch, "__init__"), spy(monkeypatch, "update")
     corner = 4 * 25  # the row of (5, 0, 0)
-    lo, _ = predictor.predict_bounds(grid, profile)
-    assert np.isfinite(lo[corner])
+    center, width = predictor.predict_bounds(grid, profile)
+    assert np.isfinite((center - width)[corner])
     # its replacement lies on another record: (5, 0, 0) keeps no sum a fresh
     # screen could see, so its infinite interval is no reason to rebuild
     assert profile.update((0.0, 5.0, 5.0), 1, target=12).index == 0
-    lo, _ = predictor.predict_bounds(grid, profile)
-    assert lo[corner] == -np.inf and len(built) == 1 and len(updated) == 1
+    center, width = predictor.predict_bounds(grid, profile)
+    assert (center - width)[corner] == -np.inf and len(built) == 1 and len(updated) == 1
     assert_sound(predictor, grid, profile)
     for target in (2, 12):
         assert search(grid, profile, predictor, target) == \
@@ -215,7 +215,8 @@ def test_small_sigma2_updates_serve_a_stress_size_grid(monkeypatch):
     rows = rng.choice(grid.size, 512, replace=False)
     for alloc, response in lattice_records(rng, grid, 60):
         profile.update(alloc, response, target=7)
-        lo, hi = predictor.predict_bounds(grid, profile)
+        center, width = predictor.predict_bounds(grid, profile)
+        lo, hi = center - width, center + width
         y_star, _ = predictor.predict_grid(grid, rows, profile)
         assert np.all((lo[rows] <= y_star) & (y_star <= hi[rows]))
     assert len(built) == 1 and len(updated) == 59
@@ -251,9 +252,9 @@ def test_periodic_and_costly_updates_rebuild(kept_everywhere, monkeypatch):
 
 
 def test_small_chunks_give_the_same_products(kept_everywhere, monkeypatch):
-    # rebuilds and updates of one row of F, or a few, at a time against
-    # whole products: the same bound arrays, and products equal but for the
-    # rounding of their different sums
+    # rebuilds of one row of F, or a few, at a time against whole products
+    # (an update takes no chunks): the same bound arrays, and products
+    # equal but for the rounding of their different sums
     rng = np.random.default_rng(12)
     records = lattice_records(rng, GRID, 10)
     updates = lattice_records(rng, GRID, 40)

@@ -18,6 +18,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from qosalloc.baselines import KnnPredictor
+from qosalloc.controller import QosConfig, QosController
+from qosalloc.harness import seed_profile_generate
+from qosalloc.netsim import LinkSpec, ServiceSpec, Simulator
 from qosalloc.predictor import (
     EmptyProfileError,
     GrnnPredictor,
@@ -28,6 +31,7 @@ from qosalloc.predictor import (
     round_response,
 )
 from qosalloc.profile import Profile
+from qosalloc.scenarios import LEVEL_COUNT, TARGETS, THRESHOLDS
 from qosalloc.search import AllocationResult, SearchGrid, membership_c_form, search
 from qosalloc.verification import membership_forms_suite, naive_search, random_instance
 
@@ -82,7 +86,7 @@ class SpyPredictor:
         self.batches = []
 
     def predict_bounds(self, grid, profile):
-        return np.full(grid.size, -np.inf), np.full(grid.size, np.inf)
+        return np.zeros(grid.size), np.inf
 
     def predict_grid(self, grid, rows, profile):
         self.batches.append(np.arange(grid.size)[rows])
@@ -866,7 +870,10 @@ class TestScreen:
     def test_interval_holds_the_exact_y_star(self, case):
         grid, kernel, profile = case
         predictor = GrnnPredictor(kernel)
-        lo, hi = predictor.predict_bounds(grid, profile)
+        center, width = predictor.predict_bounds(grid, profile)
+        assert np.ndim(width) == 0 or width.shape == (grid.size,)
+        assert np.all(np.isfinite(center))
+        lo, hi = center - width, center + width
         assert lo.shape == hi.shape == (grid.size,)
         y_star, kernel_sum = predictor.predict_grid(grid, slice(None), profile)
         assert np.all((lo <= y_star) & (y_star <= hi))
@@ -877,11 +884,12 @@ class TestScreen:
         tol = predictor_module._SCREEN_TOL * profile.level_count
         # the screened y* sits far inside the interval: the error bound has a
         # margin of 1000x below tol
-        middle = (lo[finite] + hi[finite]) / 2
-        assert np.all(np.abs(middle - y_star[finite]) < 1e-3 * tol)
-        knn_lo, knn_hi = KnnPredictor(1).predict_bounds(grid, profile)
+        assert np.all(np.abs(center[finite] - y_star[finite]) < 1e-3 * tol)
+        knn_center, knn_width = KnnPredictor(1).predict_bounds(grid, profile)
+        assert knn_center.shape == (grid.size,) and np.ndim(knn_width) == 0
         responses = profile.response_vector()
-        assert np.all(knn_lo == responses.min()) and np.all(knn_hi == responses.max())
+        assert np.all(knn_center - knn_width == responses.min())
+        assert np.all(knn_center + knn_width == responses.max())
 
     @SCREEN_SETTINGS
     @given(screen_cases(), st.integers(1, 600))
@@ -898,14 +906,16 @@ class TestScreen:
         records = [((10.0, 5.0), 3), ((40.0, 25.0), 9)]
         profile = Profile(2, 12, None, records)
         # at sigma2 = 1e-6 a record's weight one step away is exp(-1.5625e6) = 0
-        lo, hi = GrnnPredictor(KernelParams(1e-6)).predict_bounds(grid, profile)
+        center, width = GrnnPredictor(KernelParams(1e-6)).predict_bounds(grid, profile)
+        lo, hi = center - width, center + width
         finite = np.flatnonzero(np.isfinite(lo))
         on_records = np.flatnonzero((grid.points() == (10.0, 5.0)).all(axis=1)
                                     | (grid.points() == (40.0, 25.0)).all(axis=1))
         np.testing.assert_array_equal(finite, on_records)
         assert np.all(lo[~np.isfinite(lo)] == -np.inf) and np.all(hi[~np.isfinite(hi)] == np.inf)
         # at sigma2 = 200 every point keeps weight, and y* lies between the levels
-        lo, hi = GrnnPredictor(KernelParams(200.0)).predict_bounds(grid, profile)
+        center, width = GrnnPredictor(KernelParams(200.0)).predict_bounds(grid, profile)
+        lo, hi = center - width, center + width
         assert np.all(np.isfinite(lo)) and np.all(lo > 2.9) and np.all(hi < 9.1)
 
     @pytest.mark.parametrize("grid", [
@@ -918,11 +928,18 @@ class TestScreen:
         rng = np.random.default_rng(grid.size)
         profile = Profile(grid.link_count, 12, None, lattice_records(rng, grid, 9))
         predictor = GrnnPredictor(KernelParams(30.0))
-        lo, hi = predictor.predict_bounds(grid, profile)
+        center, width = predictor.predict_bounds(grid, profile)
+        # one float width when every interval is finite
+        assert width == predictor_module._SCREEN_TOL * profile.level_count
+        lo, hi = center - width, center + width
         assert np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))
         _, kernel_sum = predictor.predict_grid(grid, slice(None), profile)
         monkeypatch.setattr(predictor_module, "_SCREEN_MIN_SUM", float(np.median(kernel_sum)))
-        masked_lo, masked_hi = predictor.predict_bounds(grid, profile)
+        masked_center, masked_width = predictor.predict_bounds(grid, profile)
+        assert masked_width.shape == (grid.size,)
+        assert np.all((masked_width == width) | (masked_width == np.inf))
+        assert np.array_equal(masked_center[masked_width == width], center[masked_width == width])
+        masked_lo, masked_hi = masked_center - masked_width, masked_center + masked_width
         finite = np.isfinite(masked_lo)
         assert 0 < np.count_nonzero(finite) < grid.size
         assert np.array_equal(masked_lo[finite], lo[finite])
@@ -944,3 +961,199 @@ class TestScreen:
         totals = grid.totals()
         assert totals is grid.totals() and not totals.flags.writeable
         np.testing.assert_array_equal(totals, grid_counts(grid).sum(axis=1))
+
+
+MIRROR_GRID = SearchGrid(1.25, (7.5, 7.5, 5.0))  # 7 x 7 x 5 = 245 points
+
+
+def mirrored_records(rng, count):
+    """Records of MIRROR_GRID at equal link-0 and link-1 allocations, level rising with total.
+
+    Swapping links 0 and 1 of a grid point swaps the first two terms of
+    every record's squared distance, which leaves each weight bit for bit:
+    (a, b, c) and (b, a, c) predict the same y*, a tie in one total layer.
+    """
+    recs = []
+    for _ in range(count):
+        c = [int(rng.integers(0, 7)), 0, int(rng.integers(0, 5))]
+        c[1] = c[0]
+        level = round(sum(c) * 0.6) + 1 + int(rng.integers(-1, 2))
+        recs.append((tuple(v * 1.25 for v in c), int(np.clip(level, 1, 12))))
+    return recs
+
+
+def mirrored_profile(rng, count, capacity=None):
+    return Profile(3, 12, capacity, mirrored_records(rng, count))
+
+
+class AroundPredictor:
+    """Intervals that hold predict_grid's y* anywhere in their width, drawn at random.
+
+    center = y* + d * width with d uniform in [-0.99, 0.99]: the interval is
+    sound, but its center ranks the points unlike y*, so only an exact
+    pruning rule keeps the winner. width is one float, or an array of
+    widths of up to that float with every seventh one infinite.
+    """
+
+    def __init__(self, inner, rng, width, one_width):
+        self.inner, self.rng, self.width, self.one_width = inner, rng, width, one_width
+
+    def predict_bounds(self, grid, profile):
+        y_star, _ = self.inner.predict_grid(grid, slice(None), profile)
+        if self.one_width:
+            width = self.width
+        else:
+            width = self.rng.uniform(0.0, self.width, grid.size)
+            width[self.rng.integers(0, 7, grid.size) == 0] = np.inf
+        shift = self.rng.uniform(-0.99, 0.99, grid.size) * np.where(np.isinf(width), 0.0, width)
+        return y_star + shift, width
+
+    def predict_grid(self, grid, rows, profile):
+        return self.inner.predict_grid(grid, rows, profile)
+
+
+class RowCounter:
+    """Wraps a predictor and adds up the rows predict_grid was asked for."""
+
+    def __init__(self, inner):
+        self.inner, self.rows = inner, 0
+
+    def predict_bounds(self, grid, profile):
+        return self.inner.predict_bounds(grid, profile)
+
+    def predict_grid(self, grid, rows, profile):
+        y_star, kernel_sum = self.inner.predict_grid(grid, rows, profile)
+        self.rows += len(y_star)
+        return y_star, kernel_sum
+
+
+def tied_winner(grid, profile, predictor, target):
+    """Whether the whole-grid decision has another point of its layer at its y*."""
+    result = full_grid_search(grid, profile, predictor, target)
+    y_star, _ = predictor.predict_grid(grid, slice(None), profile)
+    totals = grid.totals()
+    row = int(np.flatnonzero((grid.points() == result.allocation).all(axis=1))[0])
+    same = (totals == totals[row]) & (y_star == y_star[row])
+    return result.feasible_found and np.count_nonzero(same) > 1
+
+
+@pytest.fixture
+def prune_always(monkeypatch):
+    monkeypatch.setattr(search_module, "_PRUNE_MIN", 0)
+
+
+class TestPrunedSearch:
+    """The T_sure layer's pruning, forced on for every search, leaves every decision exact."""
+
+    @pytest.mark.parametrize("sigma2", [20.0, 2.0, 0.05], ids=["wide", "narrow", "unbounded"])
+    def test_fresh_screens(self, prune_always, monkeypatch, sigma2):
+        rng = np.random.default_rng(int(sigma2 * 100))
+        predictor = GrnnPredictor(KernelParams(sigma2))
+        ties = infeasible = widths = 0
+        rows = {}
+        for case in range(24):
+            profile = mirrored_profile(rng, int(rng.integers(4, 24)))
+            widths += np.ndim(predictor.predict_bounds(MIRROR_GRID, profile)[1])
+            for target in (3, 5, 7, 9, 12):
+                expected = full_grid_search(MIRROR_GRID, profile, predictor, target)
+                for prune_min in (0, 10**9):
+                    monkeypatch.setattr(search_module, "_PRUNE_MIN", prune_min)
+                    counter = RowCounter(predictor)
+                    assert search(MIRROR_GRID, profile, counter, target) == expected
+                    rows[prune_min] = rows.get(prune_min, 0) + counter.rows
+                ties += tied_winner(MIRROR_GRID, profile, predictor, target)
+                infeasible += not expected.feasible_found
+        assert ties > 10 and infeasible > 0
+        assert rows[0] < rows[10**9]  # the pruning ran
+        # the 0.05 kernel leaves intervals unbounded on most profiles: an
+        # array of widths; the others give one float width
+        assert widths > 10 if sigma2 < 1.0 else widths == 0
+
+    @pytest.mark.parametrize("sigma2", [20.0, 0.6], ids=["one_width", "widths"])
+    def test_kept_screens(self, prune_always, monkeypatch, sigma2):
+        monkeypatch.setattr(predictor_module, "_KEEP_MIN_POINTS", 0)
+        monkeypatch.setattr(predictor_module, "_KEEP_MIN_RECORDS", 0)
+        rng = np.random.default_rng(int(sigma2 * 10))
+        profile = mirrored_profile(rng, 16, capacity=16)
+        predictor = GrnnPredictor(KernelParams(sigma2))
+        updated = []
+        update = predictor_module._KeptScreen.update
+        monkeypatch.setattr(predictor_module._KeptScreen, "update",
+                            lambda screen, *args: updated.append(update(screen, *args)))
+        widths = set()
+        ties = 0
+        for step in range(80):
+            for alloc, response in mirrored_records(rng, 1):
+                profile.update(alloc, response, target=int(rng.integers(3, 10)))
+            _, width = predictor.predict_bounds(MIRROR_GRID, profile)
+            widths.add(np.ndim(width))
+            target = (3, 6, 8, 11)[step % 4]
+            assert search(MIRROR_GRID, profile, predictor, target) == \
+                full_grid_search(MIRROR_GRID, profile, predictor, target)
+            ties += tied_winner(MIRROR_GRID, profile, predictor, target)
+        assert len(updated) > 40 and ties > 5
+        assert widths == ({0} if sigma2 > 1.0 else {0, 1})
+
+    @pytest.mark.parametrize("one_width", [True, False], ids=["one_width", "widths"])
+    @pytest.mark.parametrize("width", [0.02, 0.3, 2.0])
+    def test_random_sound_intervals(self, prune_always, one_width, width):
+        rng = np.random.default_rng(int(width * 100) + one_width)
+        inner = GrnnPredictor(KernelParams(20.0))
+        ties = infeasible = 0
+        for case in range(30):
+            profile = mirrored_profile(rng, int(rng.integers(4, 24)))
+            predictor = AroundPredictor(inner, rng, width, one_width)
+            for target in (3, 5, 7, 9, 12):
+                expected = full_grid_search(MIRROR_GRID, profile, inner, target)
+                assert search(MIRROR_GRID, profile, predictor, target) == expected
+                ties += tied_winner(MIRROR_GRID, profile, inner, target)
+                infeasible += not expected.feasible_found
+        assert ties > 10 and infeasible > 0
+
+    def test_knn_and_the_stress_grid(self, prune_always):
+        rng = np.random.default_rng(21)
+        grid = large_grid()
+        for symmetric in (True, False):
+            profile = level_by_total_profile(rng, symmetric)
+            for predictor in (GrnnPredictor(KernelParams(200.0)), KnnPredictor(3)):
+                for target in (4, 8, 11):
+                    assert search(grid, profile, predictor, target) == \
+                        full_grid_search(grid, profile, predictor, target)
+
+
+def stress_loop(seed):
+    """One 8-epoch, two-service stress loop: 18 searches.
+
+    The loop has the stress benchmark's shape: the 25,625-point grid,
+    services at QoS 2 and 3, each seeded with 128 records at capacity, on
+    links of 60/40/40 Mbps with 15-45 % background, so the clamp binds.
+    """
+    rng = np.random.default_rng(seed)
+    grid = large_grid()
+    config = QosConfig(level_count=LEVEL_COUNT, thresholds=THRESHOLDS, targets=TARGETS,
+                       kernel=KernelParams(200.0), grid=grid, capacity=128)
+    ctrls = [QosController(config, seed_profile_generate(grid, config, 128, 40.0, rng,
+                                                         capacity=128), qos_level=qos)
+             for qos in (2, 3)]
+    links = [LinkSpec(cap, tuple(rng.uniform(0.15, 0.45, 8) * cap)) for cap in (60.0, 40.0, 40.0)]
+    services = [ServiceSpec(tuple(np.repeat(rng.choice(levels, 4), 2)), qos)
+                for qos, levels in zip((2, 3), ((32.0, 36.0, 40.0, 44.0), (24.0, 28.0, 32.0, 36.0)))]
+    Simulator(links, services, ctrls, noise_std=1.0, rng=rng).run(8)
+
+
+def test_stress_searches_predict_few_rows(monkeypatch):
+    rows = []
+    predict_grid = GrnnPredictor.predict_grid
+
+    def counting(predictor, grid, block, profile):
+        y_star, kernel_sum = predict_grid(predictor, grid, block, profile)
+        rows.append(len(y_star))
+        return y_star, kernel_sum
+
+    monkeypatch.setattr(GrnnPredictor, "predict_grid", counting)
+    for seed in range(1, 5):
+        stress_loop(seed)
+    assert len(rows) == 4 * 18
+    # exact rows over the 72 searches: 1,943 before the T_sure layer was
+    # pruned, 184 with it
+    assert sum(rows) <= 300 and max(rows) <= 12
